@@ -189,8 +189,18 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _parse_dims(text: str) -> tuple:
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"--dims must be comma-separated integers, got {text!r}") from exc
+    if any(d < 1 for d in dims):
+        raise ValidationError(f"--dims entries must be >= 1, got {text!r}")
+    return dims
+
+
 def cmd_selftest(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
+    dims = _parse_dims(args.dims)
     seed = args.seed if args.seed is not None else _default_seed()
     passed, results = run_selftest(
         dims=dims, samples=args.samples, seed=seed, inject_failure=args.inject_failure

@@ -12,10 +12,20 @@ phases, d^2 real parameters). Accepted moves fold the rotation into U0, so
 iterates stay exactly unitary. Step halving refines; stalls trigger probe
 sweeps with large angles and exact 2x2 diagonalizers, which cross the
 absolute-value kinks that trap plain small-step ascent.
+
+The |diag| engine behind both quantumness flavors reads its probe
+rotations from tables built once at import (small steps are cached per
+step size). When a stall probe includes the fine angle grid, numpy scores
+all big-angle and grid rotations of a pair at once and only the
+near-best survivors are rescored with the scalar formula, so every
+decision and every accumulated gain is bit-for-bit that of a full scalar
+scan. A start listed twice (the Fourier basis is also the first mutually
+unbiased basis) is ascended once and its result reused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +46,10 @@ from .errors import DimMismatchError, ValidationError
 
 _STEP_FLOOR = 3e-9
 _BIG_ANGLES = (math.pi / 4, 3 * math.pi / 8, math.pi / 2)
+# fine angle grid for stall probes: plateaus of the objective can hide
+# narrow improving craters that the fixed large angles miss
+_GRID = tuple(math.pi * (g + 1) / 49.0 for g in range(48))
+_PROBE_TOL = 1e-12
 NEGATIVE_CLAMP = 1e-9
 
 
@@ -55,6 +69,10 @@ class OptimizerConfig:
             raise ValidationError(f"n_restarts must be >= 1, got {self.n_restarts}")
         if not self.rel_tol > 0:
             raise ValidationError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if self.max_iters < 1:
+            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.step_init) and self.step_init > 0):
+            raise ValidationError(f"step_init must be finite and > 0, got {self.step_init}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +103,63 @@ def _rot2(kind: int, c: float):
     return (cs, -sn, sn, cs)
 
 
+def _with_conj(r):
+    """A 2x2 rotation (r00, r01, r10, r11) followed by the conjugates of its entries."""
+    return r + tuple(x.conjugate() for x in r)
+
+
+def _rot_table(angles):
+    """Both rotation kinds at each angle, in probe order, each with its conjugates."""
+    return tuple(_with_conj(_rot2(kind, a)) for a in angles for kind in (0, 1))
+
+
+def _quad_forms(rots) -> np.ndarray:
+    """Coefficients of the rotated diagonal in (m00, m01, m10, m11), shape (2, n, 4).
+
+    Column c of a rotation maps the 2x2 block M to c^dag M c, a linear form
+    in M's entries; this lets numpy score a whole probe table at once.
+    """
+    r = np.array([x[:4] for x in rots], dtype=complex)
+    cols = (r[:, [0, 2]], r[:, [1, 3]])
+    return np.stack([np.einsum("na,nb->nab", c.conj(), c).reshape(len(rots), 4) for c in cols])
+
+
+@functools.lru_cache(maxsize=256)
+def _small_rots(step: float):
+    """The four small-step rotations of a sweep; steps repeat, so they are cached."""
+    c = step / math.sqrt(2.0)
+    return tuple(_with_conj(_rot2(kind, a)) for kind in (0, 1) for a in (c, -c))
+
+
+_BIG_ROTS = _rot_table(_BIG_ANGLES)
+_PROBE_ROTS = _BIG_ROTS + _rot_table(_GRID)
+_PROBE_FORMS = _quad_forms(_PROBE_ROTS)
+
+
+def _probe_survivors(m00, m01, m10, m11):
+    """Big-angle and grid rotations that may hold a pair's best probe gain.
+
+    Scores every probe with numpy and keeps those within _PROBE_TOL of the
+    top score, split into (big-angle, grid) in probe order. np.abs differs
+    from abs in the last bit, so the caller rescores the survivors with its
+    scalar formula: choices and accumulated gains stay those of a full
+    scalar scan, since every dropped probe scores strictly below a kept one.
+    """
+    score = np.abs(_PROBE_FORMS @ np.array((m00, m01, m10, m11))).sum(axis=0)
+    top = float(score.max())
+    keep = np.flatnonzero(score >= top - _PROBE_TOL * max(1.0, top)).tolist()
+    n_big = len(_BIG_ROTS)
+    return (
+        tuple(_PROBE_ROTS[i] for i in keep if i < n_big),
+        tuple(_PROBE_ROTS[i] for i in keep if i >= n_big),
+    )
+
+
 def _diag2_candidates(m00, m01, m10, m11):
-    """Unitaries diagonalizing the Hermitian / anti-Hermitian parts of a 2x2 block."""
+    """Unitaries diagonalizing the Hermitian / anti-Hermitian parts of a 2x2 block.
+
+    Each comes as a rotation table entry: its four entries, then their conjugates.
+    """
     out = []
     for phase in (1.0, 1j):
         a = (m00 / phase).real
@@ -102,7 +175,8 @@ def _diag2_candidates(m00, m01, m10, m11):
         if n < 1e-300:
             continue
         v0, v1 = v0 / n, v1 / n
-        out.append((v0, -v1, v1, v0.conjugate()))
+        v0c = v0.conjugate()
+        out.append((v0, -v1, v1, v0c, v0c, -v1, v1, v0))
     return out
 
 
@@ -110,7 +184,11 @@ def _ascend_abs(k_op: np.ndarray, u0: np.ndarray, max_iters: int, rel_tol: float
     """Maximize sum_b |u_b^dag K u_b| by pair-coordinate ascent on the basis columns.
 
     Column phases leave every term invariant, so only the d(d-1) pair
-    rotations are swept. Cached K-column products make each trial O(d).
+    rotations are swept. U and W = K U are stacked in one (2d, d) array, so
+    a rotation updates both with two column writes, and each trial costs
+    only 2x2 scalar algebra on the diagonal t = diag(U^dag K U), which is
+    kept as Python complex values. Rotation tables come prebuilt (small
+    steps cached per step size); grid probes are screened with numpy first.
     Returns (value, basis, converged, accepting_sweeps + 1).
     """
     d = k_op.shape[0]
@@ -118,63 +196,56 @@ def _ascend_abs(k_op: np.ndarray, u0: np.ndarray, max_iters: int, rel_tol: float
     if d == 1:
         return abs(complex(u[:, 0].conj() @ k_op @ u[:, 0])), u, True, 1
     w = k_op @ u
-    t = np.einsum("ib,ib->b", u.conj(), w).copy()
+    t = np.einsum("ib,ib->b", u.conj(), w)
     val = float(np.abs(t).sum())
+    t = t.tolist()
+    uw = np.vstack((u, w))
+    # column views stay live: every update writes into uw in place
+    cols = [uw[:, b] for b in range(d)]
+    u_cols = [uw[:d, b] for b in range(d)]
+    w_cols = [uw[d:, b] for b in range(d)]
+    vdot = np.vdot  # conjugates its first argument: the same bits as u.conj() @ w
     step = step_init
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     converged = False
     escape = False
     moves = 0
-    # fine angle grid for stall probes; see _ascend_generic. Here each grid
-    # point costs only 2x2 scalar algebra, so two scans are nearly free.
-    grid = [math.pi * (g + 1) / 49.0 for g in range(48)]
+    # the grid is step-independent; two scans (first stall, settled regime) cover it
     grid_budget = 2
     for _ in range(max_iters):
         sweep_start = val
         improved = False
         use_grid = escape and grid_budget > 0 and (grid_budget == 2 or step <= 1e-3)
+        small = _small_rots(step)
         for (j, k) in pairs:
-            uj = u[:, j]
-            uk = u[:, k]
-            wj = w[:, j]
-            wk = w[:, k]
+            cj = cols[j]
+            ck = cols[k]
             m00 = t[j]
             m11 = t[k]
-            m01 = complex(uj.conj() @ wk)
-            m10 = complex(uk.conj() @ wj)
+            m01 = complex(vdot(u_cols[j], w_cols[k]))
+            m10 = complex(vdot(u_cols[k], w_cols[j]))
             base = abs(m00) + abs(m11)
-            c = step / math.sqrt(2.0)
-            cands = [_rot2(0, c), _rot2(0, -c), _rot2(1, c), _rot2(1, -c)]
+            cands = small
             if escape:
-                for cc in _BIG_ANGLES:
-                    cands.append(_rot2(0, cc))
-                    cands.append(_rot2(1, cc))
-                cands.extend(_diag2_candidates(m00, m01, m10, m11))
-                if use_grid:
-                    for cc in grid:
-                        cands.append(_rot2(0, cc))
-                        cands.append(_rot2(1, cc))
+                big, grid = _probe_survivors(m00, m01, m10, m11) if use_grid else (_BIG_ROTS, ())
+                cands = small + big + tuple(_diag2_candidates(m00, m01, m10, m11)) + grid
             best_gain = 1e-14 * max(1.0, abs(val))
             best = None
-            for (r00, r01, r10, r11) in cands:
-                n00 = r00.conjugate() * (m00 * r00 + m01 * r10) + r10.conjugate() * (m10 * r00 + m11 * r10)
-                n11 = r01.conjugate() * (m00 * r01 + m01 * r11) + r11.conjugate() * (m10 * r01 + m11 * r11)
+            for r in cands:
+                r00, r01, r10, r11, s00, s01, s10, s11 = r
+                n00 = s00 * (m00 * r00 + m01 * r10) + s10 * (m10 * r00 + m11 * r10)
+                n11 = s01 * (m00 * r01 + m01 * r11) + s11 * (m10 * r01 + m11 * r11)
                 gain = abs(n00) + abs(n11) - base
                 if gain > best_gain:
                     best_gain = gain
-                    best = (r00, r01, r10, r11, n00, n11)
+                    best = r
+                    best_n00 = n00
+                    best_n11 = n11
             if best is not None:
-                r00, r01, r10, r11, n00, n11 = best
-                nuj = uj * r00 + uk * r10
-                nuk = uj * r01 + uk * r11
-                nwj = wj * r00 + wk * r10
-                nwk = wj * r01 + wk * r11
-                u[:, j] = nuj
-                u[:, k] = nuk
-                w[:, j] = nwj
-                w[:, k] = nwk
-                t[j] = n00
-                t[k] = n11
+                r00, r01, r10, r11, s00, s01, s10, s11 = best
+                uw[:, j], uw[:, k] = cj * r00 + ck * r10, cj * r01 + ck * r11
+                t[j] = best_n00
+                t[k] = best_n11
                 val += best_gain
                 improved = True
                 # walk the accepted generator while it keeps paying, so a
@@ -182,21 +253,14 @@ def _ascend_abs(k_op: np.ndarray, u0: np.ndarray, max_iters: int, rel_tol: float
                 for _ in range(64):
                     m00 = t[j]
                     m11 = t[k]
-                    m01 = complex(u[:, j].conj() @ w[:, k])
-                    m10 = complex(u[:, k].conj() @ w[:, j])
-                    n00 = r00.conjugate() * (m00 * r00 + m01 * r10) + r10.conjugate() * (m10 * r00 + m11 * r10)
-                    n11 = r01.conjugate() * (m00 * r01 + m01 * r11) + r11.conjugate() * (m10 * r01 + m11 * r11)
+                    m01 = complex(vdot(u_cols[j], w_cols[k]))
+                    m10 = complex(vdot(u_cols[k], w_cols[j]))
+                    n00 = s00 * (m00 * r00 + m01 * r10) + s10 * (m10 * r00 + m11 * r10)
+                    n11 = s01 * (m00 * r01 + m01 * r11) + s11 * (m10 * r01 + m11 * r11)
                     gain = abs(n00) + abs(n11) - (abs(m00) + abs(m11))
                     if gain <= 1e-14 * max(1.0, abs(val)):
                         break
-                    uj = u[:, j].copy()
-                    uk = u[:, k].copy()
-                    wj = w[:, j].copy()
-                    wk = w[:, k].copy()
-                    u[:, j] = uj * r00 + uk * r10
-                    u[:, k] = uj * r01 + uk * r11
-                    w[:, j] = wj * r00 + wk * r10
-                    w[:, k] = wj * r01 + wk * r11
+                    uw[:, j], uw[:, k] = cj * r00 + ck * r10, cj * r01 + ck * r11
                     t[j] = n00
                     t[k] = n11
                     val += gain
@@ -222,6 +286,7 @@ def _ascend_abs(k_op: np.ndarray, u0: np.ndarray, max_iters: int, rel_tol: float
             if step < _STEP_FLOOR:
                 converged = True
                 break
+    u[...] = uw[:d]  # keeps the start's memory layout
     return val, u, converged, moves + 1
 
 
@@ -242,11 +307,9 @@ def _ascend_generic(fn, u0: np.ndarray, max_iters: int, rel_tol: float, step_ini
     converged = False
     escape = False
     moves = 0
-    # stall probes scan a fine angle grid: plateaus of the objective can hide
-    # narrow improving craters that fixed large angles miss. The grid is
-    # step-independent, so rescanning it at every stall level buys nothing;
-    # two scans per restart (first stall, final check) cover it.
-    grid = [math.pi * (g + 1) / 49.0 for g in range(48)]
+    # stall probes also scan the fine _GRID. It is step-independent, so
+    # rescanning it at every stall level buys nothing; two scans per restart
+    # (first stall, final check) cover it.
     grid_budget = 2
     for _ in range(max_iters):
         sweep_start = val
@@ -259,7 +322,7 @@ def _ascend_generic(fn, u0: np.ndarray, max_iters: int, rel_tol: float, step_ini
             if escape:
                 angles += [(kind, cc) for kind in (0, 1) for cc in _BIG_ANGLES]
                 if use_grid:
-                    angles += [(kind, cc) for kind in (0, 1) for cc in grid]
+                    angles += [(kind, cc) for kind in (0, 1) for cc in _GRID]
             for kind, ang in angles:
                 r00, r01, r10, r11 = _rot2(kind, ang)
                 cand = u.copy()
@@ -363,8 +426,14 @@ def sup_over_pvm(objective, d: int, cfg: OptimizerConfig, extra_starts=()) -> Su
 def _sup_abs_diag(k_op: np.ndarray, cfg: OptimizerConfig, extra_starts, stream_tag):
     """Specialized engine for objectives sum_b |u_b^dag K u_b| (runs list shared)."""
     d = k_op.shape[0]
-    starts = _start_list(d, cfg, extra_starts, stream_tag)
-    runs = [_ascend_abs(k_op, u0, cfg.max_iters, cfg.rel_tol, cfg.step_init) for u0 in starts]
+    # a start listed twice (the Fourier basis is also the first MUB) ascends once
+    by_start = {}
+    runs = []
+    for u0 in _start_list(d, cfg, extra_starts, stream_tag):
+        key = u0.tobytes()
+        if key not in by_start:
+            by_start[key] = _ascend_abs(k_op, u0, cfg.max_iters, cfg.rel_tol, cfg.step_init)
+        runs.append(by_start[key])
     values = tuple(r[0] for r in runs)
     idx = _pick_best(values)
     return max(values), runs[idx][1], runs[idx][2], runs[idx][3], values
@@ -606,7 +675,6 @@ def sup_over_product_pvm(objective, dims, cfg: OptimizerConfig, extra_starts=())
         ]
         if not factor_pairs:
             return val, mats, True, 1
-        grid = [math.pi * (g + 1) / 49.0 for g in range(48)]
         grid_budget = 2
         for _ in range(cfg.max_iters):
             sweep_start = val
@@ -618,7 +686,7 @@ def sup_over_product_pvm(objective, dims, cfg: OptimizerConfig, extra_starts=())
                 if escape:
                     angles += [(kind, cc) for kind in (0, 1) for cc in _BIG_ANGLES]
                     if use_grid:
-                        angles += [(kind, cc) for kind in (0, 1) for cc in grid]
+                        angles += [(kind, cc) for kind in (0, 1) for cc in _GRID]
                 for kind, ang in angles:
                     r00, r01, r10, r11 = _rot2(kind, ang)
                     cand = mats[f].copy()

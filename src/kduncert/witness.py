@@ -10,6 +10,7 @@ optimizer, then canonical unbiased bases, then Haar draws.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .core import (
     trace_norm,
     validate_density,
 )
-from .errors import DimMismatchError, NotProjectorError, WitnessNotFoundError
+from .errors import DimMismatchError, NotProjectorError, ValidationError, WitnessNotFoundError
 from .kdtable import lueders_state
 from .optimize import (
     OptimizerConfig,
@@ -138,8 +139,11 @@ def contextuality_witness(
     The verdict is nre > threshold; the nonclassicality channel must agree
     (the two vanish together), and disagreement is flagged as an internal
     inconsistency rather than trusted. When contextual, the returned entry
-    re-verifies as strange by direct recomputation.
+    re-verifies as strange by direct recomputation. The threshold must be
+    finite and non-negative.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
     if cfg is None:
         cfg = OptimizerConfig()
     nre = quantum_nonreality(state, povm)

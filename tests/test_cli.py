@@ -104,6 +104,25 @@ def test_decompose_nonconvergence_exit_code(capsys, fixtures):
     assert out["diagnostics"]["converged"] is False
 
 
+def test_decompose_rejects_nonpositive_max_iters(capsys, fixtures):
+    for bad in ("0", "-1"):
+        code, out = _run(
+            capsys,
+            ["decompose", fixtures["plus"], fixtures["zbasis"], "--flavor", "NCl", "--max-iters", bad],
+        )
+        assert code == 2
+        assert out is None
+
+
+def test_witness_cli_rejects_bad_threshold(capsys, fixtures):
+    for bad in ("nan", "inf", "-0.5"):
+        code = main(["witness", fixtures["zero"], fixtures["xpovm"], "--restarts", "2", "--threshold", bad])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: threshold")
+
+
 def test_witness_cli(capsys, fixtures, derived):
     code, out = _run(capsys, ["witness", fixtures["zero"], fixtures["xpovm"], "--restarts", "2"])
     assert code == 0
@@ -230,3 +249,13 @@ def test_selftest_smoke_and_injection(capsys):
     assert out["passed"] is False
     assert "kd.marginals" in out["failed"]
     assert "FAIL kd.marginals" in captured.err
+
+
+def test_selftest_bad_dims_exit_code(capsys):
+    for bad in ("x", "2,,3", "", "0", "2,-1"):
+        code = main(["selftest", "--dims", bad, "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --dims")
+        assert len(captured.err.strip().splitlines()) == 1

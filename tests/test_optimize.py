@@ -1,6 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+import gen_ncl_bits
 import kduncert as kd
 from conftest import HADAMARD, PAULI_X
 
@@ -131,6 +135,52 @@ def test_optimizer_config_validation():
         kd.OptimizerConfig(n_restarts=0)
     with pytest.raises(kd.ValidationError):
         kd.OptimizerConfig(rel_tol=0.0)
+
+
+def test_optimizer_config_rejects_bad_iterations_and_step():
+    for bad in (0, -1):
+        with pytest.raises(kd.ValidationError):
+            kd.OptimizerConfig(max_iters=bad)
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(kd.ValidationError):
+            kd.OptimizerConfig(step_init=bad)
+    assert kd.OptimizerConfig(max_iters=1, step_init=1e-6).max_iters == 1
+
+
+def test_ncl_engine_bits_match_frozen_fixture():
+    # every bit of the ascent's output is pinned; see tests/gen_ncl_bits.py
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "ncl_bits.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    assert gen_ncl_bits.compute() == frozen
+
+
+def _first_best_probe(m, rots):
+    # the ascent's scalar scan: strict improvement, so the first maximizer wins
+    m00, m01, m10, m11 = m
+    base = abs(m00) + abs(m11)
+    best_gain, best = -np.inf, None
+    for r in rots:
+        r00, r01, r10, r11, s00, s01, s10, s11 = r
+        n00 = s00 * (m00 * r00 + m01 * r10) + s10 * (m10 * r00 + m11 * r10)
+        n11 = s01 * (m00 * r01 + m01 * r11) + s11 * (m10 * r01 + m11 * r11)
+        gain = abs(n00) + abs(n11) - base
+        if gain > best_gain:
+            best_gain, best = gain, r
+    return best_gain, best
+
+
+def test_probe_screening_keeps_the_scalar_choice():
+    from kduncert.optimize import _PROBE_ROTS, _probe_survivors
+
+    rng = np.random.default_rng(310)
+    blocks = [(1 + 0j, 0j, 0j, 1 + 0j), (0j, 0j, 0j, 0j), (0.5 + 0j, 0.25j, -0.25j, 0.5 + 0j)]
+    for _ in range(300):
+        z = rng.standard_normal(8) * 10.0 ** rng.integers(-6, 2)
+        blocks.append(tuple(complex(z[i], z[i + 4]) for i in range(4)))
+    for m in blocks:
+        big, grid = _probe_survivors(*m)
+        assert _first_best_probe(m, big + grid) == _first_best_probe(m, _PROBE_ROTS)
 
 
 def test_brute_force_constant_and_monotone():

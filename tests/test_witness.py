@@ -113,6 +113,14 @@ def test_witness_huge_threshold_never_contextual():
     assert not report.contextual
 
 
+def test_witness_rejects_bad_threshold():
+    zero = kd.validate_density([[1, 0], [0, 0]])
+    for bad in (float("nan"), float("inf"), -float("inf"), -1e-7):
+        with pytest.raises(kd.ValidationError):
+            kd.contextuality_witness(zero, _x_povm(), LIGHT, threshold=bad)
+    assert kd.contextuality_witness(zero, _x_povm(), LIGHT, threshold=0.0).contextual
+
+
 def test_witness_entries_reverify():
     for i in range(12):
         d = 2 + i % 2
