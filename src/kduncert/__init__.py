@@ -52,7 +52,6 @@ from .optimize import (
     quantum_nonclassicality,
     quantum_nonreality,
     quantum_nonreality_variational,
-    sup_over_product_pvm,
     sup_over_pvm,
 )
 from .uncertainty import (

@@ -201,6 +201,8 @@ def _parse_dims(text: str) -> tuple:
 
 def cmd_selftest(args) -> int:
     dims = _parse_dims(args.dims)
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     seed = args.seed if args.seed is not None else _default_seed()
     passed, results = run_selftest(
         dims=dims, samples=args.samples, seed=seed, inject_failure=args.inject_failure

@@ -1,33 +1,35 @@
-"""Supremum over rank-1 PVM bases: exact where a closed form exists, multistart ascent otherwise.
+"""Supremum over rank-1 PVM bases: exact where a closed form exists, one ascent engine otherwise.
 
-The nonreality quantumness of a state relative to a POVM has an exact
+Both quantum parts sum, over the effects M^a, a supremum over rank-1 PVM
+bases {|b>} of sum_b |<b|K|b>|: K = [M^a, rho] / 2i for nonreality and
+K = M^a rho for nonclassicality. The nonreality suprema have an exact
 expression through commutator trace norms, so that path never optimizes.
-The nonclassicality quantumness has no closed form; it is evaluated per
-effect by coordinate ascent over the unitary manifold from a deterministic
-set of structured and Haar-random starts.
+The nonclassicality suprema have no closed form; each is evaluated by the
+one ascent engine of the package, exposed as sup_over_pvm(k_op, cfg), by
+coordinate ascent over the unitary manifold from a deterministic set of
+structured and Haar-random starts.
 
 Ascent parametrization: the candidate basis is U0 * exp(i H(theta)) with H
-built from the elementary Hermitian basis (pair rotations plus diagonal
-phases, d^2 real parameters). Accepted moves fold the rotation into U0, so
-iterates stay exactly unitary. Step halving refines; stalls trigger probe
-sweeps with large angles and exact 2x2 diagonalizers, which cross the
-absolute-value kinks that trap plain small-step ascent.
+built from pair rotations (column phases leave the objective unchanged).
+Accepted moves fold the rotation into U0, so iterates stay exactly
+unitary. Step halving refines; stalls trigger probe sweeps with large
+angles and exact 2x2 diagonalizers, which cross the absolute-value kinks
+that trap plain small-step ascent.
 
-The |diag| engine behind both quantumness flavors reads its probe
-rotations from tables built once at import (small steps are cached per
-step size). When a stall probe includes the fine angle grid, numpy scores
-all big-angle and grid rotations of a pair at once and only the
-near-best survivors are rescored with the scalar formula, so every
-decision and every accumulated gain is bit-for-bit that of a full scalar
-scan. A start listed twice (the Fourier basis is also the first mutually
-unbiased basis) is ascended once and its result reused.
+The engine reads its probe rotations from tables built once at import
+(small steps are cached per step size). When a stall probe includes the
+fine angle grid, numpy scores all big-angle and grid rotations of a pair
+at once and only the near-best survivors are rescored with the scalar
+formula, so every decision and every accumulated gain is bit-for-bit that
+of a full scalar scan. A start listed twice (the Fourier basis is also the
+first mutually unbiased basis) is ascended once and its result reused.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +69,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ValidationError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if not self.rel_tol > 0:
-            raise ValidationError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValidationError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.step_init) and self.step_init > 0):
@@ -290,93 +292,6 @@ def _ascend_abs(k_op: np.ndarray, u0: np.ndarray, max_iters: int, rel_tol: float
     return val, u, converged, moves + 1
 
 
-def _ascend_generic(fn, u0: np.ndarray, max_iters: int, rel_tol: float, step_init: float):
-    """Black-box variant of the ascent: fn maps a basis matrix to a real value.
-
-    Sweeps all d^2 coordinates (pair rotations and diagonal phases); stalls
-    trigger large-angle probes. Used where the objective has no separable
-    structure to exploit.
-    """
-    d = u0.shape[0]
-    u = np.array(u0, dtype=complex)
-    val = float(fn(u))
-    if d == 1:
-        return val, u, True, 1
-    step = step_init
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    converged = False
-    escape = False
-    moves = 0
-    # stall probes also scan the fine _GRID. It is step-independent, so
-    # rescanning it at every stall level buys nothing; two scans per restart
-    # (first stall, final check) cover it.
-    grid_budget = 2
-    for _ in range(max_iters):
-        sweep_start = val
-        improved = False
-        # first scan at the first stall, second reserved for the settled regime
-        use_grid = escape and grid_budget > 0 and (grid_budget == 2 or step <= 1e-3)
-        for (j, k) in pairs:
-            c = step / math.sqrt(2.0)
-            angles = [(0, c), (0, -c), (1, c), (1, -c)]
-            if escape:
-                angles += [(kind, cc) for kind in (0, 1) for cc in _BIG_ANGLES]
-                if use_grid:
-                    angles += [(kind, cc) for kind in (0, 1) for cc in _GRID]
-            for kind, ang in angles:
-                r00, r01, r10, r11 = _rot2(kind, ang)
-                cand = u.copy()
-                cand[:, j] = u[:, j] * r00 + u[:, k] * r10
-                cand[:, k] = u[:, j] * r01 + u[:, k] * r11
-                v = float(fn(cand))
-                if v > val + 1e-14 * max(1.0, abs(val)):
-                    u = cand
-                    val = v
-                    improved = True
-                    for _ in range(64):
-                        cand = u.copy()
-                        cand[:, j] = u[:, j] * r00 + u[:, k] * r10
-                        cand[:, k] = u[:, j] * r01 + u[:, k] * r11
-                        v = float(fn(cand))
-                        if v <= val + 1e-14 * max(1.0, abs(val)):
-                            break
-                        u = cand
-                        val = v
-                    break
-        for j in range(d):
-            for s in (step, -step):
-                cand = u.copy()
-                cand[:, j] = u[:, j] * complex(math.cos(s), math.sin(s))
-                v = float(fn(cand))
-                if v > val + 1e-14 * max(1.0, abs(val)):
-                    u = cand
-                    val = v
-                    improved = True
-                    break
-        if improved:
-            moves += 1
-            if escape:
-                escape = False
-                step = step_init
-            elif val - sweep_start < rel_tol * max(1.0, abs(val)):
-                if step <= 1e-4:
-                    converged = True
-                    break
-                step *= 0.5
-        else:
-            if not escape:
-                escape = True
-                continue
-            if use_grid:
-                grid_budget -= 1
-            escape = False
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                converged = True
-                break
-    return val, u, converged, moves + 1
-
-
 def _start_list(d: int, cfg: OptimizerConfig, extra_starts, stream_tag):
     starts = []
     if cfg.include_structured_starts:
@@ -396,35 +311,8 @@ def _pick_best(per_restart, tol=1e-12):
     return 0
 
 
-def sup_over_pvm(objective, d: int, cfg: OptimizerConfig, extra_starts=()) -> SupremumResult:
-    """Maximize a black-box objective over rank-1 PVM bases of dimension d.
-
-    Starts are the identity and Fourier bases plus any caller-supplied
-    structured bases (e.g. the state's eigenbasis), followed by n_restarts
-    Haar draws on streams derived from (seed, restart index). The first
-    restart attaining the maximum within 1e-12 wins, so results are
-    deterministic under a fixed seed regardless of scheduling.
-    """
-
-    def fn(u):
-        return objective(_pvm_unchecked(u))
-
-    starts = _start_list(d, cfg, extra_starts, (cfg.seed, 0))
-    runs = [_ascend_generic(fn, u0, cfg.max_iters, cfg.rel_tol, cfg.step_init) for u0 in starts]
-    values = tuple(r[0] for r in runs)
-    idx = _pick_best(values)
-    _, best_u, conv, iters = runs[idx]
-    return SupremumResult(
-        value=max(values),
-        best_basis=_pvm_unchecked(best_u),
-        per_restart_values=values,
-        converged=conv,
-        iterations_used=iters,
-    )
-
-
-def _sup_abs_diag(k_op: np.ndarray, cfg: OptimizerConfig, extra_starts, stream_tag):
-    """Specialized engine for objectives sum_b |u_b^dag K u_b| (runs list shared)."""
+def _sup_abs_diag(k_op: np.ndarray, cfg: OptimizerConfig, extra_starts, stream_tag) -> SupremumResult:
+    """Multistart ascent of sum_b |u_b^dag K u_b|; Haar starts draw from stream_tag + [r]."""
     d = k_op.shape[0]
     # a start listed twice (the Fourier basis is also the first MUB) ascends once
     by_start = {}
@@ -435,8 +323,49 @@ def _sup_abs_diag(k_op: np.ndarray, cfg: OptimizerConfig, extra_starts, stream_t
             by_start[key] = _ascend_abs(k_op, u0, cfg.max_iters, cfg.rel_tol, cfg.step_init)
         runs.append(by_start[key])
     values = tuple(r[0] for r in runs)
-    idx = _pick_best(values)
-    return max(values), runs[idx][1], runs[idx][2], runs[idx][3], values
+    _, best_u, conv, iters = runs[_pick_best(values)]
+    return SupremumResult(
+        value=max(values),
+        best_basis=_pvm_unchecked(best_u),
+        per_restart_values=values,
+        converged=conv,
+        iterations_used=iters,
+    )
+
+
+def sup_over_pvm(k_op, cfg: OptimizerConfig) -> SupremumResult:
+    """Maximize sum_b |<b|K|b>| over rank-1 PVM bases {|b>} of K's dimension.
+
+    For a normal K the supremum is the trace norm of K. Starts are the
+    identity and Fourier bases, followed by n_restarts Haar draws on the
+    streams (seed, 0, restart index). The first restart attaining the
+    maximum within 1e-12 wins, so results are deterministic under a fixed
+    seed regardless of scheduling.
+    """
+    k = np.asarray(k_op, dtype=complex)
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
+        raise ValidationError(f"K must be a non-empty square matrix, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValidationError("K has non-finite entries")
+    return _sup_abs_diag(k, cfg, (), (cfg.seed, 0))
+
+
+def _sum_over_effects(problems, cfg: OptimizerConfig) -> SupremumResult:
+    """Per-effect suprema for (K_a, extra starts) pairs on streams (seed, a), summed in effect order."""
+    results = [_sup_abs_diag(k_op, cfg, extra, (cfg.seed, a)) for a, (k_op, extra) in enumerate(problems)]
+    values = tuple(r.value for r in results)
+    per_restart = results[0].per_restart_values
+    for r in results[1:]:
+        per_restart = tuple(x + y for x, y in zip(per_restart, r.per_restart_values))
+    return SupremumResult(
+        value=float(sum(values)),
+        best_basis=results[int(np.argmax(values))].best_basis,
+        per_restart_values=per_restart,
+        converged=all(r.converged for r in results),
+        iterations_used=max(r.iterations_used for r in results),
+        per_effect_values=values,
+        per_effect_bases=tuple(r.best_basis for r in results),
+    )
 
 
 def _check_dims(state: DensityMatrix, povm: Povm):
@@ -490,32 +419,8 @@ def quantum_nonreality_variational(state: DensityMatrix, povm: Povm, cfg: Optimi
     """
     _check_dims(state, povm)
     rho = state.matrix
-    d = state.dim
     extra = [_eigbasis(rho)]
-    effect_values = []
-    effect_bases = []
-    effect_conv = []
-    iters = 0
-    per_restart = None
-    for a, m in enumerate(povm.effects):
-        k_op = commutator(m, rho) / 2j
-        v, u, conv, it, values = _sup_abs_diag(k_op, cfg, extra, (cfg.seed, a))
-        effect_values.append(v)
-        effect_bases.append(_pvm_unchecked(u))
-        effect_conv.append(conv)
-        iters = max(iters, it)
-        per_restart = values if per_restart is None else tuple(x + y for x, y in zip(per_restart, values))
-    total = float(sum(effect_values))
-    idx = int(np.argmax(effect_values))
-    return SupremumResult(
-        value=total,
-        best_basis=effect_bases[idx],
-        per_restart_values=per_restart,
-        converged=all(effect_conv),
-        iterations_used=iters,
-        per_effect_values=tuple(effect_values),
-        per_effect_bases=tuple(effect_bases),
-    )
+    return _sum_over_effects([(commutator(m, rho) / 2j, extra) for m in povm.effects], cfg)
 
 
 def quantum_nonclassicality(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig) -> SupremumResult:
@@ -538,38 +443,21 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm, cfg: OptimizerConf
         common.append(basis_u)
         common.extend(basis_u @ m for m in mubs)
     common.append(_eigbasis(rho))
-    effect_values = []
-    effect_bases = []
-    effect_conv = []
-    iters = 0
-    per_restart = None
-    for a, m in enumerate(povm.effects):
+
+    def problem(m):
         k_op = m @ rho
         # eigenbases of phase-rotated Hermitian parts: covariant under
         # simultaneous unitaries and close to the maximizer for many K
-        extra = common + [
+        return k_op, common + [
             _eigbasis(k_op * complex(math.cos(t), -math.sin(t)))
             for t in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
         ]
-        v, u, conv, it, values = _sup_abs_diag(k_op, cfg, extra, (cfg.seed, a))
-        effect_values.append(v)
-        effect_bases.append(_pvm_unchecked(u))
-        effect_conv.append(conv)
-        iters = max(iters, it)
-        per_restart = values if per_restart is None else tuple(x + y for x, y in zip(per_restart, values))
-    total = float(sum(effect_values)) - 1.0
+
+    res = _sum_over_effects([problem(m) for m in povm.effects], cfg)
+    total = res.value - 1.0
     if -NEGATIVE_CLAMP <= total < 0.0:
         total = 0.0
-    idx = int(np.argmax(effect_values))
-    return SupremumResult(
-        value=total,
-        best_basis=effect_bases[idx],
-        per_restart_values=tuple(v - 1.0 for v in per_restart),
-        converged=all(effect_conv),
-        iterations_used=iters,
-        per_effect_values=tuple(effect_values),
-        per_effect_bases=tuple(effect_bases),
-    )
+    return replace(res, value=total, per_restart_values=tuple(v - 1.0 for v in res.per_restart_values))
 
 
 def brute_force_sup_qubit(objective, grid_density: int) -> float:
@@ -627,121 +515,3 @@ def brute_force_sup_qubit(objective, grid_density: int) -> float:
         best_t = golden(lambda t: value(t, best_p), max(0.0, best_t - dt), min(math.pi, best_t + dt))
         best_p = golden(lambda p: value(best_t, p), best_p - dt, best_p + dt)
     return best
-
-
-def sup_over_product_pvm(objective, dims, cfg: OptimizerConfig, extra_starts=()) -> SupremumResult:
-    """Maximize over product bases Pi^{b_1} x ... x Pi^{b_N}, one unitary per factor.
-
-    Same multistart contract as sup_over_pvm, with coordinate ascent cycling
-    over each factor's pair rotations. extra_starts entries are tuples of
-    per-factor matrices.
-    """
-    dims = [int(x) for x in dims]
-    if any(x < 1 for x in dims):
-        raise DimMismatchError(f"invalid factor dims {dims}")
-    total_d = 1
-    for x in dims:
-        total_d *= x
-
-    def kron_all(mats):
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    def fn(mats):
-        return float(objective(_pvm_unchecked(kron_all(mats))))
-
-    starts = []
-    if cfg.include_structured_starts:
-        starts.append([np.eye(x, dtype=complex) for x in dims])
-        starts.append([fourier_matrix(x) for x in dims])
-        for s in extra_starts:
-            starts.append([np.asarray(m, dtype=complex) for m in s])
-    for r in range(cfg.n_restarts):
-        # same stream as sup_over_pvm so a single-factor run is identical to it
-        rng = np.random.default_rng([cfg.seed, 0, r])
-        starts.append([_haar(x, rng) for x in dims])
-
-    def ascend_product(mats0):
-        mats = [np.array(m, dtype=complex) for m in mats0]
-        val = fn(mats)
-        step = cfg.step_init
-        converged = False
-        escape = False
-        moves = 0
-        factor_pairs = [
-            (f, j, k) for f, x in enumerate(dims) for j in range(x) for k in range(j + 1, x)
-        ]
-        if not factor_pairs:
-            return val, mats, True, 1
-        grid_budget = 2
-        for _ in range(cfg.max_iters):
-            sweep_start = val
-            improved = False
-            use_grid = escape and grid_budget > 0 and (grid_budget == 2 or step <= 1e-3)
-            for (f, j, k) in factor_pairs:
-                c = step / math.sqrt(2.0)
-                angles = [(0, c), (0, -c), (1, c), (1, -c)]
-                if escape:
-                    angles += [(kind, cc) for kind in (0, 1) for cc in _BIG_ANGLES]
-                    if use_grid:
-                        angles += [(kind, cc) for kind in (0, 1) for cc in _GRID]
-                for kind, ang in angles:
-                    r00, r01, r10, r11 = _rot2(kind, ang)
-                    cand = mats[f].copy()
-                    cand[:, j] = mats[f][:, j] * r00 + mats[f][:, k] * r10
-                    cand[:, k] = mats[f][:, j] * r01 + mats[f][:, k] * r11
-                    trial = list(mats)
-                    trial[f] = cand
-                    v = fn(trial)
-                    if v > val + 1e-14 * max(1.0, abs(val)):
-                        mats = trial
-                        val = v
-                        improved = True
-                        for _ in range(64):
-                            cand = mats[f].copy()
-                            cand[:, j] = mats[f][:, j] * r00 + mats[f][:, k] * r10
-                            cand[:, k] = mats[f][:, j] * r01 + mats[f][:, k] * r11
-                            trial = list(mats)
-                            trial[f] = cand
-                            v = fn(trial)
-                            if v <= val + 1e-14 * max(1.0, abs(val)):
-                                break
-                            mats = trial
-                            val = v
-                        break
-            if improved:
-                moves += 1
-                if escape:
-                    escape = False
-                    step = cfg.step_init
-                elif val - sweep_start < cfg.rel_tol * max(1.0, abs(val)):
-                    if step <= 1e-4:
-                        converged = True
-                        break
-                    step *= 0.5
-            else:
-                if not escape:
-                    escape = True
-                    continue
-                if use_grid:
-                    grid_budget -= 1
-                escape = False
-                step *= 0.5
-                if step < _STEP_FLOOR:
-                    converged = True
-                    break
-        return val, mats, converged, moves + 1
-
-    runs = [ascend_product(s) for s in starts]
-    values = tuple(r[0] for r in runs)
-    idx = _pick_best(values)
-    _, best_mats, conv, iters = runs[idx]
-    return SupremumResult(
-        value=max(values),
-        best_basis=_pvm_unchecked(kron_all(best_mats)),
-        per_restart_values=values,
-        converged=conv,
-        iterations_used=iters,
-    )

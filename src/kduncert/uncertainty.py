@@ -25,7 +25,7 @@ from .core import (
     trace_norm,
     validate_povm,
 )
-from .errors import BadDistributionError, BadPartitionError, DimMismatchError
+from .errors import BadDistributionError, BadPartitionError, DimMismatchError, KdUncertError
 from .optimize import (
     OptimizerConfig,
     SupremumResult,
@@ -155,7 +155,8 @@ def infimum_total(state: DensityMatrix, flavor: Flavor):
     eigenprojectors of rho (any rank-1 refinement of degenerate blocks gives
     the same value, since only the spectrum enters). The achieving
     measurement commutes with the state, so its quantum part vanishes and
-    the minimum is entirely classical; both facts are asserted here.
+    the minimum is entirely classical; both facts are checked here, and a
+    failed check raises KdUncertError.
 
     The impurity floors the total uncertainty only for measurements whose
     effects have trace at most one (every rank-1 POVM qualifies): coarser
@@ -171,12 +172,12 @@ def infimum_total(state: DensityMatrix, flavor: Flavor):
     # eigenvalue sits at 0 or 1, so the self-check tolerance cannot be
     # tighter than sqrt(eps) for rank-deficient states
     if abs(achieved - value) > 1e-7:
-        raise AssertionError(
+        raise KdUncertError(
             f"eigenbasis measurement scores {achieved!r}, expected impurity {value!r}"
         )
     quant = quantum_nonreality(state, achieving)
     if quant > 1e-9:
-        raise AssertionError(f"achieving POVM has nonzero quantum part {quant!r}")
+        raise KdUncertError(f"achieving POVM has nonzero quantum part {quant!r}")
     return value, achieving
 
 

@@ -259,3 +259,24 @@ def test_selftest_bad_dims_exit_code(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: --dims")
         assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_selftest_samples_below_one_exit_code(capsys):
+    for bad in ("0", "-2"):
+        code = main(["selftest", "--dims", "2", "--samples", bad])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --samples")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_infimum_failed_self_check_is_a_named_error(capsys, fixtures, monkeypatch):
+    monkeypatch.setattr("kduncert.uncertainty.total_uncertainty", lambda *args: 0.5)
+    code = main(["infimum", fixtures["diag34"], "--flavor", "NRe"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: eigenbasis measurement scores")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err

@@ -89,8 +89,9 @@ def test_quantum_nonclassicality_pure_equals_sqrt_probs():
 
 
 def test_sup_over_pvm_constant_objective():
-    res = kd.sup_over_pvm(lambda pvm: 2.5, 3, LIGHT)
-    assert res.value == 2.5
+    # K = 0 makes every basis score exactly 0
+    res = kd.sup_over_pvm(np.zeros((3, 3)), LIGHT)
+    assert res.value == 0.0
     assert res.converged
     assert res.iterations_used == 1
     assert res.value == max(res.per_restart_values)
@@ -111,7 +112,7 @@ def test_sup_over_pvm_reaches_trace_norm():
             u = pvm.basis_unitary
             return float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), h, u)).sum())
 
-        res = kd.sup_over_pvm(objective, d, cfg)
+        res = kd.sup_over_pvm(h, cfg)
         assert abs(res.value - target) < 1e-6
         assert res.value == max(res.per_restart_values)
         basis_val = objective(res.best_basis)
@@ -119,15 +120,19 @@ def test_sup_over_pvm_reaches_trace_norm():
 
 
 def test_sup_over_pvm_deterministic():
-    def objective(pvm):
-        u = pvm.basis_unitary
-        return float(np.abs(u[0, :]).max())
-
-    a = kd.sup_over_pvm(objective, 3, LIGHT)
-    b = kd.sup_over_pvm(objective, 3, LIGHT)
+    rng = np.random.default_rng(125)
+    k_op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))  # not normal
+    a = kd.sup_over_pvm(k_op, LIGHT)
+    b = kd.sup_over_pvm(k_op, LIGHT)
     assert a.value == b.value
     assert a.per_restart_values == b.per_restart_values
     assert np.array_equal(a.best_basis.basis_unitary, b.best_basis.basis_unitary)
+
+
+def test_sup_over_pvm_rejects_non_square():
+    for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 0)), [[1.0, np.nan], [0.0, 1.0]]):
+        with pytest.raises(kd.ValidationError):
+            kd.sup_over_pvm(bad, LIGHT)
 
 
 def test_optimizer_config_validation():
@@ -135,6 +140,8 @@ def test_optimizer_config_validation():
         kd.OptimizerConfig(n_restarts=0)
     with pytest.raises(kd.ValidationError):
         kd.OptimizerConfig(rel_tol=0.0)
+    with pytest.raises(kd.ValidationError):
+        kd.OptimizerConfig(rel_tol=float("inf"))
 
 
 def test_optimizer_config_rejects_bad_iterations_and_step():
@@ -214,45 +221,6 @@ def test_brute_force_agrees_with_closed_form():
 
             total += kd.brute_force_sup_qubit(objective, 100)
         assert abs(total - target) < 2e-4
-
-
-def test_sup_over_product_single_factor_matches_plain():
-    rng = np.random.default_rng(160)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = g + g.conj().T
-
-    def objective(pvm):
-        u = pvm.basis_unitary
-        return float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), h, u)).sum())
-
-    plain = kd.sup_over_pvm(objective, 3, LIGHT)
-    product = kd.sup_over_product_pvm(objective, [3], LIGHT)
-    assert abs(plain.value - product.value) < 1e-9
-
-
-def test_sup_over_product_separable_objective():
-    # objective sums per-factor terms, so the product sup equals the sum of factor sups
-    rng = np.random.default_rng(161)
-    h1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    h1 = h1 + h1.conj().T
-    h2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    h2 = h2 + h2.conj().T
-    lifted1 = kd.tensor(h1, np.eye(2)) / 2.0
-    lifted2 = kd.tensor(np.eye(2), h2) / 2.0
-
-    def joint(pvm):
-        u = pvm.basis_unitary
-        t1 = np.abs(np.einsum("ib,ij,jb->b", u.conj(), lifted1, u)).sum()
-        t2 = np.abs(np.einsum("ib,ij,jb->b", u.conj(), lifted2, u)).sum()
-        return float(t1 + t2)
-
-    cfg = kd.OptimizerConfig(n_restarts=4, max_iters=500, rel_tol=1e-12, seed=2)
-    product = kd.sup_over_product_pvm(joint, [2, 2], cfg)
-    expect = kd.trace_norm(h1) + kd.trace_norm(h2)
-    assert abs(product.value - expect) < 1e-6
-
-    unrestricted = kd.sup_over_pvm(joint, 4, cfg)
-    assert product.value <= unrestricted.value + 1e-8
 
 
 def test_unitary_covariance_of_quantumness():
