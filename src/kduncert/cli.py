@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON out, deterministic under a fixed seed.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 3 dimension
-mismatch, 4 optimizer non-convergence. The default seed is 0; KDUNCERT_SEED
-overrides it and an explicit --seed flag wins over both.
+mismatch, 4 no witness found, 5 internal check failure (any other
+KdUncertError). The default seed is 0; KDUNCERT_SEED overrides it and an
+explicit --seed flag wins over both.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_VALIDATION = 2
 EXIT_DIM_MISMATCH = 3
-EXIT_NOT_CONVERGED = 4
+EXIT_NO_WITNESS = 4
+EXIT_INTERNAL = 5
 
 
 def _read_json(path: str):
@@ -127,8 +129,6 @@ def cmd_decompose(args) -> int:
     cfg = _config_from_args(args)
     dec = decompose(state, povm, flavor, cfg)
     _write_output(serialize.decomposition_to_json(dec), args.output)
-    if dec.diagnostics is not None and not dec.diagnostics.converged:
-        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -230,9 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed (default KDUNCERT_SEED or 0)")
 
     def add_optimizer(p):
-        p.add_argument("--restarts", type=int, default=None, help="random restarts")
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+        p.add_argument(
+            "--restarts", type=int, default=None,
+            help="Haar candidates (witness) and refinement starts (bounds)",
+        )
+        p.add_argument("--max-iters", dest="max_iters", type=int, default=None, help="validated; changes no result")
+        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None, help="validated; changes no result")
 
     p = sub.add_parser("kd-table", help="quasiprobability table and its quantumness functionals")
     p.add_argument("state")
@@ -299,13 +302,13 @@ def main(argv=None) -> int:
         return EXIT_DIM_MISMATCH
     except WitnessNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_CONVERGED
+        return EXIT_NO_WITNESS
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except KdUncertError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SELFTEST
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

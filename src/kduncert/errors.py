@@ -64,6 +64,6 @@ class DimMismatchError(KdUncertError, ValueError):
 class WitnessNotFoundError(KdUncertError, RuntimeError):
     """Quantumness is nonzero but no strange weak value was located.
 
-    Signals an optimizer/search failure, not physics: nonzero quantumness
+    Signals a search failure, not physics: nonzero quantumness
     guarantees a strange entry exists in some basis.
     """

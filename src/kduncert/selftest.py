@@ -465,6 +465,34 @@ def prop_nre_variational_agreement(dims, samples, seed):
     return f"worst |variational - exact| {worst:.2e}"
 
 
+def prop_ncl_attaining_basis(dims, samples, seed):
+    worst_score = 0.0
+    worst_unitary = 0.0
+    worst_haar = 0.0
+    for i in range(samples):
+        for d in dims:
+            rng = _rng(seed, 37, i, d)
+            if i % 3 == 2:
+                rho, povm = _commuting_pair(d, rng)
+            else:
+                rho, povm = _rand_state(d, rng), _rand_povm(d, 2 + i % 2, rng)
+            res = quantum_nonclassicality(rho, povm, _light_cfg(seed + i, restarts=1))
+            for m, v, basis in zip(povm.effects, res.per_effect_values, res.per_effect_bases):
+                k_op = m @ rho.matrix
+                u = basis.basis_unitary
+                worst_unitary = max(worst_unitary, float(np.abs(u.conj().T @ u - np.eye(d)).max()))
+                score = float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
+                worst_score = max(worst_score, abs(score - v) / max(1.0, v))
+                for _ in range(4):
+                    h = _haar(d, rng)
+                    other = float(np.abs(np.einsum("ib,ij,jb->b", h.conj(), k_op, h)).sum())
+                    worst_haar = max(worst_haar, other - v)
+    _require(worst_unitary <= 1e-12, f"attaining basis not unitary by {worst_unitary:.2e}")
+    _require(worst_score <= 1e-12, f"attaining basis misses its value by {worst_score:.2e}")
+    _require(worst_haar <= 1e-12, f"a Haar basis beat the supremum by {worst_haar:.2e}")
+    return f"worst score gap {worst_score:.2e}, unitarity {worst_unitary:.2e}, Haar excess {worst_haar:.2e}"
+
+
 # --- uncertainty properties -------------------------------------------------
 
 
@@ -804,6 +832,7 @@ PROPERTIES = (
     ("wit.weak_value_integrands", prop_weak_value_integrands),
     ("wit.contextuality_consistency", prop_witness_consistency),
     ("wit.disturbance_identity", prop_disturbance_identity),
+    ("opt.ncl_attaining_basis", prop_ncl_attaining_basis),
 )
 
 

@@ -221,6 +221,8 @@ def witness_report_to_json(report: WitnessReport) -> dict:
         "nre": report.nre,
         "ncl": report.ncl,
         "witness": entry,
+        "flavors_agree": report.flavors_agree,
+        "threshold": report.threshold,
     }
 
 

@@ -3,7 +3,7 @@
 Two flavors of the decomposition exist side by side. The NRe flavor
 quantifies total uncertainty by sum_a sqrt(p_a (1 - p_a)) and its quantum
 part by the (exact) nonreality quantumness; the NCl flavor uses
-sum_a sqrt(p_a) - 1 and the (variational) nonclassicality quantumness.
+sum_a sqrt(p_a) - 1 and the nonclassicality quantumness sum_a ||M^a rho||_1 - 1.
 The classical part is the difference in both cases. The infimum of the
 total over all measurements is a state functional: the matching impurity.
 """
@@ -48,7 +48,7 @@ class Decomposition:
     """Additive split of the total measurement uncertainty.
 
     classical == total - quantum by construction; diagnostics carries the
-    optimizer record for the NCl flavor and is None on the exact NRe path.
+    supremum record for the NCl flavor and is None on the NRe path.
     """
 
     flavor: Flavor
@@ -106,8 +106,9 @@ def total_uncertainty(state: DensityMatrix, povm: Povm, flavor: Flavor) -> float
 def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor, cfg: OptimizerConfig | None = None) -> Decomposition:
     """Split the total uncertainty into quantum and classical parts.
 
-    The NRe quantum part is exact (commutator trace norms); the NCl quantum
-    part runs the multistart supremum and reports its diagnostics.
+    Both quantum parts are closed forms: commutator trace norms for NRe,
+    trace norms of M^a rho for NCl. The NCl flavor also carries the
+    supremum record (per-effect values and attaining bases) as diagnostics.
     """
     if cfg is None:
         cfg = OptimizerConfig()

@@ -4,8 +4,9 @@ A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
 variable model. Nonzero quantumness of (state, POVM) guarantees such an
 entry exists in some postselection basis; locating one is a search problem,
-handled here by scanning the maximizing bases from the nonclassicality
-optimizer, then canonical unbiased bases, then Haar draws.
+handled here by scanning canonical unbiased bases (and their lifts by the
+measurement basis), then the bases attaining the per-effect nonclassicality
+suprema, then Haar draws.
 """
 
 from __future__ import annotations

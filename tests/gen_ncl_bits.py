@@ -1,11 +1,15 @@
-"""Freeze the NCl engine's exact output bits on a handful of instances.
+"""Freeze the exact output bits of the closed-form |diag| suprema on a handful of instances.
 
 Run as a script (with src/ on PYTHONPATH) to regenerate
 tests/fixtures/ncl_bits.json. Unlike derived_values.json this file holds
-the package's own output: it pins every bit of the ascent, so a rewrite
-that claims to change only speed can be checked for identical decisions.
-Regenerate it only together with a deliberate change of the ascent's
-results, and say so in the change log.
+the package's own output: it pins every bit of the closed form (trace-norm
+values and attaining bases), so a rewrite that claims to change only speed
+can be checked for identical output. Before writing, the script prints each
+case's old and new value and its largest per-effect increase, and it
+refuses to write if any per-effect value falls by more than DROP_TOL: the
+values are suprema, so a correct change can only raise them. Regenerate it
+only together with a deliberate change of the results, and say so in the
+change log.
 """
 
 import hashlib
@@ -15,6 +19,8 @@ import os
 import numpy as np
 
 import kduncert as kd
+
+DROP_TOL = 1e-15
 
 # (name, d, state rank, POVM outcomes or "pvm", state seed, POVM seed, config)
 CASES = (
@@ -26,7 +32,7 @@ CASES = (
     ("d3-mixed-povm2-unstructured", 3, 3, 2, 21, 22,
      {"n_restarts": 4, "seed": 5, "include_structured_starts": False}),
 )
-# the variational nonreality path runs the same ascent on K = [M, rho] / 2i
+# the variational nonreality path takes the same supremum of K = [M, rho] / 2i
 VARIATIONAL_CASE = ("d3-mixed-povm2-nre-variational", 3, 3, 2, 23, 24, {"n_restarts": 2, "seed": 6})
 
 
@@ -66,9 +72,37 @@ def compute() -> dict:
     return out
 
 
+def compare(old: dict, new: dict) -> list:
+    """Print old/new value and largest per-effect increase per case; return the cases that drop."""
+    dropped = []
+    for name, fx in new.items():
+        prev = old.get(name)
+        if prev is None:
+            print(f"{name}: new case, value {float.fromhex(fx['value'])!r}")
+            continue
+        deltas = [
+            float.fromhex(n) - float.fromhex(o)
+            for o, n in zip(prev["per_effect_values"], fx["per_effect_values"])
+        ]
+        print(
+            f"{name}: value {float.fromhex(prev['value'])!r} -> {float.fromhex(fx['value'])!r}, "
+            f"largest per-effect increase {max(deltas):.3e}"
+        )
+        if len(deltas) != len(fx["per_effect_values"]) or min(deltas) < -DROP_TOL:
+            dropped.append(name)
+    return dropped
+
+
 def main():
     out = os.path.join(os.path.dirname(__file__), "fixtures", "ncl_bits.json")
+    old = {}
+    if os.path.exists(out):
+        with open(out, "r", encoding="utf-8") as fh:
+            old = json.load(fh)
     fx = compute()
+    dropped = compare(old, fx)
+    if dropped:
+        raise SystemExit(f"refusing to write {out}: a per-effect value fell by more than {DROP_TOL:g} in {dropped}")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(fx, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -91,7 +91,7 @@ def test_decompose_fixture_and_determinism(capsys, fixtures, derived):
     assert first == second
 
 
-def test_decompose_nonconvergence_exit_code(capsys, fixtures):
+def test_decompose_ncl_ignores_iteration_flags(capsys, fixtures):
     code, out = _run(
         capsys,
         [
@@ -99,9 +99,11 @@ def test_decompose_nonconvergence_exit_code(capsys, fixtures):
             "--flavor", "NCl", "--restarts", "1", "--max-iters", "1",
         ],
     )
-    assert code == 4
-    assert out is not None  # partial output still written
-    assert out["diagnostics"]["converged"] is False
+    assert code == 0
+    assert out["diagnostics"]["converged"] is True
+    rho = np.full((2, 2), 0.5)
+    expect = sum(np.linalg.svd(np.diag(e) @ rho, compute_uv=False).sum() for e in np.eye(2)) - 1.0
+    assert abs(out["quantum"] - expect) < 1e-12
 
 
 def test_decompose_rejects_nonpositive_max_iters(capsys, fixtures):
@@ -275,8 +277,18 @@ def test_infimum_failed_self_check_is_a_named_error(capsys, fixtures, monkeypatc
     monkeypatch.setattr("kduncert.uncertainty.total_uncertainty", lambda *args: 0.5)
     code = main(["infimum", fixtures["diag34"], "--flavor", "NRe"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 5
     assert captured.out == ""
     assert captured.err.startswith("error: eigenbasis measurement scores")
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_bounds_failed_check_is_an_internal_error(capsys, fixtures, monkeypatch):
+    monkeypatch.setattr("kduncert.cli.bound_asymmetry", lambda *args: 2.0)
+    code = main(["bounds", fixtures["plus"], fixtures["zbasis"]])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: asymmetry bound")
+    assert len(captured.err.strip().splitlines()) == 1

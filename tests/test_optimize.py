@@ -155,39 +155,55 @@ def test_optimizer_config_rejects_bad_iterations_and_step():
 
 
 def test_ncl_engine_bits_match_frozen_fixture():
-    # every bit of the ascent's output is pinned; see tests/gen_ncl_bits.py
+    # every bit of the closed form's output is pinned; see tests/gen_ncl_bits.py
     path = os.path.join(os.path.dirname(__file__), "fixtures", "ncl_bits.json")
     with open(path, "r", encoding="utf-8") as fh:
         frozen = json.load(fh)
     assert gen_ncl_bits.compute() == frozen
 
 
-def _first_best_probe(m, rots):
-    # the ascent's scalar scan: strict improvement, so the first maximizer wins
-    m00, m01, m10, m11 = m
-    base = abs(m00) + abs(m11)
-    best_gain, best = -np.inf, None
-    for r in rots:
-        r00, r01, r10, r11, s00, s01, s10, s11 = r
-        n00 = s00 * (m00 * r00 + m01 * r10) + s10 * (m10 * r00 + m11 * r10)
-        n11 = s01 * (m00 * r01 + m01 * r11) + s11 * (m10 * r01 + m11 * r11)
-        gain = abs(n00) + abs(n11) - base
-        if gain > best_gain:
-            best_gain, best = gain, r
-    return best_gain, best
+def _ncl_instances():
+    """(state, POVM) pairs at d = 1..8: mixed, pure, rank-deficient and commuting."""
+    out = []
+    for d in range(1, 9):
+        for rank in sorted({1, max(1, d // 2), d}):
+            out.append((kd.random_density(d, rank, seed=400 + 10 * d + rank), kd.random_povm(d, 3, seed=500 + d)))
+        u = kd.haar_random_unitary(d, seed=600 + d)
+        lam = np.linspace(1, 2, d)
+        rho = kd.validate_density((u * (lam / lam.sum())) @ u.conj().T)
+        out.append((rho, kd.rank_one_pvm(u).as_povm()))
+    return out
 
 
-def test_probe_screening_keeps_the_scalar_choice():
-    from kduncert.optimize import _PROBE_ROTS, _probe_survivors
+def _abs_diag(k_op, u):
+    return float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
 
-    rng = np.random.default_rng(310)
-    blocks = [(1 + 0j, 0j, 0j, 1 + 0j), (0j, 0j, 0j, 0j), (0.5 + 0j, 0.25j, -0.25j, 0.5 + 0j)]
-    for _ in range(300):
-        z = rng.standard_normal(8) * 10.0 ** rng.integers(-6, 2)
-        blocks.append(tuple(complex(z[i], z[i + 4]) for i in range(4)))
-    for m in blocks:
-        big, grid = _probe_survivors(*m)
-        assert _first_best_probe(m, big + grid) == _first_best_probe(m, _PROBE_ROTS)
+
+def test_ncl_closed_form_attained():
+    cases = []  # (K, value, attaining basis)
+    for rho, povm in _ncl_instances():
+        res = kd.quantum_nonclassicality(rho, povm, LIGHT)
+        cases.extend(zip([m @ rho.matrix for m in povm.effects], res.per_effect_values, res.per_effect_bases))
+    for d in range(1, 9):
+        for k_op in (np.zeros((d, d)), -np.eye(d)):
+            res = kd.sup_over_pvm(k_op, LIGHT)
+            cases.append((k_op, res.value, res.best_basis))
+    for k_op, v, basis in cases:
+        u = basis.basis_unitary
+        assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
+        assert abs(_abs_diag(k_op, u) - v) <= 1e-12 * max(1.0, v)
+        assert v == kd.trace_norm(k_op)
+
+
+def test_ncl_upper_bounds_random_bases():
+    seeds = iter(range(10_000, 10**6))
+    for rho, povm in _ncl_instances():
+        res = kd.quantum_nonclassicality(rho, povm, LIGHT)
+        for m, v in zip(povm.effects, res.per_effect_values):
+            k_op = m @ rho.matrix
+            for _ in range(500):
+                u = kd.haar_random_unitary(rho.dim, seed=next(seeds))
+                assert _abs_diag(k_op, u) <= v + 1e-12
 
 
 def test_brute_force_constant_and_monotone():
