@@ -1,6 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+import gen_witness_bits
 import kduncert as kd
 from conftest import HADAMARD, Y_BASIS
 
@@ -135,6 +139,14 @@ def test_witness_entries_reverify():
             again = complex(table.values[a_idx, entry.b])
             assert abs(again - entry.weak_value) < 1e-9
             assert abs(again.imag) > report.threshold or again.real < -report.threshold
+
+
+def test_witness_bits_match_frozen_fixture():
+    # every report field is pinned; see tests/gen_witness_bits.py
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "witness_bits.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    assert gen_witness_bits.compute() == frozen
 
 
 def test_lueders_update():
