@@ -8,9 +8,14 @@ trace norm ||K||_1:
 - with the polar form K = W |K|, the unitary W^dag is diagonal in some
   orthonormal basis {|b>} with phases v_b, and there
   sum_b |<b|K|b>| >= Re sum_b v_b <b|K|b> = Re tr(K W^dag) = ||K||_1.
-So no path optimizes. The nonreality part reads the trace norms of the
-commutators directly; the nonclassicality part and sup_over_pvm(k_op, cfg)
-also return a basis attaining each supremum (_trace_norm_basis).
+So no path optimizes. Two helpers take a stack K of shape (n, d, d) and
+run each numpy.linalg call once on the whole stack: _trace_norms gives the
+values, from singular values alone (svd with compute_uv=False, whose
+values can differ in the last bit from those of a full svd), and
+_attaining_bases gives a basis attaining each supremum. The nonreality
+part reads the trace norms of the stacked commutators; the
+nonclassicality part (_ncl_value for the value alone) and
+sup_over_pvm(k_op, cfg) also return the attaining bases.
 
 OptimizerConfig keeps its fields for callers: n_restarts and seed still
 drive the Haar candidates of the contextuality witness and the random
@@ -26,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, commutator, trace_norm
+from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, commutator
 from .errors import DimMismatchError, ValidationError
 
 NEGATIVE_CLAMP = 1e-9
@@ -74,33 +79,41 @@ class SupremumResult:
     per_effect_bases: tuple | None = None
 
 
-def _trace_norm_basis(k_op: np.ndarray):
-    """(||K||_1, an orthonormal basis {|b>} with sum_b |<b|K|b>| = ||K||_1) for a square K.
+def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
+    """||K_i||_1 of each matrix of a stack K of shape (n, d, d), from singular values alone."""
+    return np.linalg.svd(k_ops, compute_uv=False).sum(axis=-1)
 
-    With svd(K) = U S V^dag the unitary X = V U^dag makes K X = U S U^dag
+
+def _attaining_bases(k_ops: np.ndarray) -> np.ndarray:
+    """Per matrix K_i of a stack (n, d, d), an orthonormal basis {|b>} with sum_b |<b|K_i|b>| = ||K_i||_1.
+
+    Basis i is the column set of element i of the result. With
+    svd(K) = U S V^dag the unitary X = V U^dag makes K X = U S U^dag
     positive, so in an eigenbasis of X (X|b> = v_b |b>) every term
     |<b|K|b>| = <b|K X|b> and the terms sum to tr(K X) = ||K||_1. The
     eigenbasis comes from eigh on a Cayley transform of X, rotated so that
     the widest gap of X's spectrum sits at -1: eig would not return
     orthonormal vectors for the degenerate spectra of K = 0, pure states or
-    commuting pairs.
+    commuting pairs. Each step runs once on the whole stack.
     """
-    u, _, vh = np.linalg.svd(k_op)
-    x = vh.conj().T @ u.conj().T
-    phases = np.sort(np.angle(np.linalg.eigvals(x)))
-    gaps = np.diff(np.append(phases, phases[0] + 2.0 * math.pi))
-    i = int(np.argmax(gaps))
-    y = x * np.exp(1j * (math.pi - phases[i] - 0.5 * gaps[i]))
-    eye = np.eye(k_op.shape[0])
+    n, d, _ = k_ops.shape
+    u, _, vh = np.linalg.svd(k_ops)
+    x = vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
+    phases = np.sort(np.angle(np.linalg.eigvals(x)), axis=-1)
+    gaps = np.diff(np.concatenate([phases, phases[:, :1] + 2.0 * math.pi], axis=-1), axis=-1)
+    rows = np.arange(n)
+    i = np.argmax(gaps, axis=-1)
+    y = x * np.exp(1j * (math.pi - phases[rows, i] - 0.5 * gaps[rows, i]))[:, None, None]
+    eye = np.eye(d)
     h = 1j * np.linalg.solve(eye + y, eye - y)
-    return trace_norm(k_op), np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+    return np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))[1]
 
 
 def sup_over_pvm(k_op, cfg: OptimizerConfig) -> SupremumResult:
     """Maximize sum_b |<b|K|b>| over rank-1 PVM bases {|b>} of K's dimension.
 
     The supremum is the trace norm of K, attained by the basis in
-    best_basis (see _trace_norm_basis); cfg is accepted for the common
+    best_basis (see _attaining_bases); cfg is accepted for the common
     signature and changes nothing.
     """
     k = np.asarray(k_op, dtype=complex)
@@ -108,21 +121,20 @@ def sup_over_pvm(k_op, cfg: OptimizerConfig) -> SupremumResult:
         raise ValidationError(f"K must be a non-empty square matrix, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ValidationError("K has non-finite entries")
-    value, basis = _trace_norm_basis(k)
+    value = float(_trace_norms(k[None])[0])
     return SupremumResult(
         value=value,
-        best_basis=_pvm_unchecked(basis),
+        best_basis=_pvm_unchecked(_attaining_bases(k[None])[0]),
         per_restart_values=(value,),
         converged=True,
         iterations_used=1,
     )
 
 
-def _sum_over_effects(k_ops) -> SupremumResult:
-    """Per-effect suprema of sum_b |<b|K_a|b>|, summed in effect order."""
-    sups = [_trace_norm_basis(k_op) for k_op in k_ops]
-    values = tuple(v for v, _ in sups)
-    bases = tuple(_pvm_unchecked(u) for _, u in sups)
+def _sum_over_effects(k_ops: np.ndarray) -> SupremumResult:
+    """Per-effect suprema of sum_b |<b|K_a|b>| over a stack K of shape (n, d, d), summed in effect order."""
+    values = tuple(_trace_norms(k_ops).tolist())
+    bases = tuple(_pvm_unchecked(u) for u in _attaining_bases(k_ops))
     value = float(sum(values))
     return SupremumResult(
         value=value,
@@ -149,8 +161,7 @@ def quantum_nonreality(state: DensityMatrix, povm: Povm) -> float:
     over rank-1 PVMs. No optimization is involved.
     """
     _check_dims(state, povm)
-    rho = state.matrix
-    return sum(0.5 * trace_norm(commutator(m, rho)) for m in povm.effects)
+    return sum(0.5 * t for t in _trace_norms(commutator(np.stack(povm.effects), state.matrix)).tolist())
 
 
 def _povm_basis(povm: Povm):
@@ -180,8 +191,7 @@ def quantum_nonreality_variational(state: DensityMatrix, povm: Povm, cfg: Optimi
     changes nothing.
     """
     _check_dims(state, povm)
-    rho = state.matrix
-    return _sum_over_effects([commutator(m, rho) / 2j for m in povm.effects])
+    return _sum_over_effects(commutator(np.stack(povm.effects), state.matrix) / 2j)
 
 
 def quantum_nonclassicality(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig) -> SupremumResult:
@@ -191,13 +201,28 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm, cfg: OptimizerConf
     K = M^a rho, and per_effect_bases holds a basis attaining it. A total
     within NEGATIVE_CLAMP below zero is reported as 0. cfg changes nothing.
     """
+    res = _sum_over_effects(_ncl_operators(state, povm))
+    total = _ncl_total(res.per_effect_values)
+    return replace(res, value=total, per_restart_values=(total,))
+
+
+def _ncl_operators(state: DensityMatrix, povm: Povm) -> np.ndarray:
+    """The stack of M^a rho, shape (n_outcomes, d, d)."""
     _check_dims(state, povm)
-    rho = state.matrix
-    res = _sum_over_effects([m @ rho for m in povm.effects])
-    total = res.value - 1.0
+    return np.stack(povm.effects) @ state.matrix
+
+
+def _ncl_total(norms) -> float:
+    """sum_a ||M^a rho||_1 - 1 in effect order; a total within NEGATIVE_CLAMP below zero reads 0."""
+    total = sum(norms) - 1.0
     if -NEGATIVE_CLAMP <= total < 0.0:
         total = 0.0
-    return replace(res, value=total, per_restart_values=(total,))
+    return total
+
+
+def _ncl_value(state: DensityMatrix, povm: Povm) -> float:
+    """quantum_nonclassicality(state, povm, cfg).value without building the attaining bases."""
+    return _ncl_total(_trace_norms(_ncl_operators(state, povm)).tolist())
 
 
 def brute_force_sup_qubit(objective, grid_density: int) -> float:

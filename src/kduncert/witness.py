@@ -4,9 +4,12 @@ A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
 variable model. Nonzero quantumness of (state, POVM) guarantees such an
 entry exists in some postselection basis; locating one is a search problem,
-handled here by scanning canonical unbiased bases (and their lifts by the
-measurement basis), then the bases attaining the per-effect nonclassicality
-suprema, then Haar draws.
+handled here by scanning, in this order, the canonical unbiased bases, their
+lifts by the measurement basis (when the POVM is a rank-1 PVM), the bases
+attaining the per-effect nonclassicality suprema, and cfg.n_restarts Haar
+draws. The candidates are built lazily: a group is computed only when the
+scan reaches it, so a verdict whose entry sits in the first unbiased basis
+never builds the others.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import DimMismatchError, NotProjectorError, ValidationError, Witnes
 from .kdtable import lueders_state
 from .optimize import (
     OptimizerConfig,
+    _ncl_value,
     _povm_basis,
     quantum_nonclassicality,
     quantum_nonreality,
@@ -129,6 +133,25 @@ def _first_strange(state, povm, basis, threshold):
     return None
 
 
+def _candidates(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig):
+    """Postselection bases in scan order, each built only when the scan reaches it.
+
+    Canonical unbiased bases first: the maximizing basis is determined only
+    up to a degenerate attainment set, so scanning a fixed catalog first
+    makes the reported entry deterministic and reproducible.
+    """
+    mubs = mub_bases(state.dim)
+    for u in mubs:
+        yield _pvm_unchecked(u)
+    basis_u = _povm_basis(povm)
+    if basis_u is not None:
+        for u in mubs:
+            yield _pvm_unchecked(basis_u @ u)
+    yield from quantum_nonclassicality(state, povm, cfg).per_effect_bases
+    for r in range(cfg.n_restarts):
+        yield _pvm_unchecked(_haar(state.dim, np.random.default_rng([cfg.seed, 4, r])))
+
+
 def contextuality_witness(
     state: DensityMatrix,
     povm: Povm,
@@ -148,8 +171,7 @@ def contextuality_witness(
     if cfg is None:
         cfg = OptimizerConfig()
     nre = quantum_nonreality(state, povm)
-    ncl_result = quantum_nonclassicality(state, povm, cfg)
-    ncl = ncl_result.value
+    ncl = _ncl_value(state, povm)
     contextual = nre > threshold
     agree = contextual == (ncl > threshold)
     if not agree:
@@ -160,27 +182,16 @@ def contextuality_witness(
         )
     entry = None
     if contextual:
-        # Canonical unbiased bases first: the maximizing basis is determined
-        # only up to a degenerate attainment set, so scanning a fixed catalog
-        # first makes the reported entry deterministic and reproducible.
-        candidates = [_pvm_unchecked(u) for u in mub_bases(state.dim)]
-        basis_u = _povm_basis(povm)
-        if basis_u is not None:
-            candidates.extend(_pvm_unchecked(basis_u @ u) for u in mub_bases(state.dim))
-        if ncl_result.per_effect_bases:
-            candidates.extend(ncl_result.per_effect_bases)
-        for r in range(cfg.n_restarts):
-            candidates.append(
-                _pvm_unchecked(_haar(state.dim, np.random.default_rng([cfg.seed, 4, r])))
-            )
-        for basis in candidates:
+        scanned = 0
+        for basis in _candidates(state, povm, cfg):
+            scanned += 1
             entry = _first_strange(state, povm, basis, threshold)
             if entry is not None:
                 break
         if entry is None:
             raise WitnessNotFoundError(
                 f"quantumness {nre:.3e} exceeds threshold but no strange weak value "
-                f"was found in {len(candidates)} bases"
+                f"was found in {scanned} bases"
             )
     return WitnessReport(
         contextual=contextual,

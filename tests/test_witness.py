@@ -6,6 +6,7 @@ import pytest
 
 import gen_witness_bits
 import kduncert as kd
+import kduncert.witness as witness_mod
 from conftest import HADAMARD, Y_BASIS
 
 LIGHT = kd.OptimizerConfig(n_restarts=3, max_iters=300, seed=0)
@@ -147,6 +148,64 @@ def test_witness_bits_match_frozen_fixture():
     with open(path, "r", encoding="utf-8") as fh:
         frozen = json.load(fh)
     assert gen_witness_bits.compute() == frozen
+
+
+def _search_case(name):
+    return gen_witness_bits.build(next(c for c in gen_witness_bits.CASES if c[0] == name))
+
+
+def test_witness_ncl_is_the_nonclassicality_value():
+    cfg = kd.OptimizerConfig(n_restarts=2, seed=0)
+    instances = []
+    for d in (1, 2, 3, 4, 6):
+        for rank in sorted({1, max(1, d // 2), d}):
+            instances.append((kd.random_density(d, rank, seed=700 + 10 * d + rank), kd.random_povm(d, 3, seed=710 + d)))
+        u = kd.haar_random_unitary(d, seed=720 + d)
+        lam = np.arange(d, 0, -1.0)
+        instances.append((kd.validate_density((u * (lam / lam.sum())) @ u.conj().T), kd.rank_one_pvm(u).as_povm()))
+    for state, povm in instances:
+        report = kd.contextuality_witness(state, povm, cfg)
+        assert report.ncl.hex() == kd.quantum_nonclassicality(state, povm, cfg).value.hex()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(witness_mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(witness_mod, name, counting)
+    return calls
+
+
+def test_witness_builds_candidates_only_when_reached(monkeypatch):
+    lazy = ("quantum_nonclassicality", "_povm_basis", "_haar")
+    calls = {name: _count_calls(monkeypatch, name) for name in lazy}
+    for d in (2, 3):
+        state = kd.random_density(d, d, seed=730 + d)
+        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d)).as_povm()
+        report = kd.contextuality_witness(state, povm, LIGHT)
+        # the first unbiased basis holds the entry, so no later candidate is built
+        assert np.array_equal(report.witness_entry.basis.basis_unitary, kd.mub_bases(d)[0])
+        assert all(not c for c in calls.values())
+    state, povm, cfg, threshold = _search_case("d2-search-ncl-basis")
+    with pytest.warns(RuntimeWarning):
+        kd.contextuality_witness(state, povm, cfg, threshold=threshold)
+    assert [len(calls[name]) for name in lazy] == [1, 1, 0]
+    state, povm, cfg, threshold = _search_case("d2-search-haar")
+    with pytest.warns(RuntimeWarning):
+        kd.contextuality_witness(state, povm, cfg, threshold=threshold)
+    assert len(calls["quantum_nonclassicality"]) == 2 and len(calls["_haar"]) >= 1
+
+
+def test_witness_not_found_counts_every_candidate():
+    state, povm, cfg, threshold = _search_case("d2-search-not-found")
+    n_bases = len(kd.mub_bases(state.dim)) + povm.n_outcomes + cfg.n_restarts
+    assert n_bases == 7
+    with pytest.warns(RuntimeWarning), pytest.raises(kd.WitnessNotFoundError, match=f"found in {n_bases} bases"):
+        kd.contextuality_witness(state, povm, cfg, threshold=threshold)
 
 
 def test_lueders_update():
