@@ -93,14 +93,10 @@ def weak_values(state: DensityMatrix, povm: Povm, basis: RankOnePvm) -> WeakValu
     rho_u = rho @ u
     probs = np.einsum("ib,ib->b", u.conj(), rho_u).real
     probs = np.clip(probs, 0.0, None)
-    n_a = povm.n_outcomes
-    values = np.zeros((n_a, d), dtype=complex)
     mask = probs <= UNDEFINED_PROB
-    for a, m in enumerate(povm.effects):
-        numer = np.einsum("ib,ij,jb->b", u.conj(), m, rho_u)
-        for b in range(d):
-            if not mask[b]:
-                values[a, b] = numer[b] / probs[b]
+    numer = np.einsum("ib,aij,jb->ab", u.conj(), np.stack(povm.effects), rho_u)
+    values = np.zeros((povm.n_outcomes, d), dtype=complex)
+    np.divide(numer, probs, out=values, where=~mask)
     return WeakValueTable(values=values, postselect_probs=probs, undefined_mask=mask)
 
 

@@ -30,6 +30,36 @@ def test_weak_values_basis_state_preselection():
     assert np.abs(w.real - expect).max() < 1e-10
 
 
+def _weak_values_loop(state, povm, basis):
+    """Per-effect, per-column reference for weak_values (its former loop form)."""
+    u = basis.basis_unitary
+    rho_u = state.matrix @ u
+    probs = np.clip(np.einsum("ib,ib->b", u.conj(), rho_u).real, 0.0, None)
+    values = np.zeros((povm.n_outcomes, state.dim), dtype=complex)
+    for a, m in enumerate(povm.effects):
+        numer = np.einsum("ib,ij,jb->b", u.conj(), m, rho_u)
+        for b in range(state.dim):
+            if probs[b] > kd.witness.UNDEFINED_PROB:
+                values[a, b] = numer[b] / probs[b]
+    return values, probs
+
+
+def test_weak_values_match_loop_reference_bitwise():
+    masked = 0
+    for d in range(1, 7):
+        for rank in sorted({1, d}):
+            rho = kd.random_density(d, rank, seed=650 + 10 * d + rank)
+            povm = kd.random_povm(d, 3, seed=660 + d)
+            eigvecs = np.linalg.eigh(rho.matrix)[1]
+            for u in (kd.haar_random_unitary(d, seed=670 + d), eigvecs):
+                table = kd.weak_values(rho, povm, kd.rank_one_pvm(u))
+                values, probs = _weak_values_loop(rho, povm, kd.rank_one_pvm(u))
+                assert np.array_equal(table.values, values)
+                assert np.array_equal(table.postselect_probs, probs)
+                masked += int(table.undefined_mask.sum())
+    assert masked > 0
+
+
 def test_weak_value_strange_fixture(derived):
     zero = kd.validate_density([[1, 0], [0, 0]])
     table = kd.weak_values(zero, _x_povm(), kd.rank_one_pvm(Y_BASIS))
