@@ -86,9 +86,14 @@ def _check_probs(probs):
 
 
 def s_entropy(probs) -> float:
-    """sum_a sqrt(p_a (1 - p_a)); zero iff deterministic, maximal at uniform."""
+    """sum_a sqrt(p_a (1 - p_a)); zero iff deterministic, maximal at uniform.
+
+    Each 1 - p_a is taken as the sum of the other outcomes' probabilities:
+    equal in exact arithmetic for a complete distribution, and exactly 0
+    for a single outcome whose probability rounded below 1.
+    """
     p = _check_probs(probs)
-    return float(sum(math.sqrt(x * (1.0 - x)) for x in p))
+    return float(sum(math.sqrt(x * sum(p[:a] + p[a + 1:])) for a, x in enumerate(p)))
 
 
 def t_entropy(probs) -> float:

@@ -3,6 +3,7 @@ import pytest
 
 import kduncert as kd
 from conftest import HADAMARD, PAULI_X
+from kduncert.selftest import run_selftest
 
 LIGHT = kd.OptimizerConfig(n_restarts=3, max_iters=300, seed=0)
 
@@ -209,6 +210,27 @@ def test_one_dimensional_edge_case():
         assert abs(dec.quantum) < 1e-12
     value, achieving = kd.infimum_total(rho, kd.Flavor.NRE)
     assert value == 0.0 and achieving.n_outcomes == 1
+
+
+def test_s_entropy_one_outcome_rounding_reads_zero():
+    # a single outcome whose Born probability rounds below 1 is still deterministic
+    assert kd.s_entropy([1 - 2**-52]) == 0.0
+    assert kd.s_entropy([1.0]) == 0.0
+    for seed in range(8):
+        rho = kd.random_density(1, 1, seed=900 + seed)
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(1, seed=910 + seed)).as_povm()
+        dec = kd.decompose(rho, pvm, kd.Flavor.NRE, LIGHT)
+        assert dec.total == 0.0 and dec.quantum == 0.0 and dec.classical == 0.0
+
+
+def test_selftest_pure_pvm_equality_gap_at_d1():
+    _, results = run_selftest(dims=(1,), samples=8)
+    detail = next(r.detail for r in results if r.name == "unc.quantum_bounded_by_total")
+    gap = float(detail.rsplit("equality gap ", 1)[1])
+    # The NRe flavor's gap is exactly 0 (it read 1.49e-08 when s_entropy took 1 - p for a
+    # probability of 1 - 2^-52). What is left is the NCl flavor's: at d = 1 the Haar
+    # projector |u|^2 itself rounds to 1 +- 2^-52, so sum_a ||M^a rho||_1 - 1 reads 2^-52.
+    assert gap <= 2**-52
 
 
 def test_decomposition_invariants_random():
