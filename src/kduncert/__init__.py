@@ -48,7 +48,6 @@ from .kdtable import (
 from .optimize import (
     OptimizerConfig,
     SupremumResult,
-    brute_force_sup_qubit,
     quantum_nonclassicality,
     quantum_nonreality,
     quantum_nonreality_variational,

@@ -224,59 +224,3 @@ def _ncl_value(state: DensityMatrix, povm: Povm) -> float:
     """quantum_nonclassicality(state, povm, cfg).value without building the attaining bases."""
     return _ncl_total(_trace_norms(_ncl_operators(state, povm)).tolist())
 
-
-def brute_force_sup_qubit(objective, grid_density: int) -> float:
-    """Exhaustive qubit oracle: scan Bloch angles on a nested grid, then refine.
-
-    The grid is theta = pi k / g (k = 0..g), phi = 2 pi j / (2g), so doubling
-    grid_density only adds points and the scanned maximum is monotone in g.
-    Golden-section refinement around the best cell alternates axes; the
-    returned value is the maximum over every evaluation.
-    """
-    g = int(grid_density)
-    if g < 2:
-        raise ValidationError(f"grid_density must be >= 2, got {g}")
-
-    def value(theta, phi):
-        ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        ph = complex(math.cos(phi), math.sin(phi))
-        u = np.array([[ct, -ph.conjugate() * st], [ph * st, ct]], dtype=complex)
-        return float(objective(_pvm_unchecked(u)))
-
-    best = -math.inf
-    best_t = best_p = 0.0
-    for k in range(g + 1):
-        theta = math.pi * k / g
-        for j in range(2 * g):
-            phi = math.pi * j / g
-            v = value(theta, phi)
-            if v > best:
-                best, best_t, best_p = v, theta, phi
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(fn, lo, hi, rounds=40):
-        nonlocal best
-        a, b = lo, hi
-        x1 = b - inv_phi * (b - a)
-        x2 = a + inv_phi * (b - a)
-        f1, f2 = fn(x1), fn(x2)
-        for _ in range(rounds):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + inv_phi * (b - a)
-                f2 = fn(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - inv_phi * (b - a)
-                f1 = fn(x1)
-        x = 0.5 * (a + b)
-        fx = fn(x)
-        best = max(best, fx)
-        return x
-
-    dt = math.pi / g
-    for _ in range(3):
-        best_t = golden(lambda t: value(t, best_p), max(0.0, best_t - dt), min(math.pi, best_t + dt))
-        best_p = golden(lambda p: value(best_t, p), best_p - dt, best_p + dt)
-    return best

@@ -10,6 +10,7 @@ import numpy as np
 import kduncert as kd
 from kduncert.selftest import _rand_rank1_povm, run_selftest
 from conftest import HADAMARD, PAULI_X, Y_BASIS
+from oracles import brute_force_sup_qubit
 
 FAST = kd.OptimizerConfig(n_restarts=1, include_structured_starts=False, seed=0)
 STRUCTURED = kd.OptimizerConfig(n_restarts=2, max_iters=300, seed=0)
@@ -320,13 +321,7 @@ def test_criterion_9_worked_example_regression(derived):
         target = kd.quantum_nonreality(rho, pvm)
         total = 0.0
         for m in pvm.effects:
-            k_op = (m @ rho.matrix - rho.matrix @ m) / 2j
-
-            def objective(p, k_op=k_op):
-                u = p.basis_unitary
-                return float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
-
-            total += kd.brute_force_sup_qubit(objective, 200)
+            total += brute_force_sup_qubit((m @ rho.matrix - rho.matrix @ m) / 2j, 200)
         worst_bf = max(worst_bf, abs(total - target))
     errs["brute_force_grid200"] = worst_bf if worst_bf > 1e-4 else 0.0
 

@@ -7,6 +7,7 @@ import pytest
 import gen_ncl_bits
 import kduncert as kd
 from conftest import HADAMARD, PAULI_X
+from oracles import brute_force_sup_qubit
 
 LIGHT = kd.OptimizerConfig(n_restarts=3, max_iters=300, seed=0)
 
@@ -207,18 +208,15 @@ def test_ncl_upper_bounds_random_bases():
 
 
 def test_brute_force_constant_and_monotone():
-    assert abs(kd.brute_force_sup_qubit(lambda pvm: 1.25, 40) - 1.25) < 1e-12
+    # K = 0.625 I scores 0.625 on each basis vector, so every basis gives 1.25
+    assert abs(brute_force_sup_qubit(0.625 * np.eye(2), 40) - 1.25) < 1e-12
 
     rho = kd.random_density(2, 2, seed=130).matrix
     m = kd.rank_one_pvm(HADAMARD).projector(0)
     k_op = m @ rho
 
-    def objective(pvm):
-        u = pvm.basis_unitary
-        return float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
-
-    coarse = kd.brute_force_sup_qubit(objective, 60)
-    fine = kd.brute_force_sup_qubit(objective, 120)
+    coarse = brute_force_sup_qubit(k_op, 60)
+    fine = brute_force_sup_qubit(k_op, 120)
     assert fine >= coarse - 1e-12
 
 
@@ -229,13 +227,7 @@ def test_brute_force_agrees_with_closed_form():
         target = kd.quantum_nonreality(rho, pvm)
         total = 0.0
         for m in pvm.effects:
-            k_op = (m @ rho.matrix - rho.matrix @ m) / 2j
-
-            def objective(p, k_op=k_op):
-                u = p.basis_unitary
-                return float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
-
-            total += kd.brute_force_sup_qubit(objective, 100)
+            total += brute_force_sup_qubit((m @ rho.matrix - rho.matrix @ m) / 2j, 100)
         assert abs(total - target) < 2e-4
 
 
