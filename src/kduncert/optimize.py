@@ -121,10 +121,11 @@ def sup_over_pvm(k_op, cfg: OptimizerConfig) -> SupremumResult:
         raise ValidationError(f"K must be a non-empty square matrix, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ValidationError("K has non-finite entries")
-    value = float(_trace_norms(k[None])[0])
+    stack = k[None]
+    value = float(_trace_norms(stack)[0])
     return SupremumResult(
         value=value,
-        best_basis=_pvm_unchecked(_attaining_bases(k[None])[0]),
+        best_basis=_pvm_unchecked(_attaining_bases(stack)[0]),
         per_restart_values=(value,),
         converged=True,
         iterations_used=1,
