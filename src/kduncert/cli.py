@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_optimizer(p):
         p.add_argument(
             "--restarts", type=int, default=None,
-            help="Haar candidates (witness) and refinement starts (bounds)",
+            help="Haar candidates scanned by the witness; changes no other result",
         )
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None, help="validated; changes no result")
         p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None, help="validated; changes no result")

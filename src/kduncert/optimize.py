@@ -18,10 +18,10 @@ nonclassicality part (_ncl_value for the value alone) and
 sup_over_pvm(k_op, cfg) also return the attaining bases.
 
 OptimizerConfig keeps its fields for callers: n_restarts and seed still
-drive the Haar candidates of the contextuality witness and the random
-starts in bound_asymmetry and uncertainty_relation_bound, while max_iters,
+drive the Haar candidates of the contextuality witness, while max_iters,
 rel_tol, step_init and include_structured_starts are validated but change
-no result.
+no result (the commutator bounds in uncertainty take a config and do not
+read it).
 """
 
 from __future__ import annotations

@@ -692,13 +692,12 @@ def prop_tsallis_relation(dims, samples, seed):
 
 def prop_asymmetry_bound(dims, samples, seed):
     worst = 0.0
-    cfg = _light_cfg(seed, restarts=4)
     for i in range(samples):
         for d in dims:
             rng = _rng(seed, 50, i, d)
             rho = _rand_state(d, rng)
             pvm = _rand_pvm(d, rng)
-            bound = bound_asymmetry(rho, pvm, cfg)
+            bound = bound_asymmetry(rho, pvm)
             ent = s_entropy(outcome_probs(rho, pvm.as_povm()))
             worst = max(worst, bound - ent)
     _require(worst <= 1e-6, f"asymmetry bound exceeded entropy by {worst:.2e}")
@@ -707,14 +706,13 @@ def prop_asymmetry_bound(dims, samples, seed):
 
 def prop_entropic_relation(dims, samples, seed):
     worst = 0.0
-    cfg = _light_cfg(seed, restarts=4)
     for i in range(samples):
         for d in dims:
             rng = _rng(seed, 51, i, d)
             rho = _rand_state(d, rng)
             pvm_a = _rand_pvm(d, rng)
             pvm_b = _rand_pvm(d, rng)
-            bound = uncertainty_relation_bound(rho, pvm_a, pvm_b, cfg)
+            bound = uncertainty_relation_bound(rho, pvm_a, pvm_b)
             total = s_entropy(outcome_probs(rho, pvm_a.as_povm())) + s_entropy(
                 outcome_probs(rho, pvm_b.as_povm())
             )

@@ -11,7 +11,6 @@ total over all measurements is a state functional: the matching impurity.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,19 +20,22 @@ from .core import (
     DensityMatrix,
     Povm,
     RankOnePvm,
-    commutator,
-    trace_norm,
     validate_povm,
 )
-from .errors import BadDistributionError, BadPartitionError, DimMismatchError, KdUncertError
+from .errors import BadDistributionError, BadPartitionError, DimMismatchError, KdUncertError, ValidationError
 from .optimize import (
     OptimizerConfig,
     SupremumResult,
+    _trace_norms,
     quantum_nonclassicality,
     quantum_nonreality,
 )
 
 PROB_ATOL = 1e-9
+# Both commutator bounds scan all 2^(d-1) sign corners; at d = 14 the
+# asymmetry stack takes about 0.3 s, and each step up doubles it.
+CORNER_SCAN_MAX_DIM = 14
+_CORNER_CHUNK = 1024
 
 
 class Flavor(enum.Enum):
@@ -203,64 +205,49 @@ def coarse_grain(povm: Povm, partition) -> Povm:
     return validate_povm(effects, labels)
 
 
-def _corner_values(d: int):
-    # +1/-1 sign vectors with first entry pinned to +1 (global sign is immaterial)
-    for rest in itertools.product((1.0, -1.0), repeat=d - 1):
-        yield np.array((1.0,) + rest)
+def _sign_corners(d: int) -> np.ndarray:
+    """Every vector of {+1, -1}^d whose first entry is +1, one per row: shape (2^(d-1), d).
+
+    A global sign flip leaves both commutator bounds unchanged, so pinning
+    the first entry halves the corners without losing a value.
+    """
+    bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1)) & 1
+    return np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+
+
+def _check_corner_dim(name: str, d: int) -> None:
+    if d > CORNER_SCAN_MAX_DIM:
+        raise ValidationError(
+            f"{name} scans all 2^(d-1) sign corners and accepts d <= {CORNER_SCAN_MAX_DIM}, got d = {d}"
+        )
 
 
 def bound_asymmetry(state: DensityMatrix, pvm: RankOnePvm, cfg: OptimizerConfig | None = None) -> float:
     """Largest normalized commutator trace norm over observables diagonal in the basis.
 
     Maximizes ||[A, rho]||_1 / (2 ||A||_inf) with A = sum_j lambda_j Pi^j.
-    The objective is scale invariant, so eigenvalues live in [-1, 1]; it is
-    convex in lambda, so sign corners are exhaustive for the dimensions
-    handled here (corner set evaluated for d <= 10), with multistart
-    coordinate ascent as refinement on top.
+    The objective is scale invariant, so lambda lives in the box [-1, 1]^d,
+    where ||[A, rho]||_1 is convex in lambda: the maximum sits at a sign
+    corner, and every corner is scanned, so the value is exact. With
+    R = U^dag rho U for the basis unitary U, unitary invariance gives
+    ||[A, rho]||_1 = ||(lambda_i - lambda_j) R_ij||_1, and the corners are
+    stacked into chunks of at most _CORNER_CHUNK matrices whose trace norms
+    each take one LAPACK call. Dimensions above CORNER_SCAN_MAX_DIM raise
+    ValidationError. cfg is accepted for callers and not read.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     d = state.dim
     if pvm.dim != d:
         raise DimMismatchError(f"state dim {d} != PVM dim {pvm.dim}")
-    rho = state.matrix
-    projs = pvm.projectors()
-
-    def objective(lam: np.ndarray) -> float:
-        scale = float(np.abs(lam).max())
-        if scale < 1e-12:
-            return 0.0
-        a_op = np.sum([x * p for x, p in zip(lam, projs)], axis=0)
-        return 0.5 * trace_norm(commutator(a_op, rho)) / scale
-
+    _check_corner_dim("bound_asymmetry", d)
+    u = pvm.basis_unitary
+    r = u.conj().T @ state.matrix @ u
+    corners = _sign_corners(d)
     best = 0.0
-    if d <= 10:
-        for lam in _corner_values(d):
-            best = max(best, objective(lam))
-
-    def refine(lam0: np.ndarray) -> float:
-        lam = lam0.copy()
-        val = objective(lam)
-        step = 0.25
-        while step > 1e-5:
-            improved = False
-            for j in range(d):
-                for s in (step, -step):
-                    cand = lam.copy()
-                    cand[j] = min(1.0, max(-1.0, cand[j] + s))
-                    v = objective(cand)
-                    if v > val + 1e-13:
-                        lam, val = cand, v
-                        improved = True
-            if not improved:
-                step *= 0.5
-        return val
-
-    n_starts = min(cfg.n_restarts, 8)
-    for r in range(n_starts):
-        rng = np.random.default_rng([cfg.seed, 2, r])
-        best = max(best, refine(rng.uniform(-1.0, 1.0, size=d)))
-    return best
+    for start in range(0, len(corners), _CORNER_CHUNK):
+        s = corners[start:start + _CORNER_CHUNK]
+        stack = (s[:, :, None] - s[:, None, :]) * r
+        best = max(best, float(_trace_norms(stack).max()))
+    return 0.5 * best
 
 
 def uncertainty_relation_bound(
@@ -271,43 +258,20 @@ def uncertainty_relation_bound(
 ) -> float:
     """Largest normalized |Tr{[A, B] rho}| over observables diagonal in each basis.
 
-    Tr{[A, B] rho} is bilinear in the eigenvalue vectors and purely
-    imaginary, so the box maximum sits at sign corners; for one side the
-    optimal corner is the sign pattern of a matrix-vector product, making
-    the corner sweep exact. Alternating sign iterations from random starts
-    refine larger dimensions.
+    Tr{[A, B] rho} = i alpha^T c beta is bilinear in the eigenvalue vectors,
+    so the box maximum sits at sign corners. Each entry
+    c[j, k] = Im Tr{[Pi_a^j, Pi_b^k] rho} = 2 Im(<a_j|b_k><b_k|rho|a_j>),
+    so c is one elementwise product of two overlap matrices. For a fixed
+    beta the best alpha is the sign pattern of c beta, so the bound is the
+    largest ||c beta||_1 over the 2^(d-1) corners beta, all taken in one
+    matrix product. Dimensions above CORNER_SCAN_MAX_DIM raise
+    ValidationError. cfg is accepted for callers and not read.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     d = state.dim
     if pvm_a.dim != d or pvm_b.dim != d:
         raise DimMismatchError(f"state dim {d} vs bases {pvm_a.dim}, {pvm_b.dim}")
-    rho = state.matrix
-    pa = pvm_a.projectors()
-    pb = pvm_b.projectors()
-    # c[j, k] = Tr{[Pi_a^j, Pi_b^k] rho} is purely imaginary; work with its imag part
-    c = np.empty((d, d))
-    for j in range(d):
-        for k in range(d):
-            c[j, k] = float(np.trace(commutator(pa[j], pb[k]) @ rho).imag)
-
-    best = 0.0
-    if d <= 6:
-        for beta in _corner_values(d):
-            best = max(best, float(np.abs(c @ beta).sum()))
-    else:
-        n_starts = max(4, min(cfg.n_restarts, 16))
-        for r in range(n_starts):
-            rng = np.random.default_rng([cfg.seed, 3, r])
-            beta = np.sign(rng.standard_normal(d))
-            beta[beta == 0] = 1.0
-            for _ in range(50):
-                alpha = np.sign(c @ beta)
-                alpha[alpha == 0] = 1.0
-                new_beta = np.sign(c.T @ alpha)
-                new_beta[new_beta == 0] = 1.0
-                if np.array_equal(new_beta, beta):
-                    break
-                beta = new_beta
-            best = max(best, float(abs(alpha @ c @ beta)))
-    return best
+    _check_corner_dim("uncertainty_relation_bound", d)
+    ua = pvm_a.basis_unitary
+    ub = pvm_b.basis_unitary
+    c = 2.0 * ((ua.conj().T @ ub) * (ub.conj().T @ state.matrix @ ua).T).imag
+    return float(np.abs(_sign_corners(d) @ c.T).sum(axis=1).max())

@@ -2,13 +2,17 @@
 
 Deliberately primitive: closed-form 2x2 singular values, literal dense
 matrix products, Bloch-sphere grid scans (with a golden-section refinement
-in brute_force_sup_qubit), and corner enumeration. Nothing
-here calls into the package, so agreement between these values and the
-library is a genuine cross-check.
+in brute_force_sup_qubit), and corner enumeration (pure Python for qubits;
+for the d x d commutator bounds, one dense numpy commutator per sign
+corner). Nothing here calls into the package, so agreement between these
+values and the library is a genuine cross-check.
 """
 
 import cmath
+import itertools
 import math
+
+import numpy as np
 
 I2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 PAULI_X = ((0j, 1 + 0j), (1 + 0j, 0j))
@@ -198,6 +202,47 @@ def corner_relation_bound_qubit(rho, basis_a, basis_b):
                         scale2(outer2(basis_b[1], basis_b[1]), sb[1]))
             best = max(best, abs(trace2(matmul2(commutator2(a_op, b_op), rho))))
     return best
+
+
+def _basis_projectors(basis):
+    u = np.asarray(basis, dtype=complex)
+    return [np.outer(u[:, j], u[:, j].conj()) for j in range(u.shape[1])]
+
+
+def corner_bound_asymmetry(rho, basis):
+    """max over s in {+1, -1}^d of ||[A, rho]||_1 / 2 with A = sum_j s_j |u_j><u_j|.
+
+    rho is a d x d array and basis holds the vectors u_j in its columns.
+    Every corner is scanned with one dense commutator; [A, rho] is
+    anti-Hermitian, so its trace norm is the sum of |eigenvalues| of the
+    Hermitian i[A, rho].
+    """
+    rho = np.asarray(rho, dtype=complex)
+    projs = _basis_projectors(basis)
+    best = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=len(projs)):
+        a_op = sum(s * p for s, p in zip(signs, projs))
+        comm = a_op @ rho - rho @ a_op
+        best = max(best, 0.5 * float(np.abs(np.linalg.eigvalsh(1j * comm)).sum()))
+    return best
+
+
+def corner_relation_bound(rho, basis_a, basis_b):
+    """max over sign vectors alpha, beta of |Tr{[A, B] rho}| with A, B diagonal in each basis.
+
+    Tr{[A, B] rho} = Tr{A [B, rho]} = sum_j alpha_j <a_j|[B, rho]|a_j>, so
+    for each corner beta the best alpha gives sum_j |<a_j|[B, rho]|a_j>|:
+    one dense commutator per corner beta.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    projs_a = _basis_projectors(basis_a)
+    projs_b = _basis_projectors(basis_b)
+    best = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=len(projs_b)):
+        b_op = sum(s * p for s, p in zip(signs, projs_b))
+        comm = b_op @ rho - rho @ b_op
+        best = max(best, sum(abs(np.trace(p @ comm)) for p in projs_a))
+    return float(best)
 
 
 def weak_value(rho, effect, postselect):

@@ -6,6 +6,7 @@ import pytest
 import kduncert as kd
 from kduncert import serialize
 from kduncert.cli import main
+from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
 from conftest import HADAMARD, Y_BASIS
 
 
@@ -292,3 +293,20 @@ def test_bounds_failed_check_is_an_internal_error(capsys, fixtures, monkeypatch)
     assert captured.out == ""
     assert captured.err.startswith("error: asymmetry bound")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_bounds_above_corner_cap_exit_code(capsys, fixtures):
+    d = CORNER_SCAN_MAX_DIM + 1
+    state = fixtures["dir"] / "mixed.json"
+    state.write_text(serialize.dumps(serialize.matrix_to_json(np.eye(d) / d)) + "\n")
+    basis = fixtures["dir"] / "basis.json"
+    basis.write_text(serialize.dumps(serialize.matrix_to_json(np.eye(d))) + "\n")
+    for argv in (["bounds", str(state), str(basis)], ["bounds", str(state), str(basis), str(basis)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bound_asymmetry scans all 2^(d-1) sign corners")
+        assert f"d <= {CORNER_SCAN_MAX_DIM}, got d = {d}" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err

@@ -4,6 +4,8 @@ import pytest
 import kduncert as kd
 from conftest import HADAMARD, PAULI_X
 from kduncert.selftest import run_selftest
+from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
+from oracles import corner_bound_asymmetry, corner_relation_bound
 
 LIGHT = kd.OptimizerConfig(n_restarts=3, max_iters=300, seed=0)
 
@@ -199,6 +201,37 @@ def test_uncertainty_relation_below_entropy_sum():
             kd.outcome_probs(rho, pvm_b.as_povm())
         )
         assert bound <= total + 1e-6
+
+
+def test_bounds_match_corner_oracle():
+    # pure, rank-2 and full-rank states at d = 1-9, plus seed 9007 at d = 9, where the
+    # former alternating-sign search for the relation bound reached 0.6215 of 0.6691
+    cases = [(d, 1000 * d + i, (d, 1, min(2, d))[i]) for d in range(1, 10) for i in range(3)]
+    cases.append((9, 9007, 9))
+    for d, seed, rank in cases:
+        rho = kd.random_density(d, rank, seed=seed)
+        u_a = kd.haar_random_unitary(d, seed=seed + 1)
+        u_b = kd.haar_random_unitary(d, seed=seed + 2)
+        pvm_a, pvm_b = kd.rank_one_pvm(u_a), kd.rank_one_pvm(u_b)
+        want_asym = corner_bound_asymmetry(rho.matrix, u_a)
+        want_rel = corner_relation_bound(rho.matrix, u_a, u_b)
+        if d == 1:
+            assert want_asym == 0.0 and want_rel == 0.0
+        assert abs(kd.bound_asymmetry(rho, pvm_a) - want_asym) <= 1e-12, (d, seed)
+        assert abs(kd.uncertainty_relation_bound(rho, pvm_a, pvm_b) - want_rel) <= 1e-12, (d, seed)
+
+
+def test_bounds_refuse_dimensions_above_the_cap():
+    cap = CORNER_SCAN_MAX_DIM
+    mixed, basis = kd.validate_density(np.eye(cap) / cap), kd.rank_one_pvm(np.eye(cap))
+    assert kd.bound_asymmetry(mixed, basis) == 0.0
+    assert kd.uncertainty_relation_bound(mixed, basis, basis) == 0.0
+    d = cap + 1
+    mixed, basis = kd.validate_density(np.eye(d) / d), kd.rank_one_pvm(np.eye(d))
+    with pytest.raises(kd.ValidationError, match=f"bound_asymmetry .* d <= {cap}, got d = {d}"):
+        kd.bound_asymmetry(mixed, basis)
+    with pytest.raises(kd.ValidationError, match=f"uncertainty_relation_bound .* d <= {cap}, got d = {d}"):
+        kd.uncertainty_relation_bound(mixed, basis, basis)
 
 
 def test_one_dimensional_edge_case():
