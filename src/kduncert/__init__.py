@@ -8,7 +8,6 @@ from .core import (
     fourier_matrix,
     haar_random_unitary,
     mub_bases,
-    operator_norm,
     operator_sqrt,
     partial_trace,
     random_density,
@@ -50,7 +49,6 @@ from .optimize import (
     SupremumResult,
     quantum_nonclassicality,
     quantum_nonreality,
-    quantum_nonreality_variational,
     sup_over_pvm,
 )
 from .uncertainty import (

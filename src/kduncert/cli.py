@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 3 dimension
 mismatch, 4 no witness found, 5 internal check failure (any other
-KdUncertError). The default seed is 0; KDUNCERT_SEED overrides it and an
-explicit --seed flag wins over both.
+KdUncertError); argparse's own usage errors, such as an unknown flag, also
+exit 2. Only witness, random and selftest take a seed: the default is 0,
+KDUNCERT_SEED overrides it and an explicit --seed flag wins over both. A
+negative seed is a validation error.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import serialize
-from .core import Povm, RankOnePvm, haar_random_unitary, random_density, random_povm, rank_one_pvm
+from .core import Povm, RankOnePvm, _povm_basis, haar_random_unitary, random_density, random_povm, rank_one_pvm
 from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from .kdtable import kd_table, table_nonclassicality, table_nonreality
 from .optimize import OptimizerConfig
@@ -64,25 +64,20 @@ def _write_output(obj, path):
             fh.write(text)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("KDUNCERT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValidationError(f"KDUNCERT_SEED must be an integer, got {env!r}") from exc
-
-
-def _config_from_args(args) -> OptimizerConfig:
-    kwargs = {"seed": args.seed if args.seed is not None else _default_seed()}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["n_restarts"] = args.restarts
-    if getattr(args, "max_iters", None) is not None:
-        kwargs["max_iters"] = args.max_iters
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    return OptimizerConfig(**kwargs)
+def _seed(args) -> int:
+    """--seed, else KDUNCERT_SEED, else 0; a negative seed raises ValidationError."""
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("KDUNCERT_SEED", "0")
+        source = "KDUNCERT_SEED"
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ValidationError(f"KDUNCERT_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ValidationError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _load_measurement(path: str):
@@ -98,16 +93,14 @@ def _as_povm(measurement) -> Povm:
 def _as_pvm(measurement, which: str) -> RankOnePvm:
     if isinstance(measurement, RankOnePvm):
         return measurement
-    d = measurement.dim
-    if measurement.n_outcomes != d:
-        raise ValidationError(f"{which}: expected a rank-1 PVM, got {measurement.n_outcomes} effects in dim {d}")
-    cols = []
-    for i, e in enumerate(measurement.effects):
-        w, v = np.linalg.eigh(e)
-        if abs(w[-1] - 1.0) > 1e-8 or (d > 1 and abs(w[-2]) > 1e-8):
-            raise ValidationError(f"{which}: effect {i} is not a rank-1 projector")
-        cols.append(v[:, -1])
-    return rank_one_pvm(np.column_stack(cols))
+    u = _povm_basis(measurement)
+    if u is None:
+        d = measurement.dim
+        raise ValidationError(
+            f"{which}: expected a rank-1 PVM, got {measurement.n_outcomes} effects in dim {d} "
+            f"that are not {d} orthogonal rank-1 projectors"
+        )
+    return rank_one_pvm(u)
 
 
 def cmd_kd_table(args) -> int:
@@ -126,8 +119,7 @@ def cmd_decompose(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
     povm = _as_povm(_load_measurement(args.povm))
     flavor = serialize.flavor_from_name(args.flavor)
-    cfg = _config_from_args(args)
-    dec = decompose(state, povm, flavor, cfg)
+    dec = decompose(state, povm, flavor)
     _write_output(serialize.decomposition_to_json(dec), args.output)
     return EXIT_OK
 
@@ -135,7 +127,7 @@ def cmd_decompose(args) -> int:
 def cmd_witness(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
     povm = _as_povm(_load_measurement(args.povm))
-    cfg = _config_from_args(args)
+    cfg = OptimizerConfig(n_restarts=args.restarts, seed=_seed(args))
     report = contextuality_witness(state, povm, cfg, threshold=args.threshold)
     _write_output(serialize.witness_report_to_json(report), args.output)
     return EXIT_OK
@@ -153,9 +145,8 @@ def cmd_infimum(args) -> int:
 def cmd_bounds(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
     pvm = _as_pvm(_load_measurement(args.pvm), "pvm")
-    cfg = _config_from_args(args)
     ent = s_entropy(outcome_probs(state, pvm.as_povm()))
-    bound = bound_asymmetry(state, pvm, cfg)
+    bound = bound_asymmetry(state, pvm)
     out = {
         "asymmetry_bound": bound,
         "s_entropy": ent,
@@ -165,7 +156,7 @@ def cmd_bounds(args) -> int:
         raise KdUncertError(f"asymmetry bound {bound!r} exceeds entropy {ent!r}")
     if args.pvm2 is not None:
         pvm2 = _as_pvm(_load_measurement(args.pvm2), "pvm2")
-        rel = uncertainty_relation_bound(state, pvm, pvm2, cfg)
+        rel = uncertainty_relation_bound(state, pvm, pvm2)
         s_sum = ent + s_entropy(outcome_probs(state, pvm2.as_povm()))
         if rel > s_sum + 1e-6:
             raise KdUncertError(f"relation bound {rel!r} exceeds entropy sum {s_sum!r}")
@@ -177,7 +168,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_random(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.kind == "state":
         rank = args.rank if args.rank is not None else args.d
         obj = serialize.matrix_to_json(random_density(args.d, rank, seed).matrix)
@@ -203,7 +194,7 @@ def cmd_selftest(args) -> int:
     dims = _parse_dims(args.dims)
     if args.samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     passed, results = run_selftest(
         dims=dims, samples=args.samples, seed=seed, inject_failure=args.inject_failure
     )
@@ -227,15 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="seed (default KDUNCERT_SEED or 0)")
 
-    def add_optimizer(p):
-        p.add_argument(
-            "--restarts", type=int, default=None,
-            help="Haar candidates scanned by the witness; changes no other result",
-        )
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None, help="validated; changes no result")
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None, help="validated; changes no result")
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=None, help="seed >= 0 (default KDUNCERT_SEED or 0)")
 
     p = sub.add_parser("kd-table", help="quasiprobability table and its quantumness functionals")
     p.add_argument("state")
@@ -249,15 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("povm")
     p.add_argument("--flavor", default="NRe", help="NRe or NCl")
     add_common(p)
-    add_optimizer(p)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("witness", help="contextuality witness via strange weak values")
     p.add_argument("state")
     p.add_argument("povm")
     p.add_argument("--threshold", type=float, default=1e-7)
+    p.add_argument(
+        "--restarts", type=int, default=OptimizerConfig.n_restarts,
+        help="Haar candidates scanned after the structured bases (default %(default)s)",
+    )
     add_common(p)
-    add_optimizer(p)
+    add_seed(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("infimum", help="minimum total uncertainty over all measurements")
@@ -271,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pvm")
     p.add_argument("pvm2", nargs="?", default=None)
     add_common(p)
-    add_optimizer(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("random", help="emit random state/povm/pvm fixtures")
@@ -280,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None, help="state rank (default d)")
     p.add_argument("--outcomes", type=int, default=2, help="POVM outcome count")
     add_common(p)
+    add_seed(p)
     p.set_defaults(fn=cmd_random)
 
     p = sub.add_parser("selftest", help="run the full property suite")
@@ -287,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--inject-failure", default=None, help=argparse.SUPPRESS)
     add_common(p)
+    add_seed(p)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -60,9 +60,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -172,6 +169,30 @@ def _pvm_unchecked(u: np.ndarray) -> RankOnePvm:
     return RankOnePvm(basis_unitary=u)
 
 
+def _povm_basis(povm: Povm):
+    """Unitary whose columns generate the POVM when its effects form a rank-1 PVM, else None.
+
+    Effect a must have top eigenvalue 1 and, for d > 1, second eigenvalue 0
+    (within 1e-8); column a is its top eigenvector, and the columns must be
+    orthonormal within 1e-8.
+    """
+    d = povm.dim
+    if povm.n_outcomes != d:
+        return None
+    cols = []
+    for e in povm.effects:
+        w, v = np.linalg.eigh(e)
+        if abs(w[-1] - 1.0) > 1e-8:
+            return None
+        if d > 1 and abs(w[-2]) > 1e-8:
+            return None
+        cols.append(v[:, -1])
+    u = np.column_stack(cols)
+    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-8:
+        return None
+    return u
+
+
 def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator, merging eigenvalues closer than DEGENERACY_GAP.
 
@@ -203,12 +224,6 @@ def trace_norm(m) -> float:
     """Schatten 1-norm: the sum of singular values."""
     a = as_operator(m)
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    a = as_operator(m)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def operator_sqrt(h) -> np.ndarray:

@@ -15,13 +15,12 @@ values can differ in the last bit from those of a full svd), and
 _attaining_bases gives a basis attaining each supremum. The nonreality
 part reads the trace norms of the stacked commutators; the
 nonclassicality part (_ncl_value for the value alone) and
-sup_over_pvm(k_op, cfg) also return the attaining bases.
+sup_over_pvm(k_op) also return the attaining bases. No function here takes
+a search configuration.
 
-OptimizerConfig keeps its fields for callers: n_restarts and seed still
-drive the Haar candidates of the contextuality witness, while max_iters,
-rel_tol, step_init and include_structured_starts are validated but change
-no result (the commutator bounds in uncertainty take a config and do not
-read it).
+OptimizerConfig holds the two settings of the one remaining seeded search:
+n_restarts and seed fix the Haar candidates that the contextuality witness
+scans after its structured bases.
 """
 
 from __future__ import annotations
@@ -39,24 +38,16 @@ NEGATIVE_CLAMP = 1e-9
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Seeded search knobs; only n_restarts and seed change any result (see the module docstring)."""
+    """The contextuality witness's Haar candidates: n_restarts draws seeded by seed."""
 
     n_restarts: int = 32
-    max_iters: int = 500
-    rel_tol: float = 1e-8
-    step_init: float = 0.1
     seed: int = 0
-    include_structured_starts: bool = True
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ValidationError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValidationError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.step_init) and self.step_init > 0):
-            raise ValidationError(f"step_init must be finite and > 0, got {self.step_init}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -109,12 +100,11 @@ def _attaining_bases(k_ops: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))[1]
 
 
-def sup_over_pvm(k_op, cfg: OptimizerConfig) -> SupremumResult:
+def sup_over_pvm(k_op) -> SupremumResult:
     """Maximize sum_b |<b|K|b>| over rank-1 PVM bases {|b>} of K's dimension.
 
     The supremum is the trace norm of K, attained by the basis in
-    best_basis (see _attaining_bases); cfg is accepted for the common
-    signature and changes nothing.
+    best_basis (see _attaining_bases).
     """
     k = np.asarray(k_op, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
@@ -165,42 +155,12 @@ def quantum_nonreality(state: DensityMatrix, povm: Povm) -> float:
     return sum(0.5 * t for t in _trace_norms(commutator(np.stack(povm.effects), state.matrix)).tolist())
 
 
-def _povm_basis(povm: Povm):
-    """Unitary whose columns generate the POVM, when its effects form a rank-1 PVM."""
-    d = povm.dim
-    if povm.n_outcomes != d:
-        return None
-    cols = []
-    for e in povm.effects:
-        w, v = np.linalg.eigh(e)
-        if abs(w[-1] - 1.0) > 1e-8:
-            return None
-        if d > 1 and abs(w[-2]) > 1e-8:
-            return None
-        cols.append(v[:, -1])
-    u = np.column_stack(cols)
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-8:
-        return None
-    return u
-
-
-def quantum_nonreality_variational(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig) -> SupremumResult:
-    """Nonreality quantumness through the |diag| supremum of each K = [M^a, rho] / 2i.
-
-    Cross-checks the |diag| supremum against the commutator form of
-    quantum_nonreality; production code should call that instead. cfg
-    changes nothing.
-    """
-    _check_dims(state, povm)
-    return _sum_over_effects(commutator(np.stack(povm.effects), state.matrix) / 2j)
-
-
-def quantum_nonclassicality(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig) -> SupremumResult:
+def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
     """Nonclassicality quantumness: per-effect suprema of the modulus mass, minus one.
 
     Each per-effect supremum over rank-1 PVM bases is the trace norm of
     K = M^a rho, and per_effect_bases holds a basis attaining it. A total
-    within NEGATIVE_CLAMP below zero is reported as 0. cfg changes nothing.
+    within NEGATIVE_CLAMP below zero is reported as 0.
     """
     res = _sum_over_effects(_ncl_operators(state, povm))
     total = _ncl_total(res.per_effect_values)
@@ -222,6 +182,6 @@ def _ncl_total(norms) -> float:
 
 
 def _ncl_value(state: DensityMatrix, povm: Povm) -> float:
-    """quantum_nonclassicality(state, povm, cfg).value without building the attaining bases."""
+    """quantum_nonclassicality(state, povm).value without building the attaining bases."""
     return _ncl_total(_trace_norms(_ncl_operators(state, povm)).tolist())
 

@@ -35,7 +35,6 @@ from .optimize import (
     OptimizerConfig,
     quantum_nonclassicality,
     quantum_nonreality,
-    quantum_nonreality_variational,
     sup_over_pvm,
 )
 from .uncertainty import (
@@ -73,10 +72,6 @@ class PropertyResult:
 
 def _rng(seed, *tags):
     return np.random.default_rng([seed, *tags])
-
-
-def _light_cfg(seed, restarts=3):
-    return OptimizerConfig(n_restarts=restarts, max_iters=300, seed=seed)
 
 
 def _rand_state(d, rng, rank=None) -> DensityMatrix:
@@ -314,7 +309,6 @@ def prop_johansen(dims, samples, seed):
 
 
 def prop_variational_trace_norm(dims, samples, seed):
-    cfg = OptimizerConfig(n_restarts=8, max_iters=300, seed=seed)
     worst = 0.0
     for i in range(samples):
         for d in (2, 3, 4):
@@ -323,7 +317,7 @@ def prop_variational_trace_norm(dims, samples, seed):
             if i % 2:
                 h = 1j * h
             target = trace_norm(h)
-            got = sup_over_pvm(h, cfg).value
+            got = sup_over_pvm(h).value
             worst = max(worst, abs(got - target))
     _require(worst <= 1e-6, f"variational trace norm off by {worst:.2e}")
     return f"worst |sup - trace_norm| {worst:.2e}"
@@ -345,9 +339,8 @@ def prop_unitary_covariance(dims, samples, seed):
                 abs(quantum_nonreality(rho, povm) - quantum_nonreality(rho_v, povm_v)),
             )
             if i < 6:
-                cfg = _light_cfg(seed + i)
-                a = quantum_nonclassicality(rho, povm, cfg).value
-                b = quantum_nonclassicality(rho_v, povm_v, cfg).value
+                a = quantum_nonclassicality(rho, povm).value
+                b = quantum_nonclassicality(rho_v, povm_v).value
                 worst_var = max(worst_var, abs(a - b))
     _require(worst_exact <= 1e-9, f"exact covariance off by {worst_exact:.2e}")
     _require(worst_var <= 1e-6, f"variational covariance off by {worst_var:.2e}")
@@ -391,7 +384,7 @@ def prop_flavors_vanish_together(dims, samples, seed):
             else:
                 rho, povm = _rand_state(d, rng), _rand_povm(d, 2, rng)
             nre = quantum_nonreality(rho, povm)
-            ncl = quantum_nonclassicality(rho, povm, _light_cfg(seed + i, restarts=2)).value
+            ncl = quantum_nonclassicality(rho, povm).value
             _require(
                 (nre > eps) == (ncl > eps),
                 f"flavors disagree: nre={nre:.3e}, ncl={ncl:.3e}",
@@ -413,10 +406,9 @@ def prop_partial_access(dims, samples, seed):
         gap = quantum_nonreality(rho1, povm1) - quantum_nonreality(rho12, lifted)
         worst = max(worst, gap)
         if i < 4:
-            cfg = _light_cfg(seed + i, restarts=4)
             gap_v = (
-                quantum_nonclassicality(rho1, povm1, cfg).value
-                - quantum_nonclassicality(rho12, lifted, cfg).value
+                quantum_nonclassicality(rho1, povm1).value
+                - quantum_nonclassicality(rho12, lifted).value
             )
             worst_var = max(worst_var, gap_v)
     _require(worst <= 1e-6, f"reduced state exceeded joint by {worst:.2e}")
@@ -436,10 +428,9 @@ def prop_coarsegrain_monotone(dims, samples, seed):
             gap = quantum_nonreality(rho, merged) - quantum_nonreality(rho, povm)
             worst = max(worst, gap)
             if i < 3 and d == dims[0]:
-                cfg = _light_cfg(seed + i)
                 gap_v = (
-                    quantum_nonclassicality(rho, merged, cfg).value
-                    - quantum_nonclassicality(rho, povm, cfg).value
+                    quantum_nonclassicality(rho, merged).value
+                    - quantum_nonclassicality(rho, povm).value
                 )
                 worst_var = max(worst_var, gap_v)
     _require(worst <= 1e-6, f"coarse-graining increased quantumness by {worst:.2e}")
@@ -455,12 +446,8 @@ def prop_nre_variational_agreement(dims, samples, seed):
             rho = _rand_state(d, rng)
             povm = _rand_pvm(d, rng).as_povm()
             exact = quantum_nonreality(rho, povm)
-            res = quantum_nonreality_variational(rho, povm, _light_cfg(seed + i, restarts=4))
-            worst = max(worst, abs(res.value - exact))
-            _require(
-                max(res.per_restart_values) <= res.value + 1e-12,
-                "per-restart value exceeded aggregate",
-            )
+            variational = sum(sup_over_pvm(commutator(m, rho.matrix) / 2j).value for m in povm.effects)
+            worst = max(worst, abs(variational - exact))
     _require(worst <= 1e-6, f"variational nonreality off by {worst:.2e}")
     return f"worst |variational - exact| {worst:.2e}"
 
@@ -476,7 +463,7 @@ def prop_ncl_attaining_basis(dims, samples, seed):
                 rho, povm = _commuting_pair(d, rng)
             else:
                 rho, povm = _rand_state(d, rng), _rand_povm(d, 2 + i % 2, rng)
-            res = quantum_nonclassicality(rho, povm, _light_cfg(seed + i, restarts=1))
+            res = quantum_nonclassicality(rho, povm)
             for m, v, basis in zip(povm.effects, res.per_effect_values, res.per_effect_bases):
                 k_op = m @ rho.matrix
                 u = basis.basis_unitary
@@ -504,16 +491,14 @@ def prop_quantum_bounded_by_total(dims, samples, seed):
             rng = _rng(seed, 40, i, d)
             rho = _rand_state(d, rng)
             povm = _rand_povm(d, 2 + i % 2, rng)
-            cfg = _light_cfg(seed + i, restarts=2)
             for flavor in Flavor:
-                dec = decompose(rho, povm, flavor, cfg)
+                dec = decompose(rho, povm, flavor)
                 worst = max(worst, dec.quantum - dec.total)
             # equality for pure states and rank-1 PVMs
             pure = _rand_pure(d, rng)
             pvm = _rand_pvm(d, rng).as_povm()
-            cfg_eq = _light_cfg(seed + i, restarts=3)
             for flavor in Flavor:
-                dec = decompose(pure, pvm, flavor, cfg_eq)
+                dec = decompose(pure, pvm, flavor)
                 worst_eq = max(worst_eq, abs(dec.total - dec.quantum))
     _require(worst <= 1e-6, f"quantum exceeded total by {worst:.2e}")
     _require(worst_eq <= 1e-6, f"pure/PVM equality off by {worst_eq:.2e}")
@@ -526,9 +511,8 @@ def prop_commuting_entirely_classical(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 41, i, d)
             rho, povm = _commuting_pair(d, rng)
-            cfg = _light_cfg(seed + i, restarts=2)
             for flavor in Flavor:
-                dec = decompose(rho, povm, flavor, cfg)
+                dec = decompose(rho, povm, flavor)
                 worst = max(worst, abs(dec.quantum))
                 worst = max(worst, abs(dec.classical - dec.total))
     _require(worst <= 1e-8, f"commuting case quantum part {worst:.2e}")
@@ -544,13 +528,12 @@ def prop_classical_concavity(dims, samples, seed):
             rho1, rho2 = _rand_state(d, rng), _rand_state(d, rng)
             mixed = validate_density(p * rho1.matrix + (1 - p) * rho2.matrix)
             povm = _rand_povm(d, 2, rng)
-            cfg = _light_cfg(seed + i)
             for flavor in Flavor:
                 if flavor is Flavor.NCL and i >= 5:
                     continue
-                c_mix = decompose(mixed, povm, flavor, cfg).classical
-                c_1 = decompose(rho1, povm, flavor, cfg).classical
-                c_2 = decompose(rho2, povm, flavor, cfg).classical
+                c_mix = decompose(mixed, povm, flavor).classical
+                c_1 = decompose(rho1, povm, flavor).classical
+                c_2 = decompose(rho2, povm, flavor).classical
                 worst = max(worst, p * c_1 + (1 - p) * c_2 - c_mix)
     _require(worst <= 1e-6, f"classical concavity violated by {worst:.2e}")
     return f"worst mixture gap {worst:.2e}"
@@ -587,12 +570,11 @@ def prop_decomposition_covariance(dims, samples, seed):
             v = _haar(d, rng)
             rho_v = validate_density(v @ rho.matrix @ v.conj().T)
             povm_v = validate_povm([v @ m @ v.conj().T for m in povm.effects])
-            cfg = _light_cfg(seed + i)
             for flavor in Flavor:
                 if flavor is Flavor.NCL and i >= 5:
                     continue
-                a = decompose(rho, povm, flavor, cfg)
-                b = decompose(rho_v, povm_v, flavor, cfg)
+                a = decompose(rho, povm, flavor)
+                b = decompose(rho_v, povm_v, flavor)
                 worst = max(worst, abs(a.total - b.total))
                 worst = max(worst, abs(a.quantum - b.quantum))
                 worst = max(worst, abs(a.classical - b.classical))
@@ -603,22 +585,21 @@ def prop_decomposition_covariance(dims, samples, seed):
 def prop_maximal_trichotomy(dims, samples, seed):
     worst = 0.0
     for d in dims:
-        cfg = _light_cfg(seed, restarts=4)
         coherent = _maximally_coherent(d)
         comp = rank_one_pvm(np.eye(d)).as_povm()
         dec = decompose(coherent, comp, Flavor.NRE)
         worst = max(worst, abs(dec.total - np.sqrt(d - 1)), abs(dec.quantum - np.sqrt(d - 1)))
-        dec = decompose(coherent, comp, Flavor.NCL, cfg)
+        dec = decompose(coherent, comp, Flavor.NCL)
         worst = max(worst, abs(dec.total - (np.sqrt(d) - 1)), abs(dec.quantum - (np.sqrt(d) - 1)))
         mixed = validate_density(np.eye(d) / d)
         pvm = _rand_pvm(d, _rng(seed, 45, d)).as_povm()
         for flavor in Flavor:
-            dec = decompose(mixed, pvm, flavor, cfg)
+            dec = decompose(mixed, pvm, flavor)
             worst = max(worst, abs(dec.classical - dec.total), abs(dec.quantum))
         degenerate = validate_povm([np.eye(d) / d] * d)
         rho = _rand_state(d, _rng(seed, 46, d))
         for flavor in Flavor:
-            dec = decompose(rho, degenerate, flavor, cfg)
+            dec = decompose(rho, degenerate, flavor)
             worst = max(worst, abs(dec.classical - dec.total), abs(dec.quantum))
     _require(worst <= 1e-6, f"maximal-uncertainty cases off by {worst:.2e}")
     return f"worst case residual {worst:.2e}"
@@ -669,7 +650,7 @@ def prop_infimum_impurity(dims, samples, seed):
                 worst_quant = max(worst_quant, quantum_nonreality(rho, achieving))
             if i < 2:
                 value, achieving = infimum_total(rho, Flavor.NCL)
-                ncl = quantum_nonclassicality(rho, achieving, _light_cfg(seed + i, restarts=2))
+                ncl = quantum_nonclassicality(rho, achieving)
                 worst_quant = max(worst_quant, ncl.value)
     _require(worst <= 1e-9, f"infimum mismatch {worst:.2e}")
     _require(worst_quant <= 1e-9, f"achieving POVM quantum part {worst_quant:.2e}")
@@ -766,7 +747,7 @@ def prop_witness_consistency(dims, samples, seed):
                 rho, povm = _commuting_pair(d, rng)
             else:
                 rho, povm = _rand_state(d, rng), _rand_povm(d, 2, rng)
-            report = contextuality_witness(rho, povm, _light_cfg(seed + i, restarts=2))
+            report = contextuality_witness(rho, povm, OptimizerConfig(n_restarts=2, seed=seed + i))
             _require(report.flavors_agree, "NRe and NCl channels disagreed")
             if report.contextual:
                 entry = report.witness_entry

@@ -14,7 +14,7 @@ import numpy as np
 from .core import DensityMatrix, Povm, RankOnePvm, rank_one_pvm, validate_density, validate_povm
 from .errors import ValidationError
 from .kdtable import KdTable
-from .optimize import OptimizerConfig, SupremumResult
+from .optimize import SupremumResult
 from .uncertainty import Decomposition, Flavor
 from .witness import WitnessReport
 
@@ -144,33 +144,6 @@ def kdtable_to_json(t: KdTable) -> dict:
         "n_b": t.n_b,
         "values": [[float(x.real), float(x.imag)] for x in t.values.reshape(-1)],
     }
-
-
-def config_to_json(cfg: OptimizerConfig) -> dict:
-    return {
-        "n_restarts": cfg.n_restarts,
-        "max_iters": cfg.max_iters,
-        "rel_tol": cfg.rel_tol,
-        "step_init": cfg.step_init,
-        "seed": cfg.seed,
-        "include_structured_starts": cfg.include_structured_starts,
-    }
-
-
-def config_from_json(obj) -> OptimizerConfig:
-    kwargs = {}
-    fields = {
-        "n_restarts": int,
-        "max_iters": int,
-        "rel_tol": float,
-        "step_init": float,
-        "seed": int,
-        "include_structured_starts": bool,
-    }
-    for name, kind in fields.items():
-        if name in obj:
-            kwargs[name] = _require(obj, name, kind, "optimizer config")
-    return OptimizerConfig(**kwargs)
 
 
 def supremum_to_json(result: SupremumResult) -> dict:

@@ -24,7 +24,6 @@ from .core import (
 )
 from .errors import BadDistributionError, BadPartitionError, DimMismatchError, KdUncertError, ValidationError
 from .optimize import (
-    OptimizerConfig,
     SupremumResult,
     _trace_norms,
     quantum_nonclassicality,
@@ -110,15 +109,13 @@ def total_uncertainty(state: DensityMatrix, povm: Povm, flavor: Flavor) -> float
     return s_entropy(probs) if flavor is Flavor.NRE else t_entropy(probs)
 
 
-def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor, cfg: OptimizerConfig | None = None) -> Decomposition:
+def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor) -> Decomposition:
     """Split the total uncertainty into quantum and classical parts.
 
     Both quantum parts are closed forms: commutator trace norms for NRe,
     trace norms of M^a rho for NCl. The NCl flavor also carries the
     supremum record (per-effect values and attaining bases) as diagnostics.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     probs = outcome_probs(state, povm)
     if flavor is Flavor.NRE:
         total = s_entropy(probs)
@@ -126,7 +123,7 @@ def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor, cfg: OptimizerCo
         diagnostics = None
     else:
         total = t_entropy(probs)
-        result = quantum_nonclassicality(state, povm, cfg)
+        result = quantum_nonclassicality(state, povm)
         quantum = result.value
         diagnostics = result
     return Decomposition(
@@ -222,7 +219,7 @@ def _check_corner_dim(name: str, d: int) -> None:
         )
 
 
-def bound_asymmetry(state: DensityMatrix, pvm: RankOnePvm, cfg: OptimizerConfig | None = None) -> float:
+def bound_asymmetry(state: DensityMatrix, pvm: RankOnePvm) -> float:
     """Largest normalized commutator trace norm over observables diagonal in the basis.
 
     Maximizes ||[A, rho]||_1 / (2 ||A||_inf) with A = sum_j lambda_j Pi^j.
@@ -233,7 +230,7 @@ def bound_asymmetry(state: DensityMatrix, pvm: RankOnePvm, cfg: OptimizerConfig 
     ||[A, rho]||_1 = ||(lambda_i - lambda_j) R_ij||_1, and the corners are
     stacked into chunks of at most _CORNER_CHUNK matrices whose trace norms
     each take one LAPACK call. Dimensions above CORNER_SCAN_MAX_DIM raise
-    ValidationError. cfg is accepted for callers and not read.
+    ValidationError.
     """
     d = state.dim
     if pvm.dim != d:
@@ -250,12 +247,7 @@ def bound_asymmetry(state: DensityMatrix, pvm: RankOnePvm, cfg: OptimizerConfig 
     return 0.5 * best
 
 
-def uncertainty_relation_bound(
-    state: DensityMatrix,
-    pvm_a: RankOnePvm,
-    pvm_b: RankOnePvm,
-    cfg: OptimizerConfig | None = None,
-) -> float:
+def uncertainty_relation_bound(state: DensityMatrix, pvm_a: RankOnePvm, pvm_b: RankOnePvm) -> float:
     """Largest normalized |Tr{[A, B] rho}| over observables diagonal in each basis.
 
     Tr{[A, B] rho} = i alpha^T c beta is bilinear in the eigenvalue vectors,
@@ -265,7 +257,7 @@ def uncertainty_relation_bound(
     beta the best alpha is the sign pattern of c beta, so the bound is the
     largest ||c beta||_1 over the 2^(d-1) corners beta, all taken in one
     matrix product. Dimensions above CORNER_SCAN_MAX_DIM raise
-    ValidationError. cfg is accepted for callers and not read.
+    ValidationError.
     """
     d = state.dim
     if pvm_a.dim != d or pvm_b.dim != d:

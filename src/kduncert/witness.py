@@ -25,6 +25,7 @@ from .core import (
     Povm,
     RankOnePvm,
     _haar,
+    _povm_basis,
     _pvm_unchecked,
     as_operator,
     herm_deviation,
@@ -37,7 +38,6 @@ from .kdtable import lueders_state
 from .optimize import (
     OptimizerConfig,
     _ncl_value,
-    _povm_basis,
     quantum_nonclassicality,
     quantum_nonreality,
 )
@@ -143,7 +143,7 @@ def _candidates(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig):
     if basis_u is not None:
         for u in mubs:
             yield _pvm_unchecked(basis_u @ u)
-    yield from quantum_nonclassicality(state, povm, cfg).per_effect_bases
+    yield from quantum_nonclassicality(state, povm).per_effect_bases
     for r in range(cfg.n_restarts):
         yield _pvm_unchecked(_haar(state.dim, np.random.default_rng([cfg.seed, 4, r])))
 

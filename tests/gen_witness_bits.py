@@ -121,7 +121,7 @@ def search_end(case, fx) -> str:
         return "no verdict"
     state, povm, cfg, _ = build(case)
     sha = fx["entry"]["basis_sha256"]
-    ncl_bases = kd.quantum_nonclassicality(state, povm, cfg).per_effect_bases
+    ncl_bases = kd.quantum_nonclassicality(state, povm).per_effect_bases
     if any(_basis_sha256(b.basis_unitary) == sha for b in ncl_bases):
         return "ncl"
     haar = [kd.core._haar(state.dim, np.random.default_rng([cfg.seed, 4, r])) for r in range(cfg.n_restarts)]

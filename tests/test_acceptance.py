@@ -12,9 +12,6 @@ from kduncert.selftest import _rand_rank1_povm, run_selftest
 from conftest import HADAMARD, PAULI_X, Y_BASIS
 from oracles import brute_force_sup_qubit
 
-FAST = kd.OptimizerConfig(n_restarts=1, include_structured_starts=False, seed=0)
-STRUCTURED = kd.OptimizerConfig(n_restarts=2, max_iters=300, seed=0)
-
 
 def _report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -36,7 +33,7 @@ def test_criterion_1_quantum_bounded_by_total():
         total_s = kd.total_uncertainty(rho, povm, kd.Flavor.NRE)
         total_t = kd.total_uncertainty(rho, povm, kd.Flavor.NCL)
         worst_slack = max(worst_slack, kd.quantum_nonreality(rho, povm) - total_s)
-        ncl = kd.quantum_nonclassicality(rho, povm, FAST).value
+        ncl = kd.quantum_nonclassicality(rho, povm).value
         worst_slack = max(worst_slack, ncl - total_t)
 
     worst_eq = 0.0
@@ -47,7 +44,7 @@ def test_criterion_1_quantum_bounded_by_total():
         total_s = kd.total_uncertainty(psi, pvm, kd.Flavor.NRE)
         total_t = kd.total_uncertainty(psi, pvm, kd.Flavor.NCL)
         worst_eq = max(worst_eq, abs(kd.quantum_nonreality(psi, pvm) - total_s))
-        ncl = kd.quantum_nonclassicality(psi, pvm, STRUCTURED).value
+        ncl = kd.quantum_nonclassicality(psi, pvm).value
         worst_eq = max(worst_eq, abs(ncl - total_t))
     elapsed = time.time() - t0
     ok = worst_slack <= 1e-6 and worst_eq <= 1e-6 and elapsed <= 60.0
@@ -82,7 +79,7 @@ def test_criterion_2_infimum_impurity():
             worst_quant = max(worst_quant, kd.quantum_nonreality(rho, achieving))
         if i % 10 == 0:
             _, achieving = kd.infimum_total(rho, kd.Flavor.NCL)
-            ncl = kd.quantum_nonclassicality(rho, achieving, FAST).value
+            ncl = kd.quantum_nonclassicality(rho, achieving).value
             worst_quant = max(worst_quant, ncl)
     ok = worst_val <= 1e-9 and worst_floor <= 1e-9 and worst_quant <= 1e-9
     _report(
@@ -107,7 +104,6 @@ def test_criterion_3_disturbance_identity():
 
 
 def test_criterion_4_variational_trace_norm():
-    cfg = kd.OptimizerConfig(n_restarts=8, max_iters=300, seed=0)
     worst = 0.0
     for i in range(100):
         d = 2 + i % 3
@@ -117,7 +113,7 @@ def test_criterion_4_variational_trace_norm():
         if i % 2:
             h = 1j * h
         target = kd.trace_norm(h)
-        worst = max(worst, abs(kd.sup_over_pvm(h, cfg).value - target))
+        worst = max(worst, abs(kd.sup_over_pvm(h).value - target))
     _report(4, worst <= 1e-6, f"100 normal operators, worst |sup - trace_norm| {worst:.2e}")
 
 
@@ -128,7 +124,7 @@ def test_criterion_5_maximal_values():
         comp = kd.rank_one_pvm(np.eye(d)).as_povm()
         dec = kd.decompose(coherent, comp, kd.Flavor.NRE)
         worst = max(worst, abs(dec.total - np.sqrt(d - 1)), abs(dec.quantum - np.sqrt(d - 1)))
-        dec = kd.decompose(coherent, comp, kd.Flavor.NCL, STRUCTURED)
+        dec = kd.decompose(coherent, comp, kd.Flavor.NCL)
         worst = max(
             worst, abs(dec.total - (np.sqrt(d) - 1)), abs(dec.quantum - (np.sqrt(d) - 1))
         )
@@ -137,9 +133,9 @@ def test_criterion_5_maximal_values():
         degenerate = kd.validate_povm([np.eye(d) / d] * d)
         rho = kd.random_density(d, d, seed=29_000 + d)
         for flavor in kd.Flavor:
-            dec = kd.decompose(mixed, pvm, flavor, STRUCTURED)
+            dec = kd.decompose(mixed, pvm, flavor)
             worst = max(worst, abs(dec.classical - dec.total), abs(dec.quantum))
-            dec = kd.decompose(rho, degenerate, flavor, STRUCTURED)
+            dec = kd.decompose(rho, degenerate, flavor)
             worst = max(worst, abs(dec.classical - dec.total), abs(dec.quantum))
     _report(5, worst <= 1e-6, f"d in 2..5 maximal/classical cases, worst residual {worst:.2e}")
 
@@ -159,7 +155,6 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_bound_checks():
-    cfg = kd.OptimizerConfig(n_restarts=4, seed=0)
     worst_slack = 0.0
     for i in range(100):
         d = 2 + i % 3
@@ -168,18 +163,18 @@ def test_criterion_7_bound_checks():
         pvm_b = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=32_000 + i))
         ent_a = kd.s_entropy(kd.outcome_probs(rho, pvm_a.as_povm()))
         ent_b = kd.s_entropy(kd.outcome_probs(rho, pvm_b.as_povm()))
-        worst_slack = max(worst_slack, kd.bound_asymmetry(rho, pvm_a, cfg) - ent_a)
+        worst_slack = max(worst_slack, kd.bound_asymmetry(rho, pvm_a) - ent_a)
         worst_slack = max(
             worst_slack,
-            kd.uncertainty_relation_bound(rho, pvm_a, pvm_b, cfg) - (ent_a + ent_b),
+            kd.uncertainty_relation_bound(rho, pvm_a, pvm_b) - (ent_a + ent_b),
         )
 
     plus = kd.validate_density(np.full((2, 2), 0.5))
     z = kd.rank_one_pvm(np.eye(2))
-    tight1 = abs(kd.bound_asymmetry(plus, z, cfg) - 1.0)
+    tight1 = abs(kd.bound_asymmetry(plus, z) - 1.0)
     yplus = kd.validate_density(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
     tight2 = abs(
-        kd.uncertainty_relation_bound(yplus, z, kd.rank_one_pvm(HADAMARD), cfg) - 2.0
+        kd.uncertainty_relation_bound(yplus, z, kd.rank_one_pvm(HADAMARD)) - 2.0
     )
     ok = worst_slack <= 1e-6 and tight1 <= 1e-6 and tight2 <= 1e-6
     _report(
@@ -203,7 +198,7 @@ def test_criterion_8_witness():
             povm = kd.rank_one_pvm(u).as_povm()
         else:
             rho, povm = _random_pair(d, seed=35_000 + i)
-        report = kd.contextuality_witness(rho, povm, FAST)
+        report = kd.contextuality_witness(rho, povm, kd.OptimizerConfig(n_restarts=1, seed=0))
         agree = agree and report.flavors_agree
         if report.contextual:
             entry = report.witness_entry
@@ -215,7 +210,7 @@ def test_criterion_8_witness():
 
     zero = kd.validate_density([[1, 0], [0, 0]])
     x_povm = kd.rank_one_pvm(HADAMARD).as_povm()
-    fixture = kd.contextuality_witness(zero, x_povm, STRUCTURED)
+    fixture = kd.contextuality_witness(zero, x_povm, kd.OptimizerConfig(n_restarts=2, seed=0))
     fixture_ok = (
         fixture.contextual
         and abs(fixture.witness_entry.weak_value - complex(0.5, -0.5)) <= 1e-9
@@ -252,7 +247,7 @@ def test_criterion_9_worked_example_regression(derived):
     mix = kd.validate_density(np.eye(2) / 2 + PAULI_X / 4)
     errs["nre_halfmix_z"] = abs(kd.quantum_nonreality(mix, z_povm) - derived["nre_halfmix_z"])
     errs["ncl_plus_z"] = abs(
-        kd.quantum_nonclassicality(plus, z_povm, STRUCTURED).value - derived["ncl_plus_z"]
+        kd.quantum_nonclassicality(plus, z_povm).value - derived["ncl_plus_z"]
     )
 
     diag = kd.validate_density(np.diag([0.75, 0.25]))
@@ -271,13 +266,12 @@ def test_criterion_9_worked_example_regression(derived):
     errs["impurity_s"] = abs(kd.impurity_s(diag) - derived["impurity_s_diag34"])
     errs["impurity_t"] = abs(kd.impurity_t(diag) - derived["impurity_t_diag34"])
 
-    cfg = kd.OptimizerConfig(n_restarts=4, seed=0)
-    errs["bound_asym"] = abs(kd.bound_asymmetry(plus, kd.rank_one_pvm(np.eye(2)), cfg)
+    errs["bound_asym"] = abs(kd.bound_asymmetry(plus, kd.rank_one_pvm(np.eye(2)))
                              - derived["bound_asym_plus_z"])
     yplus = kd.validate_density(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
     errs["relation_bound"] = abs(
         kd.uncertainty_relation_bound(
-            yplus, kd.rank_one_pvm(np.eye(2)), kd.rank_one_pvm(HADAMARD), cfg
+            yplus, kd.rank_one_pvm(np.eye(2)), kd.rank_one_pvm(HADAMARD)
         )
         - derived["relation_bound_yplus_z_x"]
     )
@@ -291,15 +285,16 @@ def test_criterion_9_worked_example_regression(derived):
     errs["s_entropy_u4"] = abs(kd.s_entropy([0.25] * 4) - derived["s_entropy_uniform4"])
     errs["t_entropy_u4"] = abs(kd.t_entropy([0.25] * 4) - derived["t_entropy_uniform4"])
 
-    # variational nonreality against the closed form on 50 random pairs
+    # variational nonreality (per-effect suprema over PVMs of K = [M, rho] / 2i)
+    # against the closed form on 50 random pairs
     worst_var = 0.0
-    var_cfg = kd.OptimizerConfig(n_restarts=4, max_iters=300, seed=0)
     for i in range(50):
         d = 2 + i % 2
         rho = kd.random_density(d, d, seed=36_000 + i)
         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=37_000 + i)).as_povm()
-        res = kd.quantum_nonreality_variational(rho, povm, var_cfg)
-        worst_var = max(worst_var, abs(res.value - kd.quantum_nonreality(rho, povm)))
+        m = rho.matrix
+        variational = sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.effects)
+        worst_var = max(worst_var, abs(variational - kd.quantum_nonreality(rho, povm)))
     errs["variational_vs_closed"] = worst_var if worst_var > 1e-6 else 0.0
 
     # d=2 pure states: nonclassicality equals sum of sqrt probabilities minus one
@@ -309,7 +304,7 @@ def test_criterion_9_worked_example_regression(derived):
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=39_000 + i)).as_povm()
         probs = kd.outcome_probs(psi, pvm)
         expect_v = sum(np.sqrt(p) for p in probs) - 1.0
-        got = kd.quantum_nonclassicality(psi, pvm, STRUCTURED).value
+        got = kd.quantum_nonclassicality(psi, pvm).value
         worst_pure = max(worst_pure, abs(got - expect_v))
     errs["ncl_pure_sqrtp"] = worst_pure if worst_pure > 1e-6 else 0.0
 

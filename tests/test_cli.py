@@ -78,10 +78,7 @@ def test_decompose_fixture_and_determinism(capsys, fixtures, derived):
     assert abs(out["quantum"] - fx["quantum"]) < 1e-9
     assert abs(out["classical"] - fx["classical"]) < 1e-9
 
-    argv = [
-        "decompose", fixtures["plus"], fixtures["zbasis"],
-        "--flavor", "NCl", "--restarts", "2", "--seed", "7",
-    ]
+    argv = ["decompose", fixtures["plus"], fixtures["zbasis"], "--flavor", "NCl"]
     code, out = _run(capsys, argv)
     assert code == 0
     assert abs(out["classical"]) < 1e-6  # pure state + rank-1 PVM
@@ -92,14 +89,8 @@ def test_decompose_fixture_and_determinism(capsys, fixtures, derived):
     assert first == second
 
 
-def test_decompose_ncl_ignores_iteration_flags(capsys, fixtures):
-    code, out = _run(
-        capsys,
-        [
-            "decompose", fixtures["plus"], fixtures["zbasis"],
-            "--flavor", "NCl", "--restarts", "1", "--max-iters", "1",
-        ],
-    )
+def test_decompose_ncl_is_the_trace_norm_sum(capsys, fixtures):
+    code, out = _run(capsys, ["decompose", fixtures["plus"], fixtures["zbasis"], "--flavor", "NCl"])
     assert code == 0
     assert out["diagnostics"]["converged"] is True
     rho = np.full((2, 2), 0.5)
@@ -107,14 +98,50 @@ def test_decompose_ncl_ignores_iteration_flags(capsys, fixtures):
     assert abs(out["quantum"] - expect) < 1e-12
 
 
-def test_decompose_rejects_nonpositive_max_iters(capsys, fixtures):
-    for bad in ("0", "-1"):
-        code, out = _run(
-            capsys,
-            ["decompose", fixtures["plus"], fixtures["zbasis"], "--flavor", "NCl", "--max-iters", bad],
-        )
-        assert code == 2
-        assert out is None
+def test_removed_search_flags_exit_code(capsys, fixtures):
+    # no subcommand takes --max-iters or --rel-tol; only witness takes --restarts,
+    # and only witness, random and selftest take --seed
+    st, pv, xb = fixtures["plus"], fixtures["zbasis"], fixtures["xbasis"]
+    cases = [
+        (["decompose", st, pv, "--flavor", "NCl", "--max-iters", "5"], "--max-iters"),
+        (["decompose", st, pv, "--rel-tol", "1e-8"], "--rel-tol"),
+        (["decompose", st, pv, "--restarts", "2"], "--restarts"),
+        (["decompose", st, pv, "--seed", "1"], "--seed"),
+        (["bounds", st, pv, "--restarts", "2"], "--restarts"),
+        (["bounds", st, pv, xb, "--seed", "1"], "--seed"),
+        (["infimum", st, "--seed", "1"], "--seed"),
+        (["kd-table", st, pv, xb, "--seed", "1"], "--seed"),
+        (["witness", st, pv, "--max-iters", "5"], "--max-iters"),
+        (["selftest", "--rel-tol", "1e-8"], "--rel-tol"),
+    ]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == ""
+        assert flag in captured.err
+
+
+def test_negative_seed_exit_code(capsys, fixtures, monkeypatch):
+    argvs = [
+        ["random", "state", "--d", "2", "--seed", "-1"],
+        ["witness", fixtures["zero"], fixtures["xpovm"], "--seed", "-3"],
+        ["selftest", "--dims", "1", "--samples", "1", "--seed", "-2"],
+    ]
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed must be >= 0")
+    monkeypatch.setenv("KDUNCERT_SEED", "-5")
+    for argv in (["selftest", "--dims", "1", "--samples", "1"], ["random", "pvm", "--d", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: KDUNCERT_SEED must be >= 0, got -5")
 
 
 def test_witness_cli_rejects_bad_threshold(capsys, fixtures):
@@ -168,22 +195,66 @@ def test_infimum_maximally_mixed(capsys, tmp_path):
 
 
 def test_bounds_cli(capsys, fixtures, derived):
-    code, out = _run(capsys, ["bounds", fixtures["plus"], fixtures["zbasis"], "--restarts", "2"])
+    code, out = _run(capsys, ["bounds", fixtures["plus"], fixtures["zbasis"]])
     assert code == 0
     assert abs(out["asymmetry_bound"] - 1.0) < 1e-9
     assert abs(out["s_entropy"] - 1.0) < 1e-9
 
     code, out = _run(
         capsys,
-        ["bounds", fixtures["yplus"], fixtures["zbasis"], fixtures["xbasis"], "--restarts", "2"],
+        ["bounds", fixtures["yplus"], fixtures["zbasis"], fixtures["xbasis"]],
     )
     assert code == 0
     assert abs(out["relation_bound"] - derived["relation_bound_yplus_z_x"]) < 1e-9
     assert abs(out["s_sum"] - 2.0) < 1e-9
 
-    code, out = _run(capsys, ["bounds", fixtures["diag34"], fixtures["zbasis"], "--restarts", "2"])
+    code, out = _run(capsys, ["bounds", fixtures["diag34"], fixtures["zbasis"]])
     assert code == 0
     assert abs(out["asymmetry_bound"]) < 1e-10
+
+
+def test_bounds_rejects_measurements_that_are_not_rank_one_pvms(capsys, fixtures):
+    def write(name, povm):
+        path = fixtures["dir"] / name
+        path.write_text(serialize.dumps(serialize.povm_to_json(povm)) + "\n")
+        return str(path)
+
+    three = write("povm2x3.json", kd.random_povm(2, 3, seed=2))
+    soft = write("povm2x2.json", kd.random_povm(2, 2, seed=3))
+    cases = [
+        (["bounds", fixtures["plus"], three], "pvm: expected a rank-1 PVM, got 3 effects in dim 2"),
+        (["bounds", fixtures["plus"], soft], "pvm: expected a rank-1 PVM, got 2 effects in dim 2"),
+        (["bounds", fixtures["plus"], fixtures["zbasis"], soft], "pvm2: expected a rank-1 PVM"),
+    ]
+    for argv, message in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_bounds_reads_a_pvm_given_as_effects(capsys, tmp_path):
+    # the effect form of a basis goes through the rank-1 PVM recognizer and gives the basis form's output
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(serialize.dumps(obj) + "\n")
+        return str(path)
+
+    state = write("state3.json", serialize.matrix_to_json(kd.random_density(3, 2, seed=5).matrix))
+    argv = {"basis": ["bounds", state], "effects": ["bounds", state]}
+    for seed in (6, 7):
+        u = kd.haar_random_unitary(3, seed=seed)
+        argv["basis"].append(write(f"basis{seed}.json", serialize.matrix_to_json(u)))
+        argv["effects"].append(write(f"effects{seed}.json", serialize.povm_to_json(kd.rank_one_pvm(u).as_povm())))
+    code, from_basis = _run(capsys, argv["basis"])
+    assert code == 0
+    code, from_effects = _run(capsys, argv["effects"])
+    assert code == 0
+    assert from_effects.keys() == from_basis.keys()
+    for key, value in from_basis.items():
+        assert abs(from_effects[key] - value) < 1e-12, key
 
 
 def test_random_cli_deterministic(capsys):
@@ -200,8 +271,8 @@ def test_random_cli_deterministic(capsys):
     kd.rank_one_pvm(serialize.matrix_from_json(pvm))
 
 
-def test_seed_env_var(capsys, fixtures, monkeypatch):
-    argv = ["decompose", fixtures["plus"], fixtures["zbasis"], "--flavor", "NCl", "--restarts", "2"]
+def test_seed_env_var(capsys, monkeypatch):
+    argv = ["random", "state", "--d", "3"]
     monkeypatch.setenv("KDUNCERT_SEED", "11")
     main(argv)
     env_out = capsys.readouterr().out
@@ -215,6 +286,16 @@ def test_seed_env_var(capsys, fixtures, monkeypatch):
     main(argv + ["--seed", "11"])
     flag_wins_out = capsys.readouterr().out
     assert flag_wins_out == flag_out
+
+    # the seed reaches the draw: another seed gives another state
+    main(argv + ["--seed", "12"])
+    assert capsys.readouterr().out != flag_out
+
+    # a fixed seed repeats its output
+    main(argv + ["--seed", "7"])
+    first = capsys.readouterr().out
+    main(argv + ["--seed", "7"])
+    assert capsys.readouterr().out == first
 
 
 def test_stdin_input(capsys, fixtures, monkeypatch):

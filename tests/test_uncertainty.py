@@ -7,8 +7,6 @@ from kduncert.selftest import run_selftest
 from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
 from oracles import corner_bound_asymmetry, corner_relation_bound
 
-LIGHT = kd.OptimizerConfig(n_restarts=3, max_iters=300, seed=0)
-
 
 def _z():
     return kd.rank_one_pvm(np.eye(2))
@@ -90,7 +88,7 @@ def test_decompose_pure_rank1_classical_vanishes():
         psi = kd.random_density(d, 1, seed=340 + i)
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=350 + i)).as_povm()
         for flavor in kd.Flavor:
-            dec = kd.decompose(psi, pvm, flavor, LIGHT)
+            dec = kd.decompose(psi, pvm, flavor)
             assert abs(dec.classical) < 1e-6
             assert abs(dec.classical - (dec.total - dec.quantum)) < 1e-12
 
@@ -98,7 +96,7 @@ def test_decompose_pure_rank1_classical_vanishes():
 def test_decompose_carries_diagnostics_for_ncl():
     rho = kd.random_density(2, 2, seed=36)
     povm = kd.random_povm(2, 2, seed=37)
-    dec = kd.decompose(rho, povm, kd.Flavor.NCL, LIGHT)
+    dec = kd.decompose(rho, povm, kd.Flavor.NCL)
     assert dec.diagnostics is not None
     assert dec.diagnostics.per_effect_values is not None
     assert dec.quantum == dec.diagnostics.value
@@ -152,7 +150,7 @@ def test_coarse_grain():
 
 def test_bound_asymmetry_fixture(derived):
     plus = kd.validate_density(np.full((2, 2), 0.5))
-    bound = kd.bound_asymmetry(plus, _z(), LIGHT)
+    bound = kd.bound_asymmetry(plus, _z())
     assert abs(bound - derived["bound_asym_plus_z"]) < 1e-9
     assert abs(bound - kd.s_entropy([0.5, 0.5])) < 1e-9
 
@@ -161,7 +159,7 @@ def test_bound_asymmetry_commuting_vanishes():
     u = kd.haar_random_unitary(3, seed=41)
     lam = np.array([0.6, 0.3, 0.1])
     rho = kd.validate_density((u * lam) @ u.conj().T)
-    assert kd.bound_asymmetry(rho, kd.rank_one_pvm(u), LIGHT) < 1e-10
+    assert kd.bound_asymmetry(rho, kd.rank_one_pvm(u)) < 1e-10
 
 
 def test_bound_asymmetry_below_entropy():
@@ -169,14 +167,14 @@ def test_bound_asymmetry_below_entropy():
         d = 2 + i % 3
         rho = kd.random_density(d, d, seed=370 + i)
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=380 + i))
-        bound = kd.bound_asymmetry(rho, pvm, LIGHT)
+        bound = kd.bound_asymmetry(rho, pvm)
         ent = kd.s_entropy(kd.outcome_probs(rho, pvm.as_povm()))
         assert bound <= ent + 1e-6
 
 
 def test_uncertainty_relation_fixture(derived):
     yplus = kd.validate_density(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
-    bound = kd.uncertainty_relation_bound(yplus, _z(), kd.rank_one_pvm(HADAMARD), LIGHT)
+    bound = kd.uncertainty_relation_bound(yplus, _z(), kd.rank_one_pvm(HADAMARD))
     assert abs(bound - derived["relation_bound_yplus_z_x"]) < 1e-9
     s_sum = kd.s_entropy(kd.outcome_probs(yplus, _z().as_povm())) + kd.s_entropy(
         kd.outcome_probs(yplus, kd.rank_one_pvm(HADAMARD).as_povm())
@@ -187,7 +185,7 @@ def test_uncertainty_relation_fixture(derived):
 def test_uncertainty_relation_same_basis_vanishes():
     rho = kd.random_density(3, 3, seed=42)
     pvm = kd.rank_one_pvm(kd.haar_random_unitary(3, seed=43))
-    assert kd.uncertainty_relation_bound(rho, pvm, pvm, LIGHT) < 1e-10
+    assert kd.uncertainty_relation_bound(rho, pvm, pvm) < 1e-10
 
 
 def test_uncertainty_relation_below_entropy_sum():
@@ -196,7 +194,7 @@ def test_uncertainty_relation_below_entropy_sum():
         rho = kd.random_density(d, d, seed=390 + i)
         pvm_a = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=400 + i))
         pvm_b = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=410 + i))
-        bound = kd.uncertainty_relation_bound(rho, pvm_a, pvm_b, LIGHT)
+        bound = kd.uncertainty_relation_bound(rho, pvm_a, pvm_b)
         total = kd.s_entropy(kd.outcome_probs(rho, pvm_a.as_povm())) + kd.s_entropy(
             kd.outcome_probs(rho, pvm_b.as_povm())
         )
@@ -238,7 +236,7 @@ def test_one_dimensional_edge_case():
     rho = kd.validate_density([[1.0]])
     povm = kd.validate_povm([np.eye(1)])
     for flavor in kd.Flavor:
-        dec = kd.decompose(rho, povm, flavor, LIGHT)
+        dec = kd.decompose(rho, povm, flavor)
         assert dec.total == 0.0
         assert abs(dec.quantum) < 1e-12
     value, achieving = kd.infimum_total(rho, kd.Flavor.NRE)
@@ -252,7 +250,7 @@ def test_s_entropy_one_outcome_rounding_reads_zero():
     for seed in range(8):
         rho = kd.random_density(1, 1, seed=900 + seed)
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(1, seed=910 + seed)).as_povm()
-        dec = kd.decompose(rho, pvm, kd.Flavor.NRE, LIGHT)
+        dec = kd.decompose(rho, pvm, kd.Flavor.NRE)
         assert dec.total == 0.0 and dec.quantum == 0.0 and dec.classical == 0.0
 
 
@@ -272,6 +270,6 @@ def test_decomposition_invariants_random():
         rho = kd.random_density(d, d, seed=420 + i)
         povm = kd.random_povm(d, 2, seed=430 + i)
         for flavor in kd.Flavor:
-            dec = kd.decompose(rho, povm, flavor, LIGHT)
+            dec = kd.decompose(rho, povm, flavor)
             assert dec.quantum <= dec.total + 1e-6
             assert dec.total >= -1e-9 and dec.quantum >= -1e-9 and dec.classical >= -1e-9

@@ -9,7 +9,7 @@ import kduncert as kd
 import kduncert.witness as witness_mod
 from conftest import HADAMARD, Y_BASIS
 
-LIGHT = kd.OptimizerConfig(n_restarts=3, max_iters=300, seed=0)
+LIGHT = kd.OptimizerConfig(n_restarts=3, seed=0)
 
 
 def _x_povm():
@@ -195,7 +195,7 @@ def test_witness_ncl_is_the_nonclassicality_value():
         instances.append((kd.validate_density((u * (lam / lam.sum())) @ u.conj().T), kd.rank_one_pvm(u).as_povm()))
     for state, povm in instances:
         report = kd.contextuality_witness(state, povm, cfg)
-        assert report.ncl.hex() == kd.quantum_nonclassicality(state, povm, cfg).value.hex()
+        assert report.ncl.hex() == kd.quantum_nonclassicality(state, povm).value.hex()
 
 
 def _count_calls(monkeypatch, name):
