@@ -1,11 +1,13 @@
 """Command-line front end: JSON in, JSON out, deterministic under a fixed seed.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 3 dimension
-mismatch, 4 no witness found, 5 internal check failure (any other
-KdUncertError); argparse's own usage errors, such as an unknown flag, also
-exit 2. Only witness, random and selftest take a seed: the default is 0,
-KDUNCERT_SEED overrides it and an explicit --seed flag wins over both. A
-negative seed is a validation error.
+mismatch, 4 no witness, 5 internal check failure (any other KdUncertError);
+argparse's own usage errors, such as an unknown flag, also exit 2. Exit 4's
+message states the witness's largest margin, and a margin <= 0 certifies
+that no postselection basis holds a weak value strange at the threshold.
+Only random and selftest take a seed: the default is 0, KDUNCERT_SEED
+overrides it and an explicit --seed flag wins over both. A negative seed is
+a validation error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import serialize
 from .core import Povm, RankOnePvm, _povm_basis, haar_random_unitary, random_density, random_povm, rank_one_pvm
 from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from .kdtable import kd_table, table_nonclassicality, table_nonreality
-from .optimize import OptimizerConfig
 from .selftest import run_selftest
 from .uncertainty import (
     Flavor,
@@ -127,8 +128,7 @@ def cmd_decompose(args) -> int:
 def cmd_witness(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
     povm = _as_povm(_load_measurement(args.povm))
-    cfg = OptimizerConfig(n_restarts=args.restarts, seed=_seed(args))
-    report = contextuality_witness(state, povm, cfg, threshold=args.threshold)
+    report = contextuality_witness(state, povm, threshold=args.threshold)
     _write_output(serialize.witness_report_to_json(report), args.output)
     return EXIT_OK
 
@@ -240,12 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("povm")
     p.add_argument("--threshold", type=float, default=1e-7)
-    p.add_argument(
-        "--restarts", type=int, default=OptimizerConfig.n_restarts,
-        help="Haar candidates scanned after the structured bases (default %(default)s)",
-    )
     add_common(p)
-    add_seed(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("infimum", help="minimum total uncertainty over all measurements")

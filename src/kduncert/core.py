@@ -254,19 +254,28 @@ def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def _check_dim(d: int):
+    if d < 1:
+        raise ValidationError(f"dimension must be >= 1, got {d}")
+
+
 def haar_random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 
     The R diagonal is phase-corrected so the distribution is exactly Haar
-    (plain QR is not). Deterministic for a given seed.
+    (plain QR is not). seed is a seed or a numpy Generator, which draws
+    the matrix from its current state; a fixed seed gives a fixed unitary.
     """
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return _haar(d, np.random.default_rng(seed))
 
 
 def random_density(d: int, rank: int, seed) -> DensityMatrix:
-    """Random state from the Ginibre ensemble: G G^dag / Tr, with G of shape d x rank."""
+    """Random state from the Ginibre ensemble: G G^dag / Tr, with G of shape d x rank.
+
+    seed is a seed or a numpy Generator, as for haar_random_unitary.
+    """
+    _check_dim(d)
     if not 1 <= rank <= d:
         raise BadRankError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
@@ -279,8 +288,10 @@ def random_povm(d: int, n_outcomes: int, seed) -> Povm:
     """Random POVM by symmetrized normalization of Ginibre PSD draws.
 
     M^i = S^{-1/2} A_i S^{-1/2} with A_i = G_i G_i^dag and S = sum A_i,
-    which resolves identity exactly up to roundoff.
+    which resolves identity exactly up to roundoff. seed is a seed or a
+    numpy Generator, as for haar_random_unitary.
     """
+    _check_dim(d)
     if n_outcomes < 1:
         raise ValidationError(f"n_outcomes must be >= 1, got {n_outcomes}")
     rng = np.random.default_rng(seed)

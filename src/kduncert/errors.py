@@ -62,8 +62,12 @@ class DimMismatchError(KdUncertError, ValueError):
 
 
 class WitnessNotFoundError(KdUncertError, RuntimeError):
-    """Quantumness is nonzero but no strange weak value was located.
+    """Quantumness exceeds the threshold but no weak value is strange at it.
 
-    Signals a search failure, not physics: nonzero quantumness
-    guarantees a strange entry exists in some basis.
+    The message states the largest margin max_b <b|X - t rho|b> over
+    X = K_a, -K_a, -J_a (see kduncert.witness). A margin <= 0 certifies that
+    no postselection basis holds a weak value with |Im w| > t or Re w < -t:
+    quantumness and strangeness are measured on different scales, so this
+    can happen at a raised threshold. A positive margin whose eigenbases
+    hold no entry above the scan's probability floor says so instead.
     """

@@ -18,9 +18,9 @@ nonclassicality part (_ncl_value for the value alone) and
 sup_over_pvm(k_op) also return the attaining bases. No function here takes
 a search configuration.
 
-OptimizerConfig holds the two settings of the one remaining seeded search:
-n_restarts and seed fix the Haar candidates that the contextuality witness
-scans after its structured bases.
+No path searches either. OptimizerConfig is kept, with its two validated
+fields, only because callers still pass one to contextuality_witness, which
+accepts it and does not read it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,11 @@ NEGATIVE_CLAMP = 1e-9
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The contextuality witness's Haar candidates: n_restarts draws seeded by seed."""
+    """Config that contextuality_witness accepts and does not read; no path searches.
+
+    n_restarts (>= 1) and seed (>= 0) are still validated, so a config that
+    was valid stays valid.
+    """
 
     n_restarts: int = 32
     seed: int = 0

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
-    _haar,
     _pvm_unchecked,
     commutator,
     haar_random_unitary,
@@ -32,7 +31,6 @@ from .core import (
 from .errors import KdUncertError
 from .kdtable import johansen_components, kd_table, table_nonclassicality, table_nonreality
 from .optimize import (
-    OptimizerConfig,
     quantum_nonclassicality,
     quantum_nonreality,
     sup_over_pvm,
@@ -74,31 +72,8 @@ def _rng(seed, *tags):
     return np.random.default_rng([seed, *tags])
 
 
-def _rand_state(d, rng, rank=None) -> DensityMatrix:
-    if rank is None:
-        rank = int(rng.integers(1, d + 1))
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real)
-
-
-def _rand_pure(d, rng) -> DensityMatrix:
-    return _rand_state(d, rng, rank=1)
-
-
-def _rand_povm(d, n, rng):
-    draws = []
-    for _ in range(n):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        draws.append(g @ g.conj().T)
-    total = np.sum(draws, axis=0)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return validate_povm([inv_sqrt @ a @ inv_sqrt for a in draws])
-
-
-def _rand_pvm(d, rng):
-    return rank_one_pvm(_haar(d, rng))
+def _rand_state(d, rng) -> DensityMatrix:
+    return random_density(d, int(rng.integers(1, d + 1)), rng)
 
 
 def _rand_rank1_povm(d, n, rng):
@@ -120,7 +95,7 @@ def _rand_hermitian(d, rng):
 
 def _commuting_pair(d, rng):
     """Random (state, POVM) diagonal in a common random basis."""
-    u = _haar(d, rng)
+    u = haar_random_unitary(d, rng)
     lam = rng.random(d) + 0.05
     lam /= lam.sum()
     rho = validate_density((u * lam) @ u.conj().T)
@@ -231,8 +206,8 @@ def prop_kd_marginals(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 20, i, d)
             rho = _rand_state(d, rng)
-            first = _rand_povm(d, 2 + i % 3, rng)
-            second = _rand_povm(d, 2 + (i + 1) % 3, rng)
+            first = random_povm(d, 2 + i % 3, rng)
+            second = random_povm(d, 2 + (i + 1) % 3, rng)
             t = kd_table(rho, first, second)
             pa = [np.trace(m @ rho.matrix) for m in first.effects]
             pb = [np.trace(m @ rho.matrix) for m in second.effects]
@@ -249,7 +224,7 @@ def prop_kd_commuting_real(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 21, i, d)
             rho, povm = _commuting_pair(d, rng)
-            second = _rand_povm(d, d, rng)
+            second = random_povm(d, d, rng)
             t = kd_table(rho, povm, second)
             worst = max(worst, float(np.abs(t.values.imag).max()))
             worst = max(worst, float(max(0.0, -(t.values.real.min()))))
@@ -262,7 +237,7 @@ def prop_kd_nonclassicality_nonneg(dims, samples, seed):
     for i in range(samples):
         for d in dims:
             rng = _rng(seed, 22, i, d)
-            t = kd_table(_rand_state(d, rng), _rand_povm(d, 2, rng), _rand_povm(d, 3, rng))
+            t = kd_table(_rand_state(d, rng), random_povm(d, 2, rng), random_povm(d, 3, rng))
             low = min(low, table_nonclassicality(t))
     _require(low >= 0.0, f"nonclassicality dropped to {low:.2e}")
     return f"min value {low:.2e}"
@@ -273,7 +248,7 @@ def prop_kd_diagonal_eigenvalues(dims, samples, seed):
     for i in range(samples):
         for d in dims:
             rng = _rng(seed, 23, i, d)
-            u = _haar(d, rng)
+            u = haar_random_unitary(d, rng)
             lam = rng.random(d) + 0.05
             lam /= lam.sum()
             rho = validate_density((u * lam) @ u.conj().T)
@@ -292,8 +267,8 @@ def prop_johansen(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 24, i, d)
             rho = _rand_state(d, rng)
-            first = _rand_pvm(d, rng)
-            second = _rand_pvm(d, rng)
+            first = rank_one_pvm(haar_random_unitary(d, rng))
+            second = rank_one_pvm(haar_random_unitary(d, rng))
             comp = johansen_components(rho, first, second)
             t = kd_table(rho, first, second)
             worst = max(worst, float(np.abs(comp.total() - t.values).max()))
@@ -330,8 +305,8 @@ def prop_unitary_covariance(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 31, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 2 + i % 2, rng)
-            v = _haar(d, rng)
+            povm = random_povm(d, 2 + i % 2, rng)
+            v = haar_random_unitary(d, rng)
             rho_v = validate_density(v @ rho.matrix @ v.conj().T)
             povm_v = validate_povm([v @ m @ v.conj().T for m in povm.effects])
             worst_exact = max(
@@ -356,8 +331,8 @@ def prop_mixing_convexity(dims, samples, seed):
             rho1, rho2 = _rand_state(d, rng), _rand_state(d, rng)
             mixed = validate_density(p * rho1.matrix + (1 - p) * rho2.matrix)
             q = float(rng.random())
-            povm1 = _rand_povm(d, 2, rng)
-            povm2 = _rand_povm(d, 2, rng)
+            povm1 = random_povm(d, 2, rng)
+            povm2 = random_povm(d, 2, rng)
             povm_mix = validate_povm(
                 [q * a + (1 - q) * b for a, b in zip(povm1.effects, povm2.effects)]
             )
@@ -382,7 +357,7 @@ def prop_flavors_vanish_together(dims, samples, seed):
             if i % 2 == 0:
                 rho, povm = _commuting_pair(d, rng)
             else:
-                rho, povm = _rand_state(d, rng), _rand_povm(d, 2, rng)
+                rho, povm = _rand_state(d, rng), random_povm(d, 2, rng)
             nre = quantum_nonreality(rho, povm)
             ncl = quantum_nonclassicality(rho, povm).value
             _require(
@@ -401,7 +376,7 @@ def prop_partial_access(dims, samples, seed):
         rng = _rng(seed, 34, i)
         rho12 = _rand_state(4, rng)
         rho1 = validate_density(partial_trace(rho12.matrix, (2, 2), 0))
-        povm1 = _rand_povm(2, 2, rng)
+        povm1 = random_povm(2, 2, rng)
         lifted = validate_povm([tensor(m, eye2) for m in povm1.effects])
         gap = quantum_nonreality(rho1, povm1) - quantum_nonreality(rho12, lifted)
         worst = max(worst, gap)
@@ -423,7 +398,7 @@ def prop_coarsegrain_monotone(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 35, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 4, rng)
+            povm = random_povm(d, 4, rng)
             merged = coarse_grain(povm, [(0, 1), (2, 3)])
             gap = quantum_nonreality(rho, merged) - quantum_nonreality(rho, povm)
             worst = max(worst, gap)
@@ -444,7 +419,7 @@ def prop_nre_variational_agreement(dims, samples, seed):
         for d in (2, 3):
             rng = _rng(seed, 36, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_pvm(d, rng).as_povm()
+            povm = rank_one_pvm(haar_random_unitary(d, rng)).as_povm()
             exact = quantum_nonreality(rho, povm)
             variational = sum(sup_over_pvm(commutator(m, rho.matrix) / 2j).value for m in povm.effects)
             worst = max(worst, abs(variational - exact))
@@ -462,7 +437,7 @@ def prop_ncl_attaining_basis(dims, samples, seed):
             if i % 3 == 2:
                 rho, povm = _commuting_pair(d, rng)
             else:
-                rho, povm = _rand_state(d, rng), _rand_povm(d, 2 + i % 2, rng)
+                rho, povm = _rand_state(d, rng), random_povm(d, 2 + i % 2, rng)
             res = quantum_nonclassicality(rho, povm)
             for m, v, basis in zip(povm.effects, res.per_effect_values, res.per_effect_bases):
                 k_op = m @ rho.matrix
@@ -471,7 +446,7 @@ def prop_ncl_attaining_basis(dims, samples, seed):
                 score = float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
                 worst_score = max(worst_score, abs(score - v) / max(1.0, v))
                 for _ in range(4):
-                    h = _haar(d, rng)
+                    h = haar_random_unitary(d, rng)
                     other = float(np.abs(np.einsum("ib,ij,jb->b", h.conj(), k_op, h)).sum())
                     worst_haar = max(worst_haar, other - v)
     _require(worst_unitary <= 1e-12, f"attaining basis not unitary by {worst_unitary:.2e}")
@@ -490,13 +465,13 @@ def prop_quantum_bounded_by_total(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 40, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 2 + i % 2, rng)
+            povm = random_povm(d, 2 + i % 2, rng)
             for flavor in Flavor:
                 dec = decompose(rho, povm, flavor)
                 worst = max(worst, dec.quantum - dec.total)
             # equality for pure states and rank-1 PVMs
-            pure = _rand_pure(d, rng)
-            pvm = _rand_pvm(d, rng).as_povm()
+            pure = random_density(d, 1, rng)
+            pvm = rank_one_pvm(haar_random_unitary(d, rng)).as_povm()
             for flavor in Flavor:
                 dec = decompose(pure, pvm, flavor)
                 worst_eq = max(worst_eq, abs(dec.total - dec.quantum))
@@ -527,7 +502,7 @@ def prop_classical_concavity(dims, samples, seed):
             p = float(rng.random())
             rho1, rho2 = _rand_state(d, rng), _rand_state(d, rng)
             mixed = validate_density(p * rho1.matrix + (1 - p) * rho2.matrix)
-            povm = _rand_povm(d, 2, rng)
+            povm = random_povm(d, 2, rng)
             for flavor in Flavor:
                 if flavor is Flavor.NCL and i >= 5:
                     continue
@@ -545,7 +520,7 @@ def prop_permutation_invariance(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 43, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 3, rng)
+            povm = random_povm(d, 3, rng)
             perm = validate_povm(
                 [povm.effects[2], povm.effects[0], povm.effects[1]],
                 [povm.labels[2], povm.labels[0], povm.labels[1]],
@@ -566,8 +541,8 @@ def prop_decomposition_covariance(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 44, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 2, rng)
-            v = _haar(d, rng)
+            povm = random_povm(d, 2, rng)
+            v = haar_random_unitary(d, rng)
             rho_v = validate_density(v @ rho.matrix @ v.conj().T)
             povm_v = validate_povm([v @ m @ v.conj().T for m in povm.effects])
             for flavor in Flavor:
@@ -592,7 +567,7 @@ def prop_maximal_trichotomy(dims, samples, seed):
         dec = decompose(coherent, comp, Flavor.NCL)
         worst = max(worst, abs(dec.total - (np.sqrt(d) - 1)), abs(dec.quantum - (np.sqrt(d) - 1)))
         mixed = validate_density(np.eye(d) / d)
-        pvm = _rand_pvm(d, _rng(seed, 45, d)).as_povm()
+        pvm = rank_one_pvm(haar_random_unitary(d, _rng(seed, 45, d))).as_povm()
         for flavor in Flavor:
             dec = decompose(mixed, pvm, flavor)
             worst = max(worst, abs(dec.classical - dec.total), abs(dec.quantum))
@@ -610,7 +585,7 @@ def prop_coherence_faithfulness(dims, samples, seed):
     for i in range(samples):
         for d in dims:
             rng = _rng(seed, 47, i, d)
-            pvm = _rand_pvm(d, rng)
+            pvm = rank_one_pvm(haar_random_unitary(d, rng))
             u = pvm.basis_unitary
             lam = rng.random(d) + 0.05
             lam /= lam.sum()
@@ -619,7 +594,7 @@ def prop_coherence_faithfulness(dims, samples, seed):
                 quantum_nonreality(diagonal, pvm.as_povm()) <= eps,
                 "diagonal state scored nonzero quantum part",
             )
-            coherent = _rand_pure(d, rng)
+            coherent = random_density(d, 1, rng)
             q = quantum_nonreality(coherent, pvm.as_povm())
             diag_part = np.abs(np.diag(u.conj().T @ coherent.matrix @ u)).sum()
             if 1.0 - diag_part > 1e-6:
@@ -677,7 +652,7 @@ def prop_asymmetry_bound(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 50, i, d)
             rho = _rand_state(d, rng)
-            pvm = _rand_pvm(d, rng)
+            pvm = rank_one_pvm(haar_random_unitary(d, rng))
             bound = bound_asymmetry(rho, pvm)
             ent = s_entropy(outcome_probs(rho, pvm.as_povm()))
             worst = max(worst, bound - ent)
@@ -691,8 +666,8 @@ def prop_entropic_relation(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 51, i, d)
             rho = _rand_state(d, rng)
-            pvm_a = _rand_pvm(d, rng)
-            pvm_b = _rand_pvm(d, rng)
+            pvm_a = rank_one_pvm(haar_random_unitary(d, rng))
+            pvm_b = rank_one_pvm(haar_random_unitary(d, rng))
             bound = uncertainty_relation_bound(rho, pvm_a, pvm_b)
             total = s_entropy(outcome_probs(rho, pvm_a.as_povm())) + s_entropy(
                 outcome_probs(rho, pvm_b.as_povm())
@@ -711,8 +686,8 @@ def prop_weak_value_factorization(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 60, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 2 + i % 3, rng)
-            basis = _rand_pvm(d, rng)
+            povm = random_povm(d, 2 + i % 3, rng)
+            basis = rank_one_pvm(haar_random_unitary(d, rng))
             table = weak_values(rho, povm, basis)
             kdt = kd_table(rho, povm, basis.as_povm())
             prod = table.values * table.postselect_probs[np.newaxis, :]
@@ -728,8 +703,8 @@ def prop_weak_value_integrands(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 61, i, d)
             rho = _rand_state(d, rng)
-            povm = _rand_povm(d, 2, rng)
-            basis = _rand_pvm(d, rng)
+            povm = random_povm(d, 2, rng)
+            basis = rank_one_pvm(haar_random_unitary(d, rng))
             nre, ncl = quantum_via_weak_values(rho, povm, basis)
             t = kd_table(rho, povm, basis.as_povm())
             worst = max(worst, abs(nre - table_nonreality(t)))
@@ -746,8 +721,8 @@ def prop_witness_consistency(dims, samples, seed):
             if i % 2 == 0:
                 rho, povm = _commuting_pair(d, rng)
             else:
-                rho, povm = _rand_state(d, rng), _rand_povm(d, 2, rng)
-            report = contextuality_witness(rho, povm, OptimizerConfig(n_restarts=2, seed=seed + i))
+                rho, povm = _rand_state(d, rng), random_povm(d, 2, rng)
+            report = contextuality_witness(rho, povm)
             _require(report.flavors_agree, "NRe and NCl channels disagreed")
             if report.contextual:
                 entry = report.witness_entry
@@ -769,7 +744,7 @@ def prop_disturbance_identity(dims, samples, seed):
         for d in dims:
             rng = _rng(seed, 63, i, d)
             rho = _rand_state(d, rng)
-            pvm = _rand_pvm(d, rng)
+            pvm = rank_one_pvm(haar_random_unitary(d, rng))
             worst = max(
                 worst,
                 abs(disturbance_nonreality(rho, pvm) - quantum_nonreality(rho, pvm.as_povm())),

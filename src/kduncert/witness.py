@@ -2,14 +2,22 @@
 
 A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
-variable model. Nonzero quantumness of (state, POVM) guarantees such an
-entry exists in some postselection basis; locating one is a search problem,
-handled here by scanning, in this order, the canonical unbiased bases, their
-lifts by the measurement basis (when the POVM is a rank-1 PVM), the bases
-attaining the per-effect nonclassicality suprema, and cfg.n_restarts Haar
-draws. The candidates are built lazily: a group is computed only when the
-scan reaches it, so a verdict whose entry sits in the first unbiased basis
-never builds the others.
+variable model. The witness first scans the canonical unbiased bases and
+their lifts by the measurement basis (when the POVM is a rank-1 PVM), each
+built only when the scan reaches it, so a verdict whose entry sits in the
+first unbiased basis never builds the others.
+
+When those hold no strange entry the rest is a closed form. For a unit
+postselection vector b with Pr(b) = <b|rho|b> > 0 the weak value of M^a has
+Im w = <b|K_a|b> / Pr(b) and Re w = <b|J_a|b> / Pr(b), with
+K_a = [M^a, rho] / 2i and J_a = {M^a, rho} / 2. So Im w > t, Im w < -t and
+Re w < -t hold exactly when <b|X - t rho|b> > 0 for X = K_a, -K_a and -J_a
+(when Pr(b) = 0, rho b = 0 and all three forms vanish). Some basis holds an
+entry strange at threshold t if and only if one of these 3n "margin"
+matrices has a positive top eigenvalue, and then the matrix's eigenbasis
+holds one in its top column. One eigh on the stack of margins gives the
+candidates; when no margin is positive, WitnessNotFoundError states the
+largest one, which certifies that no basis holds a strange entry.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .core import (
     DensityMatrix,
     Povm,
     RankOnePvm,
-    _haar,
     _povm_basis,
     _pvm_unchecked,
     as_operator,
@@ -35,12 +42,7 @@ from .core import (
 )
 from .errors import DimMismatchError, NotProjectorError, ValidationError, WitnessNotFoundError
 from .kdtable import lueders_state
-from .optimize import (
-    OptimizerConfig,
-    _ncl_value,
-    quantum_nonclassicality,
-    quantum_nonreality,
-)
+from .optimize import _ncl_value, quantum_nonreality
 
 UNDEFINED_PROB = 1e-12
 DEFAULT_THRESHOLD = 1e-7
@@ -129,12 +131,13 @@ def _first_strange(state, povm, basis, threshold):
     return None
 
 
-def _candidates(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig):
-    """Postselection bases in scan order, each built only when the scan reaches it.
+def _unbiased_bases(state: DensityMatrix, povm: Povm):
+    """Canonical unbiased bases, then their lifts by the measurement basis, each built only when reached.
 
-    Canonical unbiased bases first: the maximizing basis is determined only
-    up to a degenerate attainment set, so scanning a fixed catalog first
-    makes the reported entry deterministic and reproducible.
+    The lifts exist only when the POVM is a rank-1 PVM. The maximizing
+    basis is determined only up to a degenerate attainment set, so scanning
+    a fixed catalog first makes the reported entry deterministic and
+    reproducible.
     """
     mubs = mub_bases(state.dim)
     for u in mubs:
@@ -143,15 +146,47 @@ def _candidates(state: DensityMatrix, povm: Povm, cfg: OptimizerConfig):
     if basis_u is not None:
         for u in mubs:
             yield _pvm_unchecked(basis_u @ u)
-    yield from quantum_nonclassicality(state, povm).per_effect_bases
-    for r in range(cfg.n_restarts):
-        yield _pvm_unchecked(_haar(state.dim, np.random.default_rng([cfg.seed, 4, r])))
+
+
+def _margins(state: DensityMatrix, povm: Povm, threshold: float) -> np.ndarray:
+    """The stack K_a - t rho, then -K_a - t rho, then -J_a - t rho over the effects, shape (3n, d, d)."""
+    rho = state.matrix
+    m = np.stack(povm.effects)
+    m_rho, rho_m = m @ rho, rho @ m
+    k = (m_rho - rho_m) / 2j
+    j = 0.5 * (m_rho + rho_m)
+    return np.concatenate([k, -k, -j]) - threshold * rho
+
+
+def _margin_entry(state: DensityMatrix, povm: Povm, threshold: float, nre: float) -> WitnessEntry:
+    """A strange entry from the eigenbases of the positive margins, scanned in stack order.
+
+    Raises WitnessNotFoundError when there is none; when no margin is
+    positive, its message is a certificate that no basis holds one.
+    """
+    values, vectors = np.linalg.eigh(_margins(state, povm, threshold))
+    top = values[:, -1]
+    for i in np.flatnonzero(top > 0):
+        entry = _first_strange(state, povm, _pvm_unchecked(vectors[i]), threshold)
+        if entry is not None:
+            return entry
+    largest = float(top.max())
+    if largest <= 0:
+        raise WitnessNotFoundError(
+            f"quantumness {nre:.3e} exceeds threshold {threshold:.3e} but no basis holds a strange "
+            f"weak value: the largest margin is {largest:.3e} <= 0"
+        )
+    raise WitnessNotFoundError(
+        f"quantumness {nre:.3e} exceeds threshold {threshold:.3e} and the largest margin is "
+        f"{largest:.3e} > 0, but no entry of the positive margins' eigenbases with postselection "
+        f"probability >= {_SCAN_PROB_MIN:.0e} is strange"
+    )
 
 
 def contextuality_witness(
     state: DensityMatrix,
     povm: Povm,
-    cfg: OptimizerConfig | None = None,
+    cfg=None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> WitnessReport:
     """Decide contextuality of (state, POVM) and exhibit a strange weak value.
@@ -159,13 +194,14 @@ def contextuality_witness(
     The verdict is nre > threshold; the nonclassicality channel must agree
     (the two vanish together), and disagreement is flagged as an internal
     inconsistency rather than trusted. When contextual, the returned entry
-    re-verifies as strange by direct recomputation. The threshold must be
-    finite and non-negative.
+    re-verifies as strange by direct recomputation; when no basis holds
+    one, WitnessNotFoundError states the largest margin (see the module
+    docstring). The threshold must be finite and non-negative. cfg is
+    accepted and not read, so callers that pass an OptimizerConfig keep
+    working; no part of the witness searches.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
-    if cfg is None:
-        cfg = OptimizerConfig()
     nre = quantum_nonreality(state, povm)
     ncl = _ncl_value(state, povm)
     contextual = nre > threshold
@@ -178,17 +214,12 @@ def contextuality_witness(
         )
     entry = None
     if contextual:
-        scanned = 0
-        for basis in _candidates(state, povm, cfg):
-            scanned += 1
+        for basis in _unbiased_bases(state, povm):
             entry = _first_strange(state, povm, basis, threshold)
             if entry is not None:
                 break
-        if entry is None:
-            raise WitnessNotFoundError(
-                f"quantumness {nre:.3e} exceeds threshold but no strange weak value "
-                f"was found in {scanned} bases"
-            )
+        else:
+            entry = _margin_entry(state, povm, threshold, nre)
     return WitnessReport(
         contextual=contextual,
         nre=nre,

@@ -99,8 +99,7 @@ def test_decompose_ncl_is_the_trace_norm_sum(capsys, fixtures):
 
 
 def test_removed_search_flags_exit_code(capsys, fixtures):
-    # no subcommand takes --max-iters or --rel-tol; only witness takes --restarts,
-    # and only witness, random and selftest take --seed
+    # no subcommand takes --max-iters, --rel-tol or --restarts, and only random and selftest take --seed
     st, pv, xb = fixtures["plus"], fixtures["zbasis"], fixtures["xbasis"]
     cases = [
         (["decompose", st, pv, "--flavor", "NCl", "--max-iters", "5"], "--max-iters"),
@@ -112,6 +111,8 @@ def test_removed_search_flags_exit_code(capsys, fixtures):
         (["infimum", st, "--seed", "1"], "--seed"),
         (["kd-table", st, pv, xb, "--seed", "1"], "--seed"),
         (["witness", st, pv, "--max-iters", "5"], "--max-iters"),
+        (["witness", st, pv, "--restarts", "2"], "--restarts"),
+        (["witness", st, pv, "--seed", "1"], "--seed"),
         (["selftest", "--rel-tol", "1e-8"], "--rel-tol"),
     ]
     for argv, flag in cases:
@@ -126,7 +127,6 @@ def test_removed_search_flags_exit_code(capsys, fixtures):
 def test_negative_seed_exit_code(capsys, fixtures, monkeypatch):
     argvs = [
         ["random", "state", "--d", "2", "--seed", "-1"],
-        ["witness", fixtures["zero"], fixtures["xpovm"], "--seed", "-3"],
         ["selftest", "--dims", "1", "--samples", "1", "--seed", "-2"],
     ]
     for argv in argvs:
@@ -142,11 +142,13 @@ def test_negative_seed_exit_code(capsys, fixtures, monkeypatch):
         assert code == 2, argv
         assert captured.out == ""
         assert captured.err.startswith("error: KDUNCERT_SEED must be >= 0, got -5")
+    # witness takes no seed, so it does not read KDUNCERT_SEED
+    assert main(["witness", fixtures["zero"], fixtures["xpovm"]]) == 0
 
 
 def test_witness_cli_rejects_bad_threshold(capsys, fixtures):
     for bad in ("nan", "inf", "-0.5"):
-        code = main(["witness", fixtures["zero"], fixtures["xpovm"], "--restarts", "2", "--threshold", bad])
+        code = main(["witness", fixtures["zero"], fixtures["xpovm"], "--threshold", bad])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -154,20 +156,20 @@ def test_witness_cli_rejects_bad_threshold(capsys, fixtures):
 
 
 def test_witness_cli(capsys, fixtures, derived):
-    code, out = _run(capsys, ["witness", fixtures["zero"], fixtures["xpovm"], "--restarts", "2"])
+    code, out = _run(capsys, ["witness", fixtures["zero"], fixtures["xpovm"]])
     assert code == 0
     assert out["contextual"] is True
     fx = derived["weak_value_zero_xplus_yplus"]
     assert abs(out["witness"]["weak_value"][0] - fx[0]) < 1e-9
     assert abs(out["witness"]["weak_value"][1] - fx[1]) < 1e-9
 
-    code, out = _run(capsys, ["witness", fixtures["diag34"], fixtures["zbasis"], "--restarts", "2"])
+    code, out = _run(capsys, ["witness", fixtures["diag34"], fixtures["zbasis"]])
     assert code == 0
     assert out["contextual"] is False and out["witness"] is None
 
     code, out = _run(
         capsys,
-        ["witness", fixtures["zero"], fixtures["xpovm"], "--restarts", "2", "--threshold", "1e30"],
+        ["witness", fixtures["zero"], fixtures["xpovm"], "--threshold", "1e30"],
     )
     assert code == 0
     assert out["contextual"] is False
@@ -269,6 +271,16 @@ def test_random_cli_deterministic(capsys):
     code, pvm = _run(capsys, ["random", "pvm", "--d", "2", "--seed", "1"])
     assert code == 0
     kd.rank_one_pvm(serialize.matrix_from_json(pvm))
+
+
+def test_random_bad_dimension_exit_code(capsys):
+    for kind in ("state", "povm", "pvm"):
+        for d in ("0", "-1"):
+            code = main(["random", kind, "--d", d])
+            captured = capsys.readouterr()
+            assert code == 2, (kind, d)
+            assert captured.out == ""
+            assert captured.err == f"error: dimension must be >= 1, got {d}\n"
 
 
 def test_seed_env_var(capsys, monkeypatch):

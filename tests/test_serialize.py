@@ -62,7 +62,7 @@ def test_decomposition_json_shape():
 def test_witness_report_json_shape():
     zero = kd.validate_density([[1, 0], [0, 0]])
     x = kd.rank_one_pvm(np.array([[1, 1], [1, -1]]) / np.sqrt(2)).as_povm()
-    rep = kd.contextuality_witness(zero, x, kd.OptimizerConfig(n_restarts=2, seed=0))
+    rep = kd.contextuality_witness(zero, x)
     obj = serialize.witness_report_to_json(rep)
     assert set(obj) == {"contextual", "nre", "ncl", "witness", "flavors_agree", "threshold"}
     assert obj["flavors_agree"] is True and obj["threshold"] == 1e-7

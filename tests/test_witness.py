@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ import gen_witness_bits
 import kduncert as kd
 import kduncert.witness as witness_mod
 from conftest import HADAMARD, Y_BASIS
-
-LIGHT = kd.OptimizerConfig(n_restarts=3, seed=0)
 
 
 def _x_povm():
@@ -119,7 +119,7 @@ def test_quantum_via_weak_values_commuting_zero():
 
 def test_witness_fixture(derived):
     zero = kd.validate_density([[1, 0], [0, 0]])
-    report = kd.contextuality_witness(zero, _x_povm(), LIGHT)
+    report = kd.contextuality_witness(zero, _x_povm())
     assert report.contextual
     assert report.flavors_agree
     entry = report.witness_entry
@@ -135,16 +135,16 @@ def test_witness_fixture(derived):
 def test_witness_commuting_not_contextual():
     diag = kd.validate_density(np.diag([0.75, 0.25]))
     z = kd.rank_one_pvm(np.eye(2)).as_povm()
-    report = kd.contextuality_witness(diag, z, LIGHT)
+    report = kd.contextuality_witness(diag, z)
     assert not report.contextual
     assert report.witness_entry is None
     pure = kd.validate_density(np.diag([1.0, 0.0]))
-    assert not kd.contextuality_witness(pure, z, LIGHT).contextual
+    assert not kd.contextuality_witness(pure, z).contextual
 
 
 def test_witness_huge_threshold_never_contextual():
     zero = kd.validate_density([[1, 0], [0, 0]])
-    report = kd.contextuality_witness(zero, _x_povm(), LIGHT, threshold=1e30)
+    report = kd.contextuality_witness(zero, _x_povm(), threshold=1e30)
     assert not report.contextual
 
 
@@ -152,8 +152,8 @@ def test_witness_rejects_bad_threshold():
     zero = kd.validate_density([[1, 0], [0, 0]])
     for bad in (float("nan"), float("inf"), -float("inf"), -1e-7):
         with pytest.raises(kd.ValidationError):
-            kd.contextuality_witness(zero, _x_povm(), LIGHT, threshold=bad)
-    assert kd.contextuality_witness(zero, _x_povm(), LIGHT, threshold=0.0).contextual
+            kd.contextuality_witness(zero, _x_povm(), threshold=bad)
+    assert kd.contextuality_witness(zero, _x_povm(), threshold=0.0).contextual
 
 
 def test_witness_entries_reverify():
@@ -161,7 +161,10 @@ def test_witness_entries_reverify():
         d = 2 + i % 2
         rho = kd.random_density(d, d, seed=590 + i)
         povm = kd.random_povm(d, 2, seed=600 + i)
-        report = kd.contextuality_witness(rho, povm, kd.OptimizerConfig(n_restarts=2, seed=0))
+        report = kd.contextuality_witness(rho, povm)
+        # the config is accepted and not read
+        with_cfg = kd.contextuality_witness(rho, povm, kd.OptimizerConfig(n_restarts=1, seed=9))
+        assert gen_witness_bits.bits(with_cfg) == gen_witness_bits.bits(report)
         assert report.flavors_agree
         if report.contextual:
             entry = report.witness_entry
@@ -185,7 +188,6 @@ def _search_case(name):
 
 
 def test_witness_ncl_is_the_nonclassicality_value():
-    cfg = kd.OptimizerConfig(n_restarts=2, seed=0)
     instances = []
     for d in (1, 2, 3, 4, 6):
         for rank in sorted({1, max(1, d // 2), d}):
@@ -194,48 +196,146 @@ def test_witness_ncl_is_the_nonclassicality_value():
         lam = np.arange(d, 0, -1.0)
         instances.append((kd.validate_density((u * (lam / lam.sum())) @ u.conj().T), kd.rank_one_pvm(u).as_povm()))
     for state, povm in instances:
-        report = kd.contextuality_witness(state, povm, cfg)
+        report = kd.contextuality_witness(state, povm)
         assert report.ncl.hex() == kd.quantum_nonclassicality(state, povm).value.hex()
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    original = getattr(witness_mod, name)
+def _log_calls(monkeypatch, names):
+    log = []
+    for name in names:
+        original = getattr(witness_mod, name)
 
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+        def logging_call(*args, _name=name, _original=original, **kwargs):
+            log.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(witness_mod, name, counting)
-    return calls
+        monkeypatch.setattr(witness_mod, name, logging_call)
+    return log
 
 
 def test_witness_builds_candidates_only_when_reached(monkeypatch):
-    lazy = ("quantum_nonclassicality", "_povm_basis", "_haar")
-    calls = {name: _count_calls(monkeypatch, name) for name in lazy}
+    log = _log_calls(monkeypatch, ("weak_values", "_povm_basis", "_margins"))
     for d in (2, 3):
         state = kd.random_density(d, d, seed=730 + d)
         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d)).as_povm()
-        report = kd.contextuality_witness(state, povm, LIGHT)
+        report = kd.contextuality_witness(state, povm)
         # the first unbiased basis holds the entry, so no later candidate is built
         assert np.array_equal(report.witness_entry.basis.basis_unitary, kd.mub_bases(d)[0])
-        assert all(not c for c in calls.values())
-    state, povm, cfg, threshold = _search_case("d2-search-ncl-basis")
-    with pytest.warns(RuntimeWarning):
-        kd.contextuality_witness(state, povm, cfg, threshold=threshold)
-    assert [len(calls[name]) for name in lazy] == [1, 1, 0]
-    state, povm, cfg, threshold = _search_case("d2-search-haar")
-    with pytest.warns(RuntimeWarning):
-        kd.contextuality_witness(state, povm, cfg, threshold=threshold)
-    assert len(calls["quantum_nonclassicality"]) == 2 and len(calls["_haar"]) >= 1
+        assert log == ["weak_values"]
+        log.clear()
+    # the margin stack is built once, after every unbiased basis and lift was scanned
+    for name, n_unbiased in (("d2-search-margin-povm3", 2), ("d2-search-margin-pvm", 4)):
+        state, povm, threshold = _search_case(name)
+        with pytest.warns(RuntimeWarning):
+            kd.contextuality_witness(state, povm, threshold=threshold)
+        at = log.index("_margins")
+        assert log.count("_margins") == 1 and log.count("_povm_basis") == 1
+        assert log[:at].count("weak_values") == n_unbiased
+        assert log[at + 1:] == ["weak_values"] * (len(log) - at - 1) and len(log) > at + 1
+        log.clear()
 
 
-def test_witness_not_found_counts_every_candidate():
-    state, povm, cfg, threshold = _search_case("d2-search-not-found")
-    n_bases = len(kd.mub_bases(state.dim)) + povm.n_outcomes + cfg.n_restarts
-    assert n_bases == 7
-    with pytest.warns(RuntimeWarning), pytest.raises(kd.WitnessNotFoundError, match=f"found in {n_bases} bases"):
-        kd.contextuality_witness(state, povm, cfg, threshold=threshold)
+def _largest_margin(exc) -> float:
+    return float(re.search(r"largest margin is (\S+)", str(exc)).group(1))
+
+
+def _whitened_extremes(state, povm):
+    """Per effect, the sup over b of Im w, -Im w and -Re w, from the numerical range of rho^-1/2 M rho^1/2.
+
+    Needs a full-rank state. Returned with shape (3, n) in the margin stack's order.
+    """
+    w, v = np.linalg.eigh(state.matrix)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    out = np.empty((3, povm.n_outcomes))
+    for a, m in enumerate(povm.effects):
+        k = (m @ state.matrix - state.matrix @ m) / 2j
+        j = (m @ state.matrix + state.matrix @ m) / 2
+        im = np.linalg.eigvalsh(inv_sqrt @ k @ inv_sqrt)
+        re = np.linalg.eigvalsh(inv_sqrt @ j @ inv_sqrt)
+        out[:, a] = im[-1], -im[0], -re[0]
+    return out
+
+
+def test_margins_match_the_whitened_numerical_range():
+    # margin i is positive exactly when its kind of strange weak value exists for its effect
+    signs = set()
+    for i in range(40):
+        d = 2 + i % 3
+        state = kd.random_density(d, d, seed=760 + i)
+        povm = kd.random_povm(d, 3, seed=800 + i)
+        extremes = _whitened_extremes(state, povm).ravel()
+        for t in (0.02, 0.1, 0.3):
+            top = np.linalg.eigvalsh(witness_mod._margins(state, povm, t))[:, -1]
+            clear = np.abs(extremes - t) > 1e-9
+            assert np.array_equal((top > 0)[clear], (extremes > t)[clear])
+            signs.update(zip(top > 0, range(3 * povm.n_outcomes)))
+    # every margin of the stack is seen both positive and not
+    assert len(signs) == 2 * 9
+
+
+def test_witness_not_found_is_a_certificate():
+    state, povm, threshold = _search_case("d2-search-not-found")
+    with pytest.warns(RuntimeWarning), pytest.raises(kd.WitnessNotFoundError, match="no basis holds") as exc:
+        kd.contextuality_witness(state, povm, threshold=threshold)
+    assert -2e-3 < _largest_margin(exc.value) <= 0
+    # the whitened closed form agrees: no weak value is strange at this threshold
+    assert 0.04 < _whitened_extremes(state, povm).max() <= threshold
+
+
+def test_witness_positive_margin_without_scannable_entry(monkeypatch):
+    # with the probability floor above 1 no entry can be scanned, although a margin is positive
+    monkeypatch.setattr(witness_mod, "_SCAN_PROB_MIN", 2.0)
+    state, povm, threshold = _search_case("d2-search-margin-povm3")
+    with pytest.warns(RuntimeWarning), pytest.raises(kd.WitnessNotFoundError, match="> 0, but no entry") as exc:
+        kd.contextuality_witness(state, povm, threshold=threshold)
+    assert _largest_margin(exc.value) > 0
+
+
+def _no_strange_entry_in_haar_bases(state, povm, threshold, seed, n=200):
+    for r in range(n):
+        basis = kd.rank_one_pvm(kd.haar_random_unitary(state.dim, seed=[seed, r]))
+        table = kd.weak_values(state, povm, basis)
+        w = table.values[:, ~table.undefined_mask]
+        if (np.abs(w.imag) > threshold).any() or (w.real < -threshold).any():
+            return False
+    return True
+
+
+def test_witness_margin_sweep():
+    ends = {"mub": 0, "margin": 0, "none": 0}
+    for d in (2, 3, 4, 5):
+        for rank in sorted({1, 2, d}):
+            for t in (0.05, 0.3):
+                for k in range(30):
+                    seed = 10000 + 1000 * d + 100 * rank + int(t * 100) + k
+                    state = kd.random_density(d, rank, seed=seed)
+                    if k % 2:
+                        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1)).as_povm()
+                    else:
+                        povm = kd.random_povm(d, 3, seed=seed + 1)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        try:
+                            report = kd.contextuality_witness(state, povm, threshold=t)
+                        except kd.WitnessNotFoundError as exc:
+                            assert _largest_margin(exc) <= 0, exc
+                            assert _no_strange_entry_in_haar_bases(state, povm, t, seed)
+                            ends["none"] += 1
+                            continue
+                    entry = report.witness_entry
+                    if entry is None:
+                        continue
+                    a = povm.labels.index(entry.a)
+                    table = kd.weak_values(state, povm, entry.basis)
+                    again = complex(table.values[a, entry.b])
+                    assert again == entry.weak_value
+                    assert abs(again.imag) > t or again.real < -t
+                    assert table.postselect_probs[entry.b] >= witness_mod._SCAN_PROB_MIN
+                    unbiased = [b.basis_unitary for b in witness_mod._unbiased_bases(state, povm)]
+                    in_unbiased = any(np.array_equal(entry.basis.basis_unitary, u) for u in unbiased)
+                    ends["mub" if in_unbiased else "margin"] += 1
+    # every end of the scan occurs in the sweep
+    assert min(ends.values()) > 0, ends
 
 
 def test_lueders_update():
