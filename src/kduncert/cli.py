@@ -21,9 +21,7 @@ from . import serialize
 from .core import Povm, RankOnePvm, _povm_basis, haar_random_unitary, random_density, random_povm, rank_one_pvm
 from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from .kdtable import kd_table, table_nonclassicality, table_nonreality
-from .selftest import run_selftest
 from .uncertainty import (
-    Flavor,
     bound_asymmetry,
     decompose,
     infimum_total,
@@ -191,6 +189,8 @@ def _parse_dims(text: str) -> tuple:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # imported here: no other subcommand needs the property suite
+
     dims = _parse_dims(args.dims)
     if args.samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")

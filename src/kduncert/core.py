@@ -8,7 +8,8 @@ seeds, never shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,10 +64,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite list of PSD effects resolving the identity."""
+    """Finite list of PSD effects resolving the identity.
+
+    stack holds the effects as one read-only array of shape
+    (n_outcomes, d, d), built once at construction so that every stacked
+    computation over the effects reuses it.
+    """
 
     effects: tuple
     labels: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stack", _frozen(np.stack(self.effects)))
 
     @property
     def dim(self) -> int:
@@ -351,7 +361,9 @@ def mub_bases(d: int) -> list:
     """Bases mutually unbiased to the computational basis (and to each other for prime d).
 
     For prime d this is the standard quadratic-phase Fourier family; for
-    composite d only the plain Fourier basis is returned.
+    composite d only the plain Fourier basis is returned. Each call builds
+    fresh writable arrays; the witness reads them, frozen, from the
+    per-dimension cache _mubs instead.
     """
     f = fourier_matrix(d)
     if d == 2:
@@ -360,3 +372,9 @@ def mub_bases(d: int) -> list:
         return [f]
     m = np.arange(d)
     return [np.diag(np.exp(2j * np.pi * k * m * m / d)) @ f for k in range(d)]
+
+
+@functools.lru_cache(maxsize=16)  # bounded: a prime d holds d bases of size d x d
+def _mubs(d: int) -> tuple:
+    """mub_bases(d) as a tuple of read-only arrays, built once per dimension."""
+    return tuple(_frozen(u) for u in mub_bases(d))

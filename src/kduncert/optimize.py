@@ -14,9 +14,11 @@ values, from singular values alone (svd with compute_uv=False, whose
 values can differ in the last bit from those of a full svd), and
 _attaining_bases gives a basis attaining each supremum. The nonreality
 part reads the trace norms of the stacked commutators; the
-nonclassicality part (_ncl_value for the value alone) and
-sup_over_pvm(k_op) also return the attaining bases. No function here takes
-a search configuration.
+nonclassicality part and sup_over_pvm(k_op) also return the attaining
+bases. _quantum_parts gives both values alone from one _trace_norms call
+on the commutators and the products M^a rho stacked together, with the
+same bits as the two separate calls. No function here takes a search
+configuration.
 
 No path searches either. OptimizerConfig is kept, with its two validated
 fields, only because callers still pass one to contextuality_witness, which
@@ -156,7 +158,7 @@ def quantum_nonreality(state: DensityMatrix, povm: Povm) -> float:
     over rank-1 PVMs. No optimization is involved.
     """
     _check_dims(state, povm)
-    return sum(0.5 * t for t in _trace_norms(commutator(np.stack(povm.effects), state.matrix)).tolist())
+    return sum(0.5 * t for t in _trace_norms(commutator(povm.stack, state.matrix)).tolist())
 
 
 def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
@@ -166,15 +168,10 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
     K = M^a rho, and per_effect_bases holds a basis attaining it. A total
     within NEGATIVE_CLAMP below zero is reported as 0.
     """
-    res = _sum_over_effects(_ncl_operators(state, povm))
+    _check_dims(state, povm)
+    res = _sum_over_effects(povm.stack @ state.matrix)
     total = _ncl_total(res.per_effect_values)
     return replace(res, value=total, per_restart_values=(total,))
-
-
-def _ncl_operators(state: DensityMatrix, povm: Povm) -> np.ndarray:
-    """The stack of M^a rho, shape (n_outcomes, d, d)."""
-    _check_dims(state, povm)
-    return np.stack(povm.effects) @ state.matrix
 
 
 def _ncl_total(norms) -> float:
@@ -185,7 +182,12 @@ def _ncl_total(norms) -> float:
     return total
 
 
-def _ncl_value(state: DensityMatrix, povm: Povm) -> float:
-    """quantum_nonclassicality(state, povm).value without building the attaining bases."""
-    return _ncl_total(_trace_norms(_ncl_operators(state, povm)).tolist())
+def _quantum_parts(state: DensityMatrix, povm: Povm) -> tuple:
+    """(quantum_nonreality, quantum_nonclassicality(...).value) from one svd, without attaining bases."""
+    _check_dims(state, povm)
+    rho, m = state.matrix, povm.stack
+    m_rho = m @ rho
+    norms = _trace_norms(np.concatenate([m_rho - rho @ m, m_rho])).tolist()
+    n = povm.n_outcomes
+    return sum(0.5 * t for t in norms[:n]), _ncl_total(norms[n:])
 

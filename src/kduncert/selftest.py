@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
-    _pvm_unchecked,
     commutator,
     haar_random_unitary,
     operator_sqrt,
@@ -40,8 +39,6 @@ from .uncertainty import (
     bound_asymmetry,
     coarse_grain,
     decompose,
-    impurity_s,
-    impurity_t,
     infimum_total,
     outcome_probs,
     s_entropy,

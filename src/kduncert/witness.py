@@ -2,10 +2,10 @@
 
 A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
-variable model. The witness first scans the canonical unbiased bases and
-their lifts by the measurement basis (when the POVM is a rank-1 PVM), each
-built only when the scan reaches it, so a verdict whose entry sits in the
-first unbiased basis never builds the others.
+variable model. The witness first scans the canonical unbiased bases, read
+from a per-dimension cache, and their lifts by the measurement basis (when
+the POVM is a rank-1 PVM), each lift built only when the scan reaches it,
+so a verdict whose entry sits in an unbiased basis builds no lift.
 
 When those hold no strange entry the rest is a closed form. For a unit
 postselection vector b with Pr(b) = <b|rho|b> > 0 the weak value of M^a has
@@ -32,17 +32,17 @@ from .core import (
     DensityMatrix,
     Povm,
     RankOnePvm,
+    _mubs,
     _povm_basis,
     _pvm_unchecked,
     as_operator,
     herm_deviation,
-    mub_bases,
     trace_norm,
     validate_density,
 )
 from .errors import DimMismatchError, NotProjectorError, ValidationError, WitnessNotFoundError
 from .kdtable import lueders_state
-from .optimize import _ncl_value, quantum_nonreality
+from .optimize import _quantum_parts
 
 UNDEFINED_PROB = 1e-12
 DEFAULT_THRESHOLD = 1e-7
@@ -96,7 +96,7 @@ def weak_values(state: DensityMatrix, povm: Povm, basis: RankOnePvm) -> WeakValu
     probs = np.einsum("ib,ib->b", u.conj(), rho_u).real
     probs = np.clip(probs, 0.0, None)
     mask = probs <= UNDEFINED_PROB
-    numer = np.einsum("ib,aij,jb->ab", u.conj(), np.stack(povm.effects), rho_u)
+    numer = np.einsum("ib,aij,jb->ab", u.conj(), povm.stack, rho_u)
     values = np.zeros((povm.n_outcomes, d), dtype=complex)
     np.divide(numer, probs, out=values, where=~mask)
     return WeakValueTable(values=values, postselect_probs=probs, undefined_mask=mask)
@@ -137,9 +137,10 @@ def _unbiased_bases(state: DensityMatrix, povm: Povm):
     The lifts exist only when the POVM is a rank-1 PVM. The maximizing
     basis is determined only up to a degenerate attainment set, so scanning
     a fixed catalog first makes the reported entry deterministic and
-    reproducible.
+    reproducible. The unbiased bases come from the per-dimension cache of
+    _mubs, so a call builds none of them.
     """
-    mubs = mub_bases(state.dim)
+    mubs = _mubs(state.dim)
     for u in mubs:
         yield _pvm_unchecked(u)
     basis_u = _povm_basis(povm)
@@ -151,8 +152,7 @@ def _unbiased_bases(state: DensityMatrix, povm: Povm):
 def _margins(state: DensityMatrix, povm: Povm, threshold: float) -> np.ndarray:
     """The stack K_a - t rho, then -K_a - t rho, then -J_a - t rho over the effects, shape (3n, d, d)."""
     rho = state.matrix
-    m = np.stack(povm.effects)
-    m_rho, rho_m = m @ rho, rho @ m
+    m_rho, rho_m = povm.stack @ rho, rho @ povm.stack
     k = (m_rho - rho_m) / 2j
     j = 0.5 * (m_rho + rho_m)
     return np.concatenate([k, -k, -j]) - threshold * rho
@@ -202,8 +202,7 @@ def contextuality_witness(
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
-    nre = quantum_nonreality(state, povm)
-    ncl = _ncl_value(state, povm)
+    nre, ncl = _quantum_parts(state, povm)
     contextual = nre > threshold
     agree = contextual == (ncl > threshold)
     if not agree:

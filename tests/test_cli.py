@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -403,3 +406,10 @@ def test_bounds_above_corner_cap_exit_code(capsys, fixtures):
         assert f"d <= {CORNER_SCAN_MAX_DIM}, got d = {d}" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kd.__file__)))
+    code = "import sys, kduncert.cli; print('kduncert.selftest' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kduncert as kd
+from kduncert.core import _mubs
 from conftest import PAULI_X, PAULI_Y
 
 
@@ -207,3 +208,32 @@ def test_immutability():
     rho = kd.random_density(2, 2, seed=1)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
+
+
+def test_povm_stack_is_read_only_effect_stack():
+    povms = [
+        kd.random_povm(3, 4, seed=5),
+        kd.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+        kd.rank_one_pvm(kd.haar_random_unitary(3, seed=6)).as_povm(),
+        kd.coarse_grain(kd.random_povm(3, 4, seed=7), [(0, 1), (2, 3)]),
+    ]
+    for povm in povms:
+        assert povm.stack.shape == (povm.n_outcomes, povm.dim, povm.dim)
+        assert np.array_equal(povm.stack, np.stack(povm.effects))
+        assert not povm.stack.flags.writeable
+        with pytest.raises(ValueError):
+            povm.stack[0, 0, 0] = 2.0
+
+
+def test_mub_cache_is_read_only_and_public_bases_are_copies():
+    for d in (1, 2, 3, 4, 5):
+        cached = _mubs(d)
+        assert _mubs(d) is cached
+        assert all(not u.flags.writeable for u in cached)
+        public = kd.mub_bases(d)
+        assert len(public) == len(cached)
+        for u, c in zip(public, cached):
+            assert u.flags.writeable and u is not c
+            assert np.array_equal(u, c)
+            u[0, 0] = 7.0
+        assert all(np.array_equal(u, c) for u, c in zip(kd.mub_bases(d), cached))

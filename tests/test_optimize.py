@@ -7,6 +7,7 @@ import pytest
 
 import gen_ncl_bits
 import kduncert as kd
+from kduncert.optimize import _quantum_parts
 from conftest import HADAMARD, PAULI_X
 from oracles import brute_force_sup_qubit
 
@@ -287,3 +288,20 @@ def test_coarse_graining_monotone():
         povm = kd.random_povm(d, 4, seed=300 + i)
         merged = kd.coarse_grain(povm, [(0, 1), (2, 3)])
         assert kd.quantum_nonreality(rho, merged) <= kd.quantum_nonreality(rho, povm) + 1e-6
+
+
+def _haar_pvm(d, seed):
+    return kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed)).as_povm()
+
+
+def test_quantum_parts_bit_exact():
+    # the witness's one-svd path gives the same bits as the two public calls
+    seed = 0
+    for d in range(1, 17):
+        for rank in sorted({1, min(2, d), d}):
+            for n in (1, 2, 3, d + 2):
+                seed += 1
+                rho = kd.random_density(d, rank, seed=seed)
+                for povm in (kd.random_povm(d, n, seed=1000 + seed), _haar_pvm(d, 2000 + seed)):
+                    expected = (kd.quantum_nonreality(rho, povm), kd.quantum_nonclassicality(rho, povm).value)
+                    assert _quantum_parts(rho, povm) == expected, (d, rank, n)
