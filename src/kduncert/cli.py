@@ -195,9 +195,7 @@ def cmd_selftest(args) -> int:
     if args.samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     seed = _seed(args)
-    passed, results = run_selftest(
-        dims=dims, samples=args.samples, seed=seed, inject_failure=args.inject_failure
-    )
+    passed, results = run_selftest(dims=dims, samples=args.samples, seed=seed)
     for r in results:
         sys.stderr.write(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}\n")
     out = {
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the full property suite")
     p.add_argument("--dims", default="2,3,4")
     p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--inject-failure", default=None, help=argparse.SUPPRESS)
     add_common(p)
     add_seed(p)
     p.set_defaults(fn=cmd_selftest)

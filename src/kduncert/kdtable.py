@@ -3,7 +3,8 @@
 The table entry at (a, b) is Tr{M^b M^a rho}: a complex joint quasi-
 distribution with correct marginals that may go nonreal or negative when
 the three operators fail to commute. Entries are kept raw; nothing is
-rounded to real inside the table, so supremum searches see exact values.
+rounded to real inside the table, so the quantumness functionals read
+exact values.
 """
 
 from __future__ import annotations
@@ -90,16 +91,18 @@ def table_nonreality(t: KdTable) -> float:
     return float(np.abs(t.values.imag).sum())
 
 
+def _clamp_nonclassicality(v: float) -> float:
+    """v, or 0 for v in [-NONCLASSICALITY_CLAMP, 0): a nonclassicality is nonnegative, so that is roundoff."""
+    return 0.0 if -NONCLASSICALITY_CLAMP <= v < 0.0 else v
+
+
 def table_nonclassicality(t: KdTable) -> float:
     """Sum of entry moduli minus one; zero iff the table is a genuine distribution.
 
     Values in [-NONCLASSICALITY_CLAMP, 0) are clamped to 0; they are roundoff,
     since normalization makes the quantity nonnegative.
     """
-    v = float(np.abs(t.values).sum()) - 1.0
-    if -NONCLASSICALITY_CLAMP <= v < 0.0:
-        return 0.0
-    return v
+    return _clamp_nonclassicality(float(np.abs(t.values).sum()) - 1.0)
 
 
 def lueders_state(rho: np.ndarray, projector: np.ndarray) -> np.ndarray:

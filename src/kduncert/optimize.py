@@ -28,14 +28,13 @@ accepts it and does not read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, commutator
 from .errors import DimMismatchError, ValidationError
-
-NEGATIVE_CLAMP = 1e-9
+from .kdtable import _clamp_nonclassicality
 
 
 @dataclass(frozen=True)
@@ -128,22 +127,6 @@ def sup_over_pvm(k_op) -> SupremumResult:
     )
 
 
-def _sum_over_effects(k_ops: np.ndarray) -> SupremumResult:
-    """Per-effect suprema of sum_b |<b|K_a|b>| over a stack K of shape (n, d, d), summed in effect order."""
-    values = tuple(_trace_norms(k_ops).tolist())
-    bases = tuple(_pvm_unchecked(u) for u in _attaining_bases(k_ops))
-    value = float(sum(values))
-    return SupremumResult(
-        value=value,
-        best_basis=bases[int(np.argmax(values))],
-        per_restart_values=(value,),
-        converged=True,
-        iterations_used=1,
-        per_effect_values=values,
-        per_effect_bases=bases,
-    )
-
-
 def _check_dims(state: DensityMatrix, povm: Povm):
     if state.dim != povm.dim:
         raise DimMismatchError(f"state dim {state.dim} != POVM dim {povm.dim}")
@@ -166,20 +149,27 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
 
     Each per-effect supremum over rank-1 PVM bases is the trace norm of
     K = M^a rho, and per_effect_bases holds a basis attaining it. A total
-    within NEGATIVE_CLAMP below zero is reported as 0.
+    within NONCLASSICALITY_CLAMP below zero is reported as 0.
     """
     _check_dims(state, povm)
-    res = _sum_over_effects(povm.stack @ state.matrix)
-    total = _ncl_total(res.per_effect_values)
-    return replace(res, value=total, per_restart_values=(total,))
+    k_ops = povm.stack @ state.matrix
+    values = tuple(_trace_norms(k_ops).tolist())
+    bases = tuple(_pvm_unchecked(u) for u in _attaining_bases(k_ops))
+    total = _ncl_total(values)
+    return SupremumResult(
+        value=total,
+        best_basis=bases[int(np.argmax(values))],
+        per_restart_values=(total,),
+        converged=True,
+        iterations_used=1,
+        per_effect_values=values,
+        per_effect_bases=bases,
+    )
 
 
 def _ncl_total(norms) -> float:
-    """sum_a ||M^a rho||_1 - 1 in effect order; a total within NEGATIVE_CLAMP below zero reads 0."""
-    total = sum(norms) - 1.0
-    if -NEGATIVE_CLAMP <= total < 0.0:
-        total = 0.0
-    return total
+    """sum_a ||M^a rho||_1 - 1 in effect order, roundoff below zero clamped (kdtable._clamp_nonclassicality)."""
+    return _clamp_nonclassicality(sum(norms) - 1.0)
 
 
 def _quantum_parts(state: DensityMatrix, povm: Povm) -> tuple:

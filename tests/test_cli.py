@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kduncert as kd
-from kduncert import serialize
+from kduncert import selftest, serialize
 from kduncert.cli import main
 from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
 from conftest import HADAMARD, Y_BASIS
@@ -331,7 +331,7 @@ def test_output_file(capsys, fixtures, tmp_path):
     json.loads(out_path.read_text())
 
 
-def test_selftest_smoke_and_injection(capsys):
+def test_selftest_smoke_and_injection(capsys, monkeypatch):
     code = main(["selftest", "--dims", "2", "--samples", "1"])
     err = capsys.readouterr()
     assert code == 0
@@ -339,9 +339,15 @@ def test_selftest_smoke_and_injection(capsys):
     assert out["passed"] is True
     assert len(out["results"]) >= 30
 
-    code = main(
-        ["selftest", "--dims", "2", "--samples", "1", "--inject-failure", "kd.marginals"]
+    def broken(dims, samples, seed):
+        raise selftest.PropertyFailure("injected failure")
+
+    monkeypatch.setattr(
+        selftest,
+        "PROPERTIES",
+        tuple((name, broken if name == "kd.marginals" else fn) for name, fn in selftest.PROPERTIES),
     )
+    code = main(["selftest", "--dims", "2", "--samples", "1"])
     captured = capsys.readouterr()
     assert code == 1
     out = json.loads(captured.out)

@@ -264,6 +264,12 @@ def test_selftest_pure_pvm_equality_gap_at_d1():
     assert gap <= 2**-52
 
 
+def test_selftest_passes_at_larger_dims_and_other_seeds():
+    for seed in (1, 2, 3):
+        passed, results = run_selftest(dims=(5, 6), samples=4, seed=seed)
+        assert passed, (seed, [(r.name, r.detail) for r in results if not r.ok])
+
+
 def test_decomposition_invariants_random():
     for i in range(10):
         d = 2 + i % 2
