@@ -2,8 +2,11 @@
 
 Operators are plain complex numpy arrays; the dataclasses below wrap them
 with validated invariants (Hermiticity, positivity, completeness, unitarity)
-and are immutable after construction. All randomness is driven by explicit
-seeds, never shared state.
+and are immutable after construction. A POVM is one read-only stack of its
+effects, shape (n_outcomes, d, d), and every computation over its effects
+runs on that stack; only the draws in random_povm loop over effects, to
+keep the seeded order. All randomness is driven by explicit seeds, never
+shared state.
 """
 
 from __future__ import annotations
@@ -62,29 +65,32 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite list of PSD effects resolving the identity.
+    """Finite set of PSD effects resolving the identity, held as one stack.
 
-    stack holds the effects as one read-only array of shape
-    (n_outcomes, d, d), built once at construction so that every stacked
-    computation over the effects reuses it.
+    stack is the only representation: one read-only array of shape
+    (n_outcomes, d, d), frozen at construction. effects is the tuple of its
+    rows, read-only views that share its memory. Two Povm objects compare
+    equal only when they are the same object.
     """
 
-    effects: tuple
+    stack: np.ndarray
     labels: tuple
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    effects: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stack", _frozen(np.stack(self.effects)))
+        stack = _frozen(self.stack)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "effects", tuple(stack))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return self.stack.shape[0]
 
 
 @dataclass(frozen=True)
@@ -104,13 +110,13 @@ class RankOnePvm:
         v = self.basis_unitary[:, b]
         return np.outer(v, v.conj())
 
-    def projectors(self) -> list:
-        return [self.projector(b) for b in range(self.dim)]
+    def projectors(self) -> np.ndarray:
+        """The stack of projectors |b><b|, shape (d, d, d), element b first."""
+        u = self.basis_unitary.T
+        return u[:, :, None] * u.conj()[:, None, :]
 
     def as_povm(self) -> Povm:
-        effects = tuple(_frozen(p) for p in self.projectors())
-        labels = tuple(str(b) for b in range(self.dim))
-        return Povm(effects=effects, labels=labels)
+        return Povm(stack=self.projectors(), labels=tuple(str(b) for b in range(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -137,22 +143,29 @@ def validate_density(m) -> DensityMatrix:
 
 
 def validate_povm(effects, labels=None) -> Povm:
-    """Validate each effect (Hermitian PSD) and completeness; return a Povm."""
+    """Validate each effect (Hermitian PSD) and completeness; return a Povm.
+
+    The first failing effect names the error, Hermiticity before PSD, and an
+    effect of another dimension fails only if every effect before it passes.
+    """
     if len(effects) == 0:
         raise ValidationError("a POVM needs at least one effect")
     ops = [as_operator(e) for e in effects]
     d = ops[0].shape[0]
-    for i, e in enumerate(ops):
-        if e.shape[0] != d:
-            raise DimMismatchError(f"effect {i} has dim {e.shape[0]}, expected {d}")
-        dev = herm_deviation(e)
-        if dev > HERM_ATOL:
-            raise EffectNotPsdError(f"effect {i} is not Hermitian: deviation {dev:.3e}")
-        w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
-        if w[0] < -HERM_ATOL:
-            raise EffectNotPsdError(f"effect {i} is not PSD: min eigenvalue {w[0]:.3e}")
-    total = sum(ops)
-    dev = float(np.abs(total - np.eye(d)).max())
+    n = next((i for i, e in enumerate(ops) if e.shape[0] != d), len(ops))
+    stack = np.stack(ops[:n])
+    adjoint = stack.conj().swapaxes(-1, -2)
+    devs = np.abs(stack - adjoint).max(axis=(1, 2))
+    mins = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    bad = (devs > HERM_ATOL) | (mins < -HERM_ATOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if devs[i] > HERM_ATOL:
+            raise EffectNotPsdError(f"effect {i} is not Hermitian: deviation {devs[i]:.3e}")
+        raise EffectNotPsdError(f"effect {i} is not PSD: min eigenvalue {mins[i]:.3e}")
+    if n < len(ops):
+        raise DimMismatchError(f"effect {n} has dim {ops[n].shape[0]}, expected {d}")
+    dev = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
     if dev > COMPLETENESS_ATOL:
         raise IncompleteSumError(f"effects do not resolve identity: max |sum - I| = {dev:.3e}")
     if labels is None:
@@ -161,7 +174,7 @@ def validate_povm(effects, labels=None) -> Povm:
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(ops):
             raise ValidationError(f"{len(labels)} labels for {len(ops)} effects")
-    return Povm(effects=tuple(_frozen(e) for e in ops), labels=labels)
+    return Povm(stack=stack, labels=labels)
 
 
 def rank_one_pvm(u) -> RankOnePvm:
@@ -189,15 +202,10 @@ def _povm_basis(povm: Povm):
     d = povm.dim
     if povm.n_outcomes != d:
         return None
-    cols = []
-    for e in povm.effects:
-        w, v = np.linalg.eigh(e)
-        if abs(w[-1] - 1.0) > 1e-8:
-            return None
-        if d > 1 and abs(w[-2]) > 1e-8:
-            return None
-        cols.append(v[:, -1])
-    u = np.column_stack(cols)
+    w, v = np.linalg.eigh(povm.stack)
+    if np.abs(w[:, -1] - 1.0).max() > 1e-8 or (d > 1 and np.abs(w[:, -2]).max() > 1e-8):
+        return None
+    u = v[:, :, -1].T.copy()
     if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-8:
         return None
     return u
@@ -314,8 +322,7 @@ def random_povm(d: int, n_outcomes: int, seed) -> Povm:
     if w[0] < 1e-12:
         raise SingularSumError(f"effect sum is singular: min eigenvalue {w[0]:.3e}")
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    effects = [inv_sqrt @ a @ inv_sqrt for a in draws]
-    return validate_povm(effects)
+    return validate_povm(inv_sqrt @ np.stack(draws) @ inv_sqrt)
 
 
 def tensor(a, b) -> np.ndarray:

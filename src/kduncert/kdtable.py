@@ -4,7 +4,9 @@ The table entry at (a, b) is Tr{M^b M^a rho}: a complex joint quasi-
 distribution with correct marginals that may go nonreal or negative when
 the three operators fail to commute. Entries are kept raw; nothing is
 rounded to real inside the table, so the quantumness functionals read
-exact values.
+exact values. Each measurement enters as one stack of effects (a Povm's
+stack, or the projector stack of a rank-1 PVM), and the table is one
+batched product over the (a, b) pairs.
 """
 
 from __future__ import annotations
@@ -59,30 +61,25 @@ class JohansenComponents:
         return self.projected + self.real_shift + self.imag_part
 
 
-def _as_effects(measurement) -> tuple:
+def _as_stack(measurement) -> np.ndarray:
     if isinstance(measurement, RankOnePvm):
-        return tuple(measurement.projectors())
+        return measurement.projectors()
     if isinstance(measurement, Povm):
-        return measurement.effects
+        return measurement.stack
     raise TypeError(f"expected Povm or RankOnePvm, got {type(measurement).__name__}")
 
 
 def kd_table(state: DensityMatrix, first, second) -> KdTable:
-    """Quasiprobability table values(a, b) = Tr{M^b M^a rho}."""
-    first_effects = _as_effects(first)
-    second_effects = _as_effects(second)
+    """Quasiprobability table values(a, b) = Tr{M^b M^a rho}, each M^a rho taken once."""
+    first_stack = _as_stack(first)
+    second_stack = _as_stack(second)
     d = state.dim
-    if first_effects[0].shape[0] != d or second_effects[0].shape[0] != d:
+    if first_stack.shape[1] != d or second_stack.shape[1] != d:
         raise DimMismatchError(
-            f"state dim {d} vs measurements "
-            f"{first_effects[0].shape[0]}, {second_effects[0].shape[0]}"
+            f"state dim {d} vs measurements {first_stack.shape[1]}, {second_stack.shape[1]}"
         )
-    rho = state.matrix
-    values = np.empty((len(first_effects), len(second_effects)), dtype=complex)
-    for a, ma in enumerate(first_effects):
-        ma_rho = ma @ rho
-        for b, mb in enumerate(second_effects):
-            values[a, b] = np.trace(mb @ ma_rho)
+    ma_rho = first_stack @ state.matrix
+    values = np.trace(second_stack @ ma_rho[:, None], axis1=-2, axis2=-1)
     return KdTable(values=values, state_dim=d)
 
 
@@ -121,7 +118,8 @@ def johansen_components(state: DensityMatrix, first: RankOnePvm, second: RankOne
     with rho_a the Lueders update of rho by Pi^a and R_a = exp(-i Pi^a pi/2)
     computed exactly via exp(i theta P) = I + (e^{i theta} - 1) P. The imaginary
     part's rotation direction is fixed by requiring the three terms to sum to
-    Tr{Pi^b Pi^a rho} exactly.
+    Tr{Pi^b Pi^a rho} exactly. Row a is one batched product over the
+    projector stack of the second basis, so temporaries stay (d, d, d).
     """
     d = state.dim
     if first.dim != d or second.dim != d:
@@ -131,17 +129,15 @@ def johansen_components(state: DensityMatrix, first: RankOnePvm, second: RankOne
     projected = np.empty((d, d))
     real_shift = np.empty((d, d))
     imag_part = np.empty((d, d), dtype=complex)
-    second_projs = second.projectors()
+    pb = second.projectors()
     for a in range(d):
         pa = first.projector(a)
         rho_a = lueders_state(rho, pa)
         delta = rho - rho_a
         rot = eye + (np.exp(-0.5j * np.pi) - 1.0) * pa
-        for b, pb in enumerate(second_projs):
-            projected[a, b] = np.trace(pb @ pa @ rho @ pa).real
-            real_shift[a, b] = 0.5 * np.trace(delta @ pb).real
-            pb_rot = rot @ pb @ rot.conj().T
-            imag_part[a, b] = -0.5j * np.trace(delta @ pb_rot).real
+        projected[a] = np.trace(pb @ pa @ rho @ pa, axis1=1, axis2=2).real
+        real_shift[a] = 0.5 * np.trace(delta @ pb, axis1=1, axis2=2).real
+        imag_part[a] = -0.5j * np.trace(delta @ (rot @ pb @ rot.conj().T), axis1=1, axis2=2).real
     return JohansenComponents(
         projected=projected, real_shift=real_shift, imag_part=imag_part
     )

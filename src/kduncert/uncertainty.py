@@ -20,6 +20,7 @@ from .core import (
     DensityMatrix,
     Povm,
     RankOnePvm,
+    rank_one_pvm,
     validate_povm,
 )
 from .errors import BadDistributionError, BadPartitionError, DimMismatchError, KdUncertError, ValidationError
@@ -61,19 +62,10 @@ class Decomposition:
 
 
 def outcome_probs(state: DensityMatrix, povm: Povm) -> list:
-    """Born probabilities p_a = Tr{M^a rho}, clamped to [0, 1]."""
+    """Born probabilities p_a = Tr{M^a rho}, range- and sum-checked by _check_probs, clamped to [0, 1]."""
     if state.dim != povm.dim:
         raise DimMismatchError(f"state dim {state.dim} != POVM dim {povm.dim}")
-    probs = []
-    for m in povm.effects:
-        p = float(np.trace(m @ state.matrix).real)
-        if p < -1e-10 or p > 1.0 + 1e-10:
-            raise BadDistributionError(f"probability {p:.12g} outside [0, 1]")
-        probs.append(min(max(p, 0.0), 1.0))
-    total = sum(probs)
-    if abs(total - 1.0) > PROB_ATOL:
-        raise BadDistributionError(f"probabilities sum to {total:.12g}")
-    return probs
+    return _check_probs(np.trace(povm.stack @ state.matrix, axis1=1, axis2=2).real.tolist())
 
 
 def _check_probs(probs):
@@ -168,9 +160,7 @@ def infimum_total(state: DensityMatrix, flavor: Flavor):
     effects can suppress outcome entropy trivially, down to zero for the
     single-outcome measurement {I}.
     """
-    w, v = np.linalg.eigh(state.matrix)
-    effects = [np.outer(v[:, j], v[:, j].conj()) for j in range(state.dim)]
-    achieving = validate_povm(effects)
+    achieving = rank_one_pvm(np.linalg.eigh(state.matrix)[1]).as_povm()
     value = impurity_s(state) if flavor is Flavor.NRE else impurity_t(state)
     achieved = total_uncertainty(state, achieving, flavor)
     # sqrt amplifies machine-eps probability noise to ~1.5e-8 when an
@@ -187,19 +177,19 @@ def infimum_total(state: DensityMatrix, flavor: Flavor):
 
 
 def coarse_grain(povm: Povm, partition) -> Povm:
-    """Merge effects over a disjoint partition of the outcome indices."""
+    """Merge effects over a disjoint partition of the outcome indices; every block must be non-empty."""
     blocks = [tuple(int(i) for i in block) for block in partition]
     seen = sorted(i for block in blocks for i in block)
     if seen != list(range(povm.n_outcomes)):
         raise BadPartitionError(
             f"partition {blocks} does not cover indices 0..{povm.n_outcomes - 1} exactly once"
         )
-    effects = []
-    labels = []
-    for block in blocks:
-        effects.append(np.sum([povm.effects[i] for i in block], axis=0))
-        labels.append("+".join(povm.labels[i] for i in block))
-    return validate_povm(effects, labels)
+    if not all(blocks):
+        raise BadPartitionError(f"partition {blocks} has an empty block")
+    effects = povm.stack[[block[0] for block in blocks]]  # then the rest of each block, left to right
+    owners = [k for k, block in enumerate(blocks) for _ in block[1:]]
+    np.add.at(effects, owners, povm.stack[[i for block in blocks for i in block[1:]]])
+    return validate_povm(effects, ["+".join(povm.labels[i] for i in block) for block in blocks])
 
 
 def _sign_corners(d: int) -> np.ndarray:

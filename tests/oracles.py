@@ -5,7 +5,10 @@ matrix products, Bloch-sphere grid scans (with a golden-section refinement
 in brute_force_sup_qubit), and corner enumeration (pure Python for qubits;
 for the d x d commutator bounds, one dense numpy commutator per sign
 corner). Nothing here calls into the package, so agreement between these
-values and the library is a genuine cross-check.
+values and the library is a genuine cross-check. The *_loop functions keep
+the one-effect-at-a-time forms of kd_table, johansen_components and
+outcome_probs, with the library's order of operations, so the stacked
+library paths can be pinned to them bit for bit.
 """
 
 import cmath
@@ -250,3 +253,47 @@ def weak_value(rho, effect, postselect):
     numer = expectation(postselect, matmul2(effect, rho))
     denom = expectation(postselect, rho).real
     return numer / denom
+
+
+def kd_table_loop(rho, first_effects, second_effects):
+    """Tr{M^b M^a rho} as a complex (n_a, n_b) array, one trace per (a, b) pair."""
+    values = np.empty((len(first_effects), len(second_effects)), dtype=complex)
+    for a, ma in enumerate(first_effects):
+        ma_rho = ma @ rho
+        for b, mb in enumerate(second_effects):
+            values[a, b] = np.trace(mb @ ma_rho)
+    return values
+
+
+def johansen_loop(rho, first_u, second_u):
+    """(projected, real_shift, imag_part) over the column bases of two unitaries, one (a, b) pair at a time."""
+    d = rho.shape[0]
+    eye = np.eye(d)
+    projected = np.empty((d, d))
+    real_shift = np.empty((d, d))
+    imag_part = np.empty((d, d), dtype=complex)
+    second_projs = [np.outer(second_u[:, b], second_u[:, b].conj()) for b in range(d)]
+    for a in range(d):
+        pa = np.outer(first_u[:, a], first_u[:, a].conj())
+        comp = eye - pa
+        delta = rho - (pa @ rho @ pa + comp @ rho @ comp)
+        rot = eye + (np.exp(-0.5j * np.pi) - 1.0) * pa
+        for b, pb in enumerate(second_projs):
+            projected[a, b] = np.trace(pb @ pa @ rho @ pa).real
+            real_shift[a, b] = 0.5 * np.trace(delta @ pb).real
+            pb_rot = rot @ pb @ rot.conj().T
+            imag_part[a, b] = -0.5j * np.trace(delta @ pb_rot).real
+    return projected, real_shift, imag_part
+
+
+def outcome_probs_loop(rho, effects):
+    """Born probabilities Tr{M^a rho}, one effect at a time, range- and sum-checked, clamped to [0, 1]."""
+    probs = []
+    for m in effects:
+        p = float(np.trace(m @ rho).real)
+        if p < -1e-10 or p > 1.0 + 1e-10:
+            raise ValueError(f"probability {p:.12g} outside [0, 1]")
+        probs.append(min(max(p, 0.0), 1.0))
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {sum(probs):.12g}")
+    return probs

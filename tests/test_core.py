@@ -225,6 +225,47 @@ def test_povm_stack_is_read_only_effect_stack():
             povm.stack[0, 0, 0] = 2.0
 
 
+def test_validate_povm_names_the_first_failing_effect():
+    not_psd = np.diag([-0.1, 0.0])
+    not_hermitian = np.array([[1.1, 0.3], [0.0, 1.0]])
+    with pytest.raises(kd.EffectNotPsdError, match=r"^effect 0 is not PSD: min eigenvalue -1\.000e-01$"):
+        kd.validate_povm([not_psd, not_hermitian])
+    # a lone bad effect that is neither Hermitian nor PSD is reported as not Hermitian
+    with pytest.raises(kd.EffectNotPsdError, match=r"^effect 1 is not Hermitian: deviation 3\.000e-01$"):
+        kd.validate_povm([np.eye(2) / 2, np.array([[-1.0, 0.3], [0.0, 0.5]])])
+    with pytest.raises(kd.EffectNotPsdError, match=r"^effect 0 is not PSD"):
+        kd.validate_povm([not_psd, np.eye(3)])
+    with pytest.raises(kd.DimMismatchError, match=r"^effect 1 has dim 3, expected 2$"):
+        kd.validate_povm([np.eye(2), np.eye(3), not_hermitian])
+
+
+def test_povm_effects_are_read_only_views_of_the_stack():
+    for povm in (kd.random_povm(3, 4, seed=8), kd.rank_one_pvm(kd.haar_random_unitary(3, seed=9)).as_povm()):
+        assert len(povm.effects) == povm.n_outcomes
+        for i, e in enumerate(povm.effects):
+            assert np.shares_memory(e, povm.stack)
+            assert np.array_equal(e, povm.stack[i])
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0, 0] = 2.0
+
+
+def test_povms_with_equal_labels_and_different_effects_differ():
+    first = kd.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    second = kd.validate_povm([np.eye(2) / 2, np.eye(2) / 2])
+    assert first.labels == second.labels
+    assert first != second
+    assert not first == second
+
+
+def test_rank_one_pvm_projectors_are_one_stack():
+    u = kd.haar_random_unitary(3, seed=12)
+    projs = kd.rank_one_pvm(u).projectors()
+    assert isinstance(projs, np.ndarray) and projs.shape == (3, 3, 3)
+    for b in range(3):
+        assert np.array_equal(projs[b], np.outer(u[:, b], u[:, b].conj()))
+
+
 def test_mub_cache_is_read_only_and_public_bases_are_copies():
     for d in (1, 2, 3, 4, 5):
         cached = _mubs(d)

@@ -3,6 +3,7 @@ import pytest
 
 import kduncert as kd
 from conftest import HADAMARD, Y_BASIS
+from oracles import johansen_loop, kd_table_loop
 
 
 def _x_pvm():
@@ -127,3 +128,35 @@ def test_johansen_imaginary_magnitude_identity():
         comp = kd.johansen_components(rho, first, second)
         t = kd.kd_table(rho, first, second)
         assert np.abs(np.abs(comp.imag_part.imag) - np.abs(t.values.imag)).max() < 1e-9
+
+
+def _projector_list(u):
+    return [np.outer(u[:, b], u[:, b].conj()) for b in range(u.shape[1])]
+
+
+def test_kd_table_matches_loop_reference_bitwise():
+    for d in range(1, 17):
+        povm = kd.random_povm(d, 3, seed=1500 + d)
+        u = kd.haar_random_unitary(d, seed=1600 + d)
+        pvm = kd.rank_one_pvm(u)
+        measurements = [(povm, list(povm.effects)), (pvm, _projector_list(u)), (pvm.as_povm(), _projector_list(u))]
+        for rank in sorted({1, d}):
+            rho = kd.random_density(d, rank, seed=1700 + 10 * d + rank)
+            for first, first_effects in measurements:
+                for second, second_effects in measurements:
+                    got = kd.kd_table(rho, first, second).values
+                    expect = kd_table_loop(rho.matrix, first_effects, second_effects)
+                    assert np.array_equal(got.view(float), expect.view(float))
+
+
+def test_johansen_matches_loop_reference_bitwise():
+    for d in range(1, 17):
+        first_u = kd.haar_random_unitary(d, seed=1800 + d)
+        second_u = kd.haar_random_unitary(d, seed=1900 + d)
+        for rank in sorted({1, d}):
+            rho = kd.random_density(d, rank, seed=2000 + 10 * d + rank)
+            comp = kd.johansen_components(rho, kd.rank_one_pvm(first_u), kd.rank_one_pvm(second_u))
+            projected, real_shift, imag_part = johansen_loop(rho.matrix, first_u, second_u)
+            assert np.array_equal(comp.projected, projected)
+            assert np.array_equal(comp.real_shift, real_shift)
+            assert np.array_equal(comp.imag_part.view(float), imag_part.view(float))

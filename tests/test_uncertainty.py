@@ -3,9 +3,10 @@ import pytest
 
 import kduncert as kd
 from conftest import HADAMARD, PAULI_X
+from kduncert import selftest
 from kduncert.selftest import run_selftest
 from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
-from oracles import corner_bound_asymmetry, corner_relation_bound
+from oracles import corner_bound_asymmetry, corner_relation_bound, outcome_probs_loop
 
 
 def _z():
@@ -22,6 +23,18 @@ def test_outcome_probs_examples():
     assert np.allclose(kd.outcome_probs(mixed, pvm), [0.25] * 4)
     with pytest.raises(kd.DimMismatchError):
         kd.outcome_probs(zero, kd.random_povm(3, 2, seed=0))
+
+
+def test_outcome_probs_match_loop_reference_bitwise():
+    for d in range(1, 17):
+        povm = kd.random_povm(d, 3, seed=2100 + d)
+        u = kd.haar_random_unitary(d, seed=2200 + d)
+        pvm = kd.rank_one_pvm(u).as_povm()
+        projectors = [np.outer(u[:, b], u[:, b].conj()) for b in range(d)]
+        for rank in sorted({1, d}):
+            rho = kd.random_density(d, rank, seed=2300 + 10 * d + rank)
+            assert kd.outcome_probs(rho, povm) == outcome_probs_loop(rho.matrix, list(povm.effects))
+            assert kd.outcome_probs(rho, pvm) == outcome_probs_loop(rho.matrix, projectors)
 
 
 def test_s_entropy_examples(derived):
@@ -146,6 +159,18 @@ def test_coarse_grain():
         kd.coarse_grain(povm, [(0, 1), (1, 2, 3)])
     with pytest.raises(kd.BadPartitionError):
         kd.coarse_grain(povm, [(0, 1)])
+
+
+def test_coarse_grain_matches_per_block_sums_bitwise():
+    povm = kd.random_povm(3, 6, seed=41)
+    partition = [(4, 0, 2), (5,), (1, 3)]
+    merged = kd.coarse_grain(povm, partition)
+    for effect, block in zip(merged.effects, partition):
+        assert np.array_equal(effect.view(float), np.sum([povm.effects[i] for i in block], axis=0).view(float))
+    assert merged.labels == ("4+0+2", "5", "1+3")
+    for empty in ([(), (0, 1, 2, 3, 4, 5)], [(0, 1, 2), (), (3, 4, 5)], [(0, 1, 2, 3, 4, 5), ()]):
+        with pytest.raises(kd.BadPartitionError, match="empty block"):
+            kd.coarse_grain(povm, empty)
 
 
 def test_bound_asymmetry_fixture(derived):
@@ -279,3 +304,17 @@ def test_decomposition_invariants_random():
             dec = kd.decompose(rho, povm, flavor)
             assert dec.quantum <= dec.total + 1e-6
             assert dec.total >= -1e-9 and dec.quantum >= -1e-9 and dec.classical >= -1e-9
+
+
+def test_coherence_faithfulness_runs_its_coherent_half(monkeypatch):
+    monkeypatch.setattr(selftest, "quantum_nonreality", lambda *args: 0.0)
+    with pytest.raises(selftest.PropertyFailure, match="coherent state scored"):
+        selftest.prop_coherence_faithfulness((2, 3), 2, 0)
+
+
+def test_mixing_convexity_checks_the_ncl_part(monkeypatch):
+    # negating the NCl part makes it concave; only an NCl check can notice
+    parts = selftest._quantum_parts
+    monkeypatch.setattr(selftest, "_quantum_parts", lambda *args: (parts(*args)[0], -parts(*args)[1]))
+    with pytest.raises(selftest.PropertyFailure, match="convexity violated"):
+        selftest.prop_mixing_convexity((2, 3), 2, 0)
