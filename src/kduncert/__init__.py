@@ -4,16 +4,12 @@ from .core import (
     DensityMatrix,
     Povm,
     RankOnePvm,
-    SpectralDecomposition,
-    fourier_matrix,
     haar_random_unitary,
     mub_bases,
-    operator_sqrt,
     partial_trace,
     random_density,
     random_povm,
     rank_one_pvm,
-    spectral_decompose,
     tensor,
     trace_norm,
     validate_density,

@@ -31,7 +31,6 @@ from .errors import (
 
 HERM_ATOL = 1e-10       # Hermiticity / PSD / unitarity validation
 COMPLETENESS_ATOL = 1e-9  # POVM and projector completeness
-DEGENERACY_GAP = 1e-9   # eigenvalues closer than this share one eigenprojector
 
 
 def as_operator(m) -> np.ndarray:
@@ -103,9 +102,6 @@ class RankOnePvm:
     def dim(self) -> int:
         return self.basis_unitary.shape[0]
 
-    def vector(self, b: int) -> np.ndarray:
-        return self.basis_unitary[:, b]
-
     def projector(self, b: int) -> np.ndarray:
         v = self.basis_unitary[:, b]
         return np.outer(v, v.conj())
@@ -117,14 +113,6 @@ class RankOnePvm:
 
     def as_povm(self) -> Povm:
         return Povm(stack=self.projectors(), labels=tuple(str(b) for b in range(self.dim)))
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending, degeneracies merged) with their eigenprojectors."""
-
-    eigenvalues: tuple
-    eigenprojectors: tuple
 
 
 def validate_density(m) -> DensityMatrix:
@@ -211,54 +199,10 @@ def _povm_basis(povm: Povm):
     return u
 
 
-def spectral_decompose(h) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian operator, merging eigenvalues closer than DEGENERACY_GAP.
-
-    Eigenvalues come out descending; each projector has rank equal to the
-    multiplicity of its (merged) eigenvalue, so the decomposition is unique
-    even for degenerate spectra.
-    """
-    a = as_operator(h)
-    dev = herm_deviation(a)
-    if dev > HERM_ATOL:
-        raise NotHermitianError(f"operator is not Hermitian: deviation {dev:.3e}")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    w, v = w[::-1], v[:, ::-1]
-    values = []
-    projectors = []
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j - 1] - w[j] < DEGENERACY_GAP:
-            j += 1
-        block = v[:, i:j]
-        values.append(float(np.mean(w[i:j])))
-        projectors.append(_frozen(block @ block.conj().T))
-        i = j
-    return SpectralDecomposition(eigenvalues=tuple(values), eigenprojectors=tuple(projectors))
-
-
 def trace_norm(m) -> float:
     """Schatten 1-norm: the sum of singular values."""
     a = as_operator(m)
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def operator_sqrt(h) -> np.ndarray:
-    """Square root of a PSD Hermitian operator in its eigenbasis.
-
-    Eigenvalues in [-HERM_ATOL, 0) are clamped to zero; anything more
-    negative is an error, never silently fixed.
-    """
-    a = as_operator(h)
-    dev = herm_deviation(a)
-    if dev > HERM_ATOL:
-        raise NotHermitianError(f"operator is not Hermitian: deviation {dev:.3e}")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if w[0] < -HERM_ATOL:
-        raise NotPsdError(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,6 +261,11 @@ def random_povm(d: int, n_outcomes: int, seed) -> Povm:
     for _ in range(n_outcomes):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         draws.append(g @ g.conj().T)
+    return _normalized_povm(draws)
+
+
+def _normalized_povm(draws) -> Povm:
+    """The validated POVM S^{-1/2} A_i S^{-1/2} of PSD draws A_i, with S = sum A_i."""
     total = np.sum(draws, axis=0)
     w, v = np.linalg.eigh(total)
     if w[0] < 1e-12:
@@ -347,12 +296,6 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
     return np.trace(t, axis1=0, axis2=2)
 
 
-def fourier_matrix(d: int) -> np.ndarray:
-    """Discrete Fourier unitary; its columns are unbiased to the computational basis."""
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -367,17 +310,17 @@ def _is_prime(n: int) -> bool:
 def mub_bases(d: int) -> list:
     """Bases mutually unbiased to the computational basis (and to each other for prime d).
 
-    For prime d this is the standard quadratic-phase Fourier family; for
-    composite d only the plain Fourier basis is returned. Each call builds
-    fresh writable arrays; the witness reads them, frozen, from the
-    per-dimension cache _mubs instead.
+    The first is the discrete Fourier unitary. For prime d this is the
+    standard quadratic-phase Fourier family; for composite d only the plain
+    Fourier basis is returned. Each call builds fresh writable arrays; the
+    witness reads them, frozen, from the per-dimension cache _mubs instead.
     """
-    f = fourier_matrix(d)
+    m = np.arange(d)
+    f = np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d)
     if d == 2:
         return [f, np.diag([1.0, 1.0j]) @ f]
     if not _is_prime(d):
         return [f]
-    m = np.arange(d)
     return [np.diag(np.exp(2j * np.pi * k * m * m / d)) @ f for k in range(d)]
 
 

@@ -26,7 +26,6 @@ class KdTable:
     """Complex quasiprobability table indexed (a, b), a-major."""
 
     values: np.ndarray
-    state_dim: int
 
     @property
     def n_a(self) -> int:
@@ -80,7 +79,7 @@ def kd_table(state: DensityMatrix, first, second) -> KdTable:
         )
     ma_rho = first_stack @ state.matrix
     values = np.trace(second_stack @ ma_rho[:, None], axis1=-2, axis2=-1)
-    return KdTable(values=values, state_dim=d)
+    return KdTable(values=values)
 
 
 def table_nonreality(t: KdTable) -> float:

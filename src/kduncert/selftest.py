@@ -17,23 +17,23 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
+    _normalized_povm,
     commutator,
     haar_random_unitary,
-    operator_sqrt,
     partial_trace,
     random_density,
     random_povm,
     rank_one_pvm,
-    spectral_decompose,
     tensor,
     trace_norm,
     validate_density,
     validate_povm,
 )
-from .errors import KdUncertError
+from .errors import KdUncertError, ValidationError
 from .kdtable import johansen_components, kd_table, table_nonclassicality, table_nonreality
 from .optimize import _quantum_parts, quantum_nonclassicality, quantum_nonreality, sup_over_pvm
 from .uncertainty import (
+    CORNER_SCAN_MAX_DIM,
     Flavor,
     bound_asymmetry,
     coarse_grain,
@@ -85,10 +85,7 @@ def _rand_rank1_povm(d, n, rng):
     for _ in range(n):
         g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         draws.append(np.outer(g, g.conj()))
-    total = np.sum(draws, axis=0)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return validate_povm(inv_sqrt @ np.stack(draws) @ inv_sqrt)
+    return _normalized_povm(draws)
 
 
 def _rand_hermitian(d, rng):
@@ -146,45 +143,6 @@ def prop_trace_norm_hermitian(dims, samples, seed):
     return f"worst gap {worst:.2e}"
 
 
-def prop_spectral_roundtrip(dims, samples, seed):
-    worst = 0.0
-    count = 0
-    for i, d, rng in _draws(seed, 11, range(2, 9), samples):
-        h = _rand_hermitian(d, rng)
-        if i % 3 == 0:
-            # force a degenerate block
-            w, v = np.linalg.eigh(h)
-            w[: d // 2 + 1] = w[0]
-            h = (v * w) @ v.conj().T
-        dec = spectral_decompose(h)
-        recon = np.sum(
-            [lam * p for lam, p in zip(dec.eigenvalues, dec.eigenprojectors)], axis=0
-        )
-        worst = max(worst, float(np.abs(recon - h).max()))
-        total = np.sum(dec.eigenprojectors, axis=0)
-        worst = max(worst, float(np.abs(total - np.eye(d)).max()))
-        for a in range(len(dec.eigenprojectors)):
-            for b in range(a + 1, len(dec.eigenprojectors)):
-                worst = max(
-                    worst,
-                    float(np.abs(dec.eigenprojectors[a] @ dec.eigenprojectors[b]).max()),
-                )
-        count += 1
-    _require(worst <= 1e-9, f"spectral reconstruction off by {worst:.2e}")
-    return f"{count} matrices, worst residual {worst:.2e}"
-
-
-def prop_operator_sqrt(dims, samples, seed):
-    worst = 0.0
-    for _, d, rng in _draws(seed, 12, dims, samples):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = g @ g.conj().T
-        r = operator_sqrt(h)
-        worst = max(worst, float(np.abs(r @ r - h).max()))
-    _require(worst <= 1e-8, f"sqrt squared deviates by {worst:.2e}")
-    return f"worst residual {worst:.2e}"
-
-
 def prop_random_validators(dims, samples, seed):
     n = 0
     for i, d, rng in _draws(seed, 13, dims, samples):
@@ -240,7 +198,7 @@ def prop_kd_commuting_real(dims, samples, seed):
 
 
 def prop_kd_nonclassicality_nonneg(dims, samples, seed):
-    low = 0.0
+    low = np.inf
     for _, d, rng in _draws(seed, 22, dims, samples):
         t = kd_table(_rand_state(d, rng), random_povm(d, 2, rng), random_povm(d, 3, rng))
         low = min(low, table_nonclassicality(t))
@@ -308,7 +266,7 @@ def prop_unitary_covariance(dims, samples, seed):
 
 
 def prop_mixing_convexity(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
     for _, d, rng in _draws(seed, 32, dims, samples):
         p = float(rng.random())
         rho1, rho2 = _rand_state(d, rng), _rand_state(d, rng)
@@ -346,7 +304,7 @@ def prop_flavors_vanish_together(dims, samples, seed):
 
 
 def prop_partial_access(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
     eye2 = np.eye(2)
     for i in range(3 * samples):
         rng = _rng(seed, 34, i)
@@ -360,7 +318,7 @@ def prop_partial_access(dims, samples, seed):
 
 
 def prop_coarsegrain_monotone(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
     for _, d, rng in _draws(seed, 35, dims, samples):
         rho = _rand_state(d, rng)
         povm = random_povm(d, 4, rng)
@@ -385,7 +343,7 @@ def prop_nre_variational_agreement(dims, samples, seed):
 def prop_ncl_attaining_basis(dims, samples, seed):
     worst_score = 0.0
     worst_unitary = 0.0
-    worst_haar = 0.0
+    worst_haar = -np.inf
     for i, d, rng in _draws(seed, 37, dims, samples):
         if i % 3 == 2:
             rho, povm = _commuting_pair(d, rng)
@@ -412,7 +370,7 @@ def prop_ncl_attaining_basis(dims, samples, seed):
 
 
 def prop_quantum_bounded_by_total(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
     worst_eq = 0.0
     for i, d, rng in _draws(seed, 40, dims, samples):
         rho = _rand_state(d, rng)
@@ -444,7 +402,7 @@ def prop_commuting_entirely_classical(dims, samples, seed):
 
 
 def prop_classical_concavity(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
     for _, d, rng in _draws(seed, 42, dims, samples):
         p = float(rng.random())
         rho1, rho2 = _rand_state(d, rng), _rand_state(d, rng)
@@ -564,31 +522,54 @@ def prop_tsallis_relation(dims, samples, seed):
     return f"worst residual {worst:.2e}"
 
 
+def _require_corner_refusal(d, bound, *args):
+    """Above CORNER_SCAN_MAX_DIM, the corner-scan bound must refuse d with the documented error."""
+    try:
+        bound(*args)
+    except ValidationError as exc:
+        _require(
+            f"accepts d <= {CORNER_SCAN_MAX_DIM}, got d = {d}" in str(exc),
+            f"{bound.__name__} refused d = {d} without naming its cap: {exc}",
+        )
+        return
+    raise PropertyFailure(f"{bound.__name__} accepted d = {d} above its cap {CORNER_SCAN_MAX_DIM}")
+
+
 def prop_asymmetry_bound(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
+    refused = 0
     for _, d, rng in _draws(seed, 50, dims, samples):
         rho = _rand_state(d, rng)
         pvm = rank_one_pvm(haar_random_unitary(d, rng))
+        if d > CORNER_SCAN_MAX_DIM:
+            _require_corner_refusal(d, bound_asymmetry, rho, pvm)
+            refused += 1
+            continue
         bound = bound_asymmetry(rho, pvm)
         ent = s_entropy(outcome_probs(rho, pvm.as_povm()))
         worst = max(worst, bound - ent)
     _require(worst <= 1e-6, f"asymmetry bound exceeded entropy by {worst:.2e}")
-    return f"worst bound-entropy slack {worst:.2e}"
+    return f"worst bound-entropy slack {worst:.2e}, {refused} draws refused above d = {CORNER_SCAN_MAX_DIM}"
 
 
 def prop_entropic_relation(dims, samples, seed):
-    worst = 0.0
+    worst = -np.inf
+    refused = 0
     for _, d, rng in _draws(seed, 51, dims, samples):
         rho = _rand_state(d, rng)
         pvm_a = rank_one_pvm(haar_random_unitary(d, rng))
         pvm_b = rank_one_pvm(haar_random_unitary(d, rng))
+        if d > CORNER_SCAN_MAX_DIM:
+            _require_corner_refusal(d, uncertainty_relation_bound, rho, pvm_a, pvm_b)
+            refused += 1
+            continue
         bound = uncertainty_relation_bound(rho, pvm_a, pvm_b)
         total = s_entropy(outcome_probs(rho, pvm_a.as_povm())) + s_entropy(
             outcome_probs(rho, pvm_b.as_povm())
         )
         worst = max(worst, bound - total)
     _require(worst <= 1e-6, f"relation bound exceeded entropy sum by {worst:.2e}")
-    return f"worst bound-sum slack {worst:.2e}"
+    return f"worst bound-sum slack {worst:.2e}, {refused} draws refused above d = {CORNER_SCAN_MAX_DIM}"
 
 
 # --- witness properties -----------------------------------------------------
@@ -661,8 +642,6 @@ def prop_disturbance_identity(dims, samples, seed):
 
 PROPERTIES = (
     ("core.trace_norm_hermitian", prop_trace_norm_hermitian),
-    ("core.spectral_roundtrip", prop_spectral_roundtrip),
-    ("core.operator_sqrt", prop_operator_sqrt),
     ("core.random_validators", prop_random_validators),
     ("core.partial_trace_tensor", prop_partial_trace_tensor),
     ("kd.marginals", prop_kd_marginals),

@@ -127,11 +127,12 @@ def povm_from_json(obj) -> Povm:
         if e.shape[0] != d:
             raise ValidationError(f"povm effect {i}: dim {e.shape[0]} != declared d {d}")
     labels = obj.get("labels")
+    if labels is not None and (
+        not isinstance(labels, list)
+        or not all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in labels)
+    ):
+        raise ValidationError("povm: field 'labels' must be a list of strings or integers")
     return validate_povm(effects, labels)
-
-
-def pvm_to_json(pvm: RankOnePvm) -> dict:
-    return matrix_to_json(pvm.basis_unitary)
 
 
 def pvm_from_json(obj) -> RankOnePvm:

@@ -72,6 +72,23 @@ def test_dim_mismatch_exit_code(capsys, fixtures):
     assert code == 3
 
 
+def test_povm_labels_must_be_a_list_of_strings_or_integers(capsys, fixtures, tmp_path):
+    povm = serialize.povm_to_json(kd.rank_one_pvm(HADAMARD).as_povm())
+    for labels in (5, "01", {"a": 1, "b": 2}):
+        path = tmp_path / "labels.json"
+        path.write_text(serialize.dumps(dict(povm, labels=labels)) + "\n")
+        code = main(["kd-table", fixtures["zero"], str(path), fixtures["ybasis"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: povm: field 'labels' must be a list of strings or integers")
+        assert "Traceback" not in captured.err
+    for labels, expect in ((None, ["0", "1"]), (["up", 7], ["up", "7"])):
+        path = tmp_path / "labels.json"
+        path.write_text(serialize.dumps(dict(povm, labels=labels)) + "\n")
+        assert serialize.povm_from_json(json.loads(path.read_text())).labels == tuple(expect)
+
+
 def test_decompose_fixture_and_determinism(capsys, fixtures, derived):
     argv = ["decompose", fixtures["diag34"], fixtures["zbasis"], "--flavor", "NRe"]
     code, out = _run(capsys, argv)

@@ -56,39 +56,6 @@ def test_rank_one_pvm_projectors_complete():
             assert np.abs(projs[a] @ projs[b] - expect).max() < 1e-9
 
 
-def test_spectral_decompose_examples():
-    dec = kd.spectral_decompose(np.diag([0.75, 0.25]))
-    assert dec.eigenvalues == (0.75, 0.25)
-    assert np.allclose(dec.eigenprojectors[0], np.diag([1.0, 0.0]))
-    assert np.allclose(dec.eigenprojectors[1], np.diag([0.0, 1.0]))
-
-    dec = kd.spectral_decompose(np.eye(2) / 2)
-    assert dec.eigenvalues == (0.5,)
-    assert np.allclose(dec.eigenprojectors[0], np.eye(2))
-
-    plus = np.full((2, 2), 0.5)
-    dec = kd.spectral_decompose(plus)
-    assert np.allclose(dec.eigenvalues, (1.0, 0.0), atol=1e-12)
-    assert np.abs(dec.eigenprojectors[0] - plus).max() < 1e-12
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    assert np.abs(dec.eigenprojectors[1] - minus).max() < 1e-12
-
-    with pytest.raises(kd.NotHermitianError):
-        kd.spectral_decompose(PAULI_X + 1j * np.eye(2))
-
-
-def test_spectral_roundtrip_random():
-    for i in range(200):
-        d = 2 + i % 7
-        rng = np.random.default_rng(100 + i)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = g + g.conj().T
-        dec = kd.spectral_decompose(h)
-        recon = np.sum([v * p for v, p in zip(dec.eigenvalues, dec.eigenprojectors)], axis=0)
-        assert np.abs(recon - h).max() < 1e-9
-        assert list(dec.eigenvalues) == sorted(dec.eigenvalues, reverse=True)
-
-
 def test_trace_norm_examples(derived):
     assert kd.trace_norm(np.zeros((2, 2))) == 0.0
     assert abs(kd.trace_norm(1j * PAULI_Y) - 2.0) < 1e-12
@@ -103,26 +70,6 @@ def test_trace_norm_matches_eigenvalues():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = g + g.conj().T
         assert abs(kd.trace_norm(h) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-9
-
-
-def test_operator_sqrt_examples():
-    assert np.allclose(kd.operator_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    plus = np.full((2, 2), 0.5)
-    assert np.abs(kd.operator_sqrt(plus) - plus).max() < 1e-12
-    r = kd.operator_sqrt(np.diag([0.75, 0.25]))
-    assert np.allclose(r, np.diag([np.sqrt(0.75), 0.5]))
-    with pytest.raises(kd.NotPsdError):
-        kd.operator_sqrt(np.diag([1.0, -0.2]))
-
-
-def test_operator_sqrt_squares_back():
-    for i in range(20):
-        d = 2 + i % 4
-        rng = np.random.default_rng(300 + i)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = g @ g.conj().T
-        r = kd.operator_sqrt(h)
-        assert np.abs(r @ r - h).max() < 1e-8
 
 
 def test_haar_random_unitary():

@@ -35,6 +35,46 @@ def test_unused_import_check_catches_a_leftover():
     assert _unused_imports(source) == [(2, "b")]
 
 
+def _dead_definitions(sources: dict) -> list:
+    """(module, name) of each module-level def or class that no module refers to.
+
+    sources maps module names to their source. A reference is a Name, an
+    Attribute or an imported name anywhere in any module, so a re-export
+    from __init__ keeps a definition alive.
+    """
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_no_dead_definitions():
+    assert _dead_definitions({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_dead_definition_check_catches_a_leftover():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": "def exported():\n    return helper()\n\ndef helper():\n    return 1\n\n"
+        "def leftover():\n    pass\n\nclass Spare:\n    pass\n",
+        "b": "import a\n\ndef run():\n    return a.exported()\n\nrun()\n",
+    }
+    assert _dead_definitions(sources) == [("a", "Spare"), ("a", "leftover")]
+
+
 def _traced_spans() -> tuple:
     """The SPANS tuple of perfbench/tracing.py, read from its source without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())

@@ -318,3 +318,17 @@ def test_mixing_convexity_checks_the_ncl_part(monkeypatch):
     monkeypatch.setattr(selftest, "_quantum_parts", lambda *args: (parts(*args)[0], -parts(*args)[1]))
     with pytest.raises(selftest.PropertyFailure, match="convexity violated"):
         selftest.prop_mixing_convexity((2, 3), 2, 0)
+
+
+def test_mixing_convexity_reports_its_signed_slack():
+    # the worst lhs - rhs starts below any gap, so the detail shows the real slack, not 0
+    detail = selftest.prop_mixing_convexity((2, 3, 4), 8, 0)
+    assert float(detail.rsplit("lhs-rhs ", 1)[1]) < 0.0
+
+
+def test_selftest_above_corner_cap_checks_the_refusal():
+    passed, results = run_selftest(dims=(15, 16), samples=2)
+    assert passed, [(r.name, r.detail) for r in results if not r.ok]
+    for name in ("unc.asymmetry_bound", "unc.entropic_relation"):
+        detail = next(r.detail for r in results if r.name == name)
+        assert detail.endswith(f"4 draws refused above d = {CORNER_SCAN_MAX_DIM}")

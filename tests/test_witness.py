@@ -19,7 +19,7 @@ def _x_povm():
 def test_weak_values_basis_state_preselection():
     d = 3
     basis = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=50))
-    b0 = basis.vector(0)
+    b0 = basis.basis_unitary[:, 0]
     rho = kd.validate_density(np.outer(b0, b0.conj()))
     povm = kd.random_povm(d, 2, seed=51)
     table = kd.weak_values(rho, povm, basis)
@@ -127,7 +127,7 @@ def test_witness_fixture(derived):
     assert entry.a == "0"
     assert abs(entry.weak_value - fx) < 1e-9
     # the reported postselection vector is |y+> up to phase
-    col = entry.basis.vector(entry.b)
+    col = entry.basis.basis_unitary[:, entry.b]
     yplus = np.array([1.0, 1.0j]) / np.sqrt(2)
     assert abs(abs(np.vdot(yplus, col)) - 1.0) < 1e-9
 
