@@ -29,7 +29,7 @@ from .uncertainty import (
     s_entropy,
     uncertainty_relation_bound,
 )
-from .witness import contextuality_witness
+from .witness import DEFAULT_THRESHOLD, contextuality_witness
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="contextuality witness via strange weak values")
     p.add_argument("state")
     p.add_argument("povm")
-    p.add_argument("--threshold", type=float, default=1e-7)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     add_common(p)
     p.set_defaults(fn=cmd_witness)
 

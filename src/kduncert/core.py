@@ -102,10 +102,6 @@ class RankOnePvm:
     def dim(self) -> int:
         return self.basis_unitary.shape[0]
 
-    def projector(self, b: int) -> np.ndarray:
-        v = self.basis_unitary[:, b]
-        return np.outer(v, v.conj())
-
     def projectors(self) -> np.ndarray:
         """The stack of projectors |b><b|, shape (d, d, d), element b first."""
         u = self.basis_unitary.T
@@ -135,6 +131,7 @@ def validate_povm(effects, labels=None) -> Povm:
 
     The first failing effect names the error, Hermiticity before PSD, and an
     effect of another dimension fails only if every effect before it passes.
+    Labels are read as strings and must be distinct.
     """
     if len(effects) == 0:
         raise ValidationError("a POVM needs at least one effect")
@@ -162,6 +159,9 @@ def validate_povm(effects, labels=None) -> Povm:
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(ops):
             raise ValidationError(f"{len(labels)} labels for {len(ops)} effects")
+        if len(set(labels)) != len(labels):
+            repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise ValidationError(f"label {repeated!r} names more than one effect")
     return Povm(stack=stack, labels=labels)
 
 

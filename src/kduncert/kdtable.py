@@ -6,7 +6,8 @@ the three operators fail to commute. Entries are kept raw; nothing is
 rounded to real inside the table, so the quantumness functionals read
 exact values. Each measurement enters as one stack of effects (a Povm's
 stack, or the projector stack of a rank-1 PVM), and the table is one
-batched product over the (a, b) pairs.
+batched product over the (a, b) pairs. Over two rank-1 bases, the Johansen
+split of the table is a closed form in their overlaps.
 """
 
 from __future__ import annotations
@@ -101,42 +102,29 @@ def table_nonclassicality(t: KdTable) -> float:
     return _clamp_nonclassicality(float(np.abs(t.values).sum()) - 1.0)
 
 
-def lueders_state(rho: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """State after the nonselective binary measurement {P, I - P} (raw matrix)."""
-    comp = np.eye(rho.shape[0]) - projector
-    return projector @ rho @ projector + comp @ rho @ comp
-
-
 def johansen_components(state: DensityMatrix, first: RankOnePvm, second: RankOnePvm) -> JohansenComponents:
     """Split the KD table over two rank-1 PVMs into projected/disturbance/imaginary terms.
 
-    Per (a, b):
-      projected  = Tr{Pi^b Pi^a rho Pi^a}
-      real_shift = Tr{(rho - rho_a) Pi^b} / 2
-      imag_part  = -i/2 Tr{(rho - rho_a) R_a Pi^b R_a^dag}
-    with rho_a the Lueders update of rho by Pi^a and R_a = exp(-i Pi^a pi/2)
-    computed exactly via exp(i theta P) = I + (e^{i theta} - 1) P. The imaginary
-    part's rotation direction is fixed by requiring the three terms to sum to
-    Tr{Pi^b Pi^a rho} exactly. Row a is one batched product over the
-    projector stack of the second basis, so temporaries stay (d, d, d).
+    Per (a, b), with rho_a = Pi^a rho Pi^a + (I - Pi^a) rho (I - Pi^a) the Lueders
+    update of rho by Pi^a and R_a = exp(-i Pi^a pi/2) = I - (1 + i) Pi^a:
+      projected  = Tr{Pi^b Pi^a rho Pi^a}                  = |O|^2 r_a
+      real_shift = Tr{(rho - rho_a) Pi^b} / 2               = Re(conj(O) M) - projected
+      imag_part  = -i/2 Tr{(rho - rho_a) R_a Pi^b R_a^dag}  = i Im(conj(O) M)
+    where O[a, b] = <a|b>, M[a, b] = <a|rho|b> and r_a = <a|rho|a>. The closed
+    forms follow from rho - rho_a = Pi^a rho + rho Pi^a - 2 Pi^a rho Pi^a and, for
+    the last, from R_a|b> = -i O|a> + |b'> with <a|b'> = 0. The three sum to
+    conj(O) M = Tr{Pi^b Pi^a rho}, which fixes the rotation's direction. Two
+    d x d overlap products make this O(d^3) work.
     """
     d = state.dim
     if first.dim != d or second.dim != d:
         raise DimMismatchError(f"state dim {d} vs bases {first.dim}, {second.dim}")
-    rho = state.matrix
-    eye = np.eye(d)
-    projected = np.empty((d, d))
-    real_shift = np.empty((d, d))
-    imag_part = np.empty((d, d), dtype=complex)
-    pb = second.projectors()
-    for a in range(d):
-        pa = first.projector(a)
-        rho_a = lueders_state(rho, pa)
-        delta = rho - rho_a
-        rot = eye + (np.exp(-0.5j * np.pi) - 1.0) * pa
-        projected[a] = np.trace(pb @ pa @ rho @ pa, axis1=1, axis2=2).real
-        real_shift[a] = 0.5 * np.trace(delta @ pb, axis1=1, axis2=2).real
-        imag_part[a] = -0.5j * np.trace(delta @ (rot @ pb @ rot.conj().T), axis1=1, axis2=2).real
+    a_dag = first.basis_unitary.conj().T
+    a_dag_rho = a_dag @ state.matrix
+    overlap = a_dag @ second.basis_unitary
+    r = np.einsum("ai,ia->a", a_dag_rho, first.basis_unitary).real
+    kd = overlap.conj() * (a_dag_rho @ second.basis_unitary)
+    projected = np.abs(overlap) ** 2 * r[:, None]
     return JohansenComponents(
-        projected=projected, real_shift=real_shift, imag_part=imag_part
+        projected=projected, real_shift=kd.real - projected, imag_part=1j * kd.imag
     )

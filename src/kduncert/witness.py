@@ -18,6 +18,10 @@ matrices has a positive top eigenvalue, and then the matrix's eigenbasis
 holds one in its top column. One eigh on the stack of margins gives the
 candidates; when no margin is positive, WitnessNotFoundError states the
 largest one, which certifies that no basis holds a strange entry.
+
+The module also owns the Lueders updates: disturbance_nonreality reaches
+the nonreality part through them, one projector at a time, as a check
+independent of the commutator closed form.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .core import (
     validate_density,
 )
 from .errors import DimMismatchError, NotProjectorError, ValidationError, WitnessNotFoundError
-from .kdtable import lueders_state
 from .optimize import _quantum_parts
 
 UNDEFINED_PROB = 1e-12
@@ -229,6 +232,12 @@ def contextuality_witness(
     )
 
 
+def lueders_state(rho: np.ndarray, projector: np.ndarray) -> np.ndarray:
+    """State after the nonselective binary measurement {P, I - P} (raw matrix)."""
+    comp = np.eye(rho.shape[0]) - projector
+    return projector @ rho @ projector + comp @ rho @ comp
+
+
 def lueders_update(state: DensityMatrix, projector) -> DensityMatrix:
     """State after the nonselective binary measurement {P, I - P}."""
     p = as_operator(projector)
@@ -255,7 +264,7 @@ def disturbance_nonreality(state: DensityMatrix, pvm: RankOnePvm) -> float:
         raise DimMismatchError(f"state dim {state.dim} != PVM dim {pvm.dim}")
     rho = state.matrix
     total = 0.0
-    for a in range(pvm.dim):
-        delta = rho - lueders_state(rho, pvm.projector(a))
+    for pa in pvm.projectors():
+        delta = rho - lueders_state(rho, pa)
         total += 0.5 * trace_norm(delta)
     return total

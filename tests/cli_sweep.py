@@ -1,0 +1,212 @@
+"""Digest every CLI subcommand over a fixed set of argvs, one line per argv.
+
+Run as a script:
+
+    PYTHONPATH=src python tests/cli_sweep.py > sweep.txt
+
+It writes seeded inputs (states, POVMs, bases and invalid POVM files) to a
+temporary directory with plain numpy, so the inputs do not depend on the
+package under test, then runs each argv in-process through
+kduncert.cli.main. For each argv it prints the argv, with the temporary
+directory written as <tmp>, and the sha256 of the exit code, stdout and
+stderr. Warnings are shown as "Category: message", without the file:line
+prefix, and every warning is shown, not only the first per location.
+Running it on two trees and diffing the outputs shows which argvs changed.
+Not collected by pytest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+
+from kduncert.cli import main
+
+DIMS = (1, 2, 3, 4, 8)
+
+
+def _matrix(m) -> dict:
+    m = np.asarray(m, dtype=complex)
+    return {"d": m.shape[0], "re_im": [[float(x.real), float(x.imag)] for x in m.reshape(-1)]}
+
+
+def _povm(effects, labels=None, d=None) -> dict:
+    obj = {"d": d if d is not None else len(effects[0]), "effects": [_matrix(e) for e in effects]}
+    if labels is not None:
+        obj["labels"] = labels
+    return obj
+
+
+def _ginibre(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _state(rng, d, rank):
+    g = _ginibre(rng, d, rank)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(_ginibre(rng, d, d))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def _effects(rng, d, n):
+    draws = [g @ g.conj().T for g in (_ginibre(rng, d, d) for _ in range(n))]
+    w, v = np.linalg.eigh(sum(draws))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return [inv_sqrt @ a @ inv_sqrt for a in draws]
+
+
+def _projectors(u):
+    return [np.outer(u[:, b], u[:, b].conj()) for b in range(u.shape[1])]
+
+
+def _inputs(tmp) -> dict:
+    """Write every input file; return their paths by name."""
+    paths = {}
+
+    def write(name, obj, text=None):
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text if text is not None else json.dumps(obj) + "\n")
+        paths[name] = path
+
+    rng = np.random.default_rng(20240)
+    for d in DIMS:
+        write(f"pure{d}", _matrix(_state(rng, d, 1)))
+        write(f"full{d}", _matrix(_state(rng, d, d)))
+        write(f"mixed{d}", _matrix(np.eye(d) / d))
+        write(f"povm{d}", _povm(_effects(rng, d, 3)))
+        u, v = _unitary(rng, d), _unitary(rng, d)
+        write(f"basis{d}", _matrix(u))
+        write(f"basis2_{d}", _matrix(v))
+        write(f"pvm{d}", _povm(_projectors(u), labels=[f"e{b}" for b in range(d)]))
+        write(f"eye{d}", _matrix(np.eye(d)))
+
+    half = np.eye(2) / 2
+    write("bad_empty", {"d": 2, "effects": []})
+    write("bad_nonherm", _povm([np.array([[0.5, 0.1], [0.0, 0.5]]), half]))
+    write("bad_nonpsd", _povm([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]))
+    write("bad_incomplete", _povm([half, half / 2]))
+    write("bad_effect_dim", _povm([half, np.eye(3) / 2]))
+    write("bad_declared_d", _povm([half, half], d=3))
+    write("bad_labels_type", _povm([half, half], labels="01"))
+    write("bad_labels_count", _povm([half, half], labels=["a"]))
+    write("bad_labels_repeat", _povm([half, half], labels=["x", "x"]))
+    write("bad_labels_str_int", _povm([half, half], labels=[1, "1"]))
+    write("bad_entries", {"d": 2, "effects": [{"d": 2, "re_im": [[0.5, 0.0]]}]})
+    write("bad_no_effects", {"d": 2, "labels": ["a"]})
+    write("bad_malformed", None, text="{nope")
+    write("bad_state_trace", _matrix(np.diag([0.5, 0.6])))
+    write("bad_state_nonpsd", _matrix(np.diag([1.5, -0.5])))
+    return paths
+
+
+def _argvs(p) -> list:
+    argvs = []
+    for d in DIMS:
+        for kind in ("pure", "full"):
+            st = p[f"{kind}{d}"]
+            povm, pvm, basis, basis2 = p[f"povm{d}"], p[f"pvm{d}"], p[f"basis{d}"], p[f"basis2_{d}"]
+            argvs += [
+                ["kd-table", st, povm, basis],
+                ["kd-table", st, basis, povm],
+                ["kd-table", st, povm, povm],
+                ["kd-table", st, pvm, basis2],
+            ]
+            for flavor in ("NRe", "NCl"):
+                argvs += [
+                    ["decompose", st, povm, "--flavor", flavor],
+                    ["decompose", st, basis, "--flavor", flavor],
+                    ["decompose", st, pvm, "--flavor", flavor],
+                    ["infimum", st, "--flavor", flavor],
+                ]
+            for meas in (povm, basis, pvm):
+                argvs += [["witness", st, meas]] + [
+                    ["witness", st, meas, "--threshold", t] for t in ("0", "0.3")
+                ]
+            argvs += [
+                ["bounds", st, basis],
+                ["bounds", st, pvm, basis2],
+                ["bounds", st, povm],
+            ]
+        mixed = p[f"mixed{d}"]
+        argvs += [
+            ["decompose", mixed, p[f"povm{d}"]],
+            ["witness", mixed, p[f"povm{d}"]],
+            ["infimum", mixed],
+            ["bounds", mixed, p[f"eye{d}"], p[f"basis{d}"]],
+        ]
+        for seed in ("0", "1"):
+            argvs += [
+                ["random", "state", "--d", str(d), "--seed", seed],
+                ["random", "state", "--d", str(d), "--rank", "1", "--seed", seed],
+                ["random", "povm", "--d", str(d), "--outcomes", "3", "--seed", seed],
+                ["random", "pvm", "--d", str(d), "--seed", seed],
+            ]
+    # input errors: every invalid POVM file through kd-table and witness, then the bad states
+    for name in sorted(n for n in p if n.startswith("bad_") and not n.startswith("bad_state")):
+        argvs += [["kd-table", p["full2"], p[name], p["basis2"]], ["witness", p["full2"], p[name]]]
+    argvs += [
+        ["decompose", p["bad_state_trace"], p["povm2"]],
+        ["decompose", p["bad_state_nonpsd"], p["povm2"]],
+        ["decompose", p["full2"], p["povm2"], "--flavor", "XYZ"],
+        ["kd-table", p["full2"], p["povm3"], p["basis2"]],
+        ["witness", p["full2"], p["povm2"], "--threshold", "nan"],
+        ["witness", p["full2"], p["povm2"], "--threshold", "-1"],
+        ["decompose", p["full2"], p["povm2"], "--seed", "1"],
+        ["decompose", os.path.join(os.path.dirname(p["full2"]), "missing"), p["povm2"]],
+        ["random", "state", "--d", "0"],
+        ["random", "state", "--d", "3", "--rank", "4"],
+        ["random", "pvm", "--d", "2", "--seed", "-1"],
+    ]
+    argvs += [
+        ["selftest", "--dims", "1", "--samples", "2"],
+        ["selftest", "--dims", "2,3,4", "--samples", "2", "--seed", "1"],
+        ["selftest", "--dims", "8", "--samples", "1", "--seed", "2"],
+        ["selftest", "--dims", "15", "--samples", "1"],
+        ["selftest", "--dims", "2,,3"],
+        ["selftest", "--samples", "0"],
+    ]
+    return argvs
+
+
+def _show(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep():
+    os.environ.pop("KDUNCERT_SEED", None)  # random and selftest default to seed 0, not the caller's
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = _argvs(_inputs(tmp))
+        for argv in argvs:
+            code, out, err = _run(argv)
+            blob = json.dumps([code, out, err.replace(tmp, "<tmp>")]).encode("utf-8")
+            shown = " ".join(a.replace(tmp, "<tmp>") for a in argv)
+            print(f"{hashlib.sha256(blob).hexdigest()}  {shown}")
+    print(f"# {len(argvs)} argvs", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    sweep()

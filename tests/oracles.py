@@ -6,9 +6,11 @@ in brute_force_sup_qubit), and corner enumeration (pure Python for qubits;
 for the d x d commutator bounds, one dense numpy commutator per sign
 corner). Nothing here calls into the package, so agreement between these
 values and the library is a genuine cross-check. The *_loop functions keep
-the one-effect-at-a-time forms of kd_table, johansen_components and
-outcome_probs, with the library's order of operations, so the stacked
-library paths can be pinned to them bit for bit.
+the one-effect-at-a-time forms of kd_table and outcome_probs, with the
+library's order of operations, so the stacked library paths can be pinned
+to them bit for bit. johansen_loop keeps the per-entry trace form of
+johansen_components, whose closed form regroups that arithmetic, so that
+pin is a tolerance.
 """
 
 import cmath

@@ -89,6 +89,19 @@ def test_povm_labels_must_be_a_list_of_strings_or_integers(capsys, fixtures, tmp
         assert serialize.povm_from_json(json.loads(path.read_text())).labels == tuple(expect)
 
 
+def test_povm_labels_must_be_distinct(capsys, fixtures, tmp_path):
+    povm = serialize.povm_to_json(kd.rank_one_pvm(HADAMARD).as_povm())
+    path = tmp_path / "labels.json"
+    for labels, repeated in ((["x", "x"], "x"), ([1, "1"], "1")):
+        path.write_text(serialize.dumps(dict(povm, labels=labels)) + "\n")
+        for argv in (["kd-table", fixtures["zero"], str(path), fixtures["ybasis"]], ["witness", fixtures["zero"], str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+            assert captured.err == f"error: label '{repeated}' names more than one effect\n"
+
+
 def test_decompose_fixture_and_determinism(capsys, fixtures, derived):
     argv = ["decompose", fixtures["diag34"], fixtures["zbasis"], "--flavor", "NRe"]
     code, out = _run(capsys, argv)

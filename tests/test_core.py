@@ -36,6 +36,11 @@ def test_povm_labels():
     assert povm.labels == ("up", "down")
     with pytest.raises(kd.ValidationError):
         kd.validate_povm([np.eye(2)], labels=["a", "b"])
+    # labels are compared as strings, so 1 and "1" repeat
+    for labels, repeated in ((["x", "x"], "x"), ([1, "1"], "1"), (["a", "b", "a"], "a")):
+        effects = [np.eye(2) / len(labels)] * len(labels)
+        with pytest.raises(kd.ValidationError, match=f"label '{repeated}' names more than one effect"):
+            kd.validate_povm(effects, labels=labels)
 
 
 def test_rank_one_pvm_validation():

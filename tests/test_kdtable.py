@@ -149,7 +149,8 @@ def test_kd_table_matches_loop_reference_bitwise():
                     assert np.array_equal(got.view(float), expect.view(float))
 
 
-def test_johansen_matches_loop_reference_bitwise():
+def test_johansen_matches_loop_reference():
+    # the closed form regroups the loop's traces, so it agrees to roundoff, not bit for bit
     for d in range(1, 17):
         first_u = kd.haar_random_unitary(d, seed=1800 + d)
         second_u = kd.haar_random_unitary(d, seed=1900 + d)
@@ -157,6 +158,6 @@ def test_johansen_matches_loop_reference_bitwise():
             rho = kd.random_density(d, rank, seed=2000 + 10 * d + rank)
             comp = kd.johansen_components(rho, kd.rank_one_pvm(first_u), kd.rank_one_pvm(second_u))
             projected, real_shift, imag_part = johansen_loop(rho.matrix, first_u, second_u)
-            assert np.array_equal(comp.projected, projected)
-            assert np.array_equal(comp.real_shift, real_shift)
-            assert np.array_equal(comp.imag_part.view(float), imag_part.view(float))
+            assert np.abs(comp.projected - projected).max() <= 1e-14
+            assert np.abs(comp.real_shift - real_shift).max() <= 1e-14
+            assert np.abs(comp.imag_part - imag_part).max() <= 1e-14

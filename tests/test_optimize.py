@@ -205,7 +205,7 @@ def test_brute_force_constant_and_monotone():
     assert abs(brute_force_sup_qubit(0.625 * np.eye(2), 40) - 1.25) < 1e-12
 
     rho = kd.random_density(2, 2, seed=130).matrix
-    m = kd.rank_one_pvm(HADAMARD).projector(0)
+    m = kd.rank_one_pvm(HADAMARD).projectors()[0]
     k_op = m @ rho
 
     coarse = brute_force_sup_qubit(k_op, 60)

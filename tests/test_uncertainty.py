@@ -159,6 +159,11 @@ def test_coarse_grain():
         kd.coarse_grain(povm, [(0, 1), (1, 2, 3)])
     with pytest.raises(kd.BadPartitionError):
         kd.coarse_grain(povm, [(0, 1)])
+    # a joined label may not repeat another label
+    labelled = kd.validate_povm([np.eye(2) / 3] * 3, labels=["0", "1", "0+1"])
+    with pytest.raises(kd.ValidationError, match="label '0\\+1' names more than one effect"):
+        kd.coarse_grain(labelled, [(0, 1), (2,)])
+    assert kd.coarse_grain(labelled, [(0, 2), (1,)]).labels == ("0+0+1", "1")
 
 
 def test_coarse_grain_matches_per_block_sums_bitwise():

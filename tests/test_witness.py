@@ -338,6 +338,42 @@ def test_witness_margin_sweep():
     assert min(ends.values()) > 0, ends
 
 
+def _commuting_pair(d, rank, seed, rank_one):
+    """A state of the given rank and a POVM (a rank-1 PVM or 3 effects), both diagonal in one Haar basis."""
+    rng = np.random.default_rng(seed)
+    u = kd.haar_random_unitary(d, rng)
+    lam = np.zeros(d)
+    lam[:rank] = rng.random(rank) + 0.1
+    state = kd.validate_density((u * (lam / lam.sum())) @ u.conj().T)
+    if rank_one:
+        return state, kd.rank_one_pvm(u).as_povm()
+    weights = rng.random((3, d)) + 0.1
+    return state, kd.validate_povm([(u * w) @ u.conj().T for w in weights / weights.sum(axis=0)])
+
+
+def _largest_margin_at_zero(state, povm) -> float:
+    return float(np.linalg.eigvalsh(witness_mod._margins(state, povm, 0.0))[:, -1].max())
+
+
+def test_zero_threshold_margin_is_positive_iff_the_pair_does_not_commute():
+    # the paper's claim at t = 0: a strange weak value exists exactly when the quantum part is nonzero
+    lowest, highest = np.inf, 0.0
+    for d in (2, 3, 4, 5):
+        for rank in sorted({1, d}):
+            for k in range(6):
+                seed = 30_000 + 100 * d + 10 * rank + k
+                state = kd.random_density(d, rank, seed=seed)
+                if k % 2:
+                    povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1)).as_povm()
+                else:
+                    povm = kd.random_povm(d, 3, seed=seed + 1)
+                lowest = min(lowest, _largest_margin_at_zero(state, povm))
+                state, povm = _commuting_pair(d, rank, seed, rank_one=bool(k % 2))
+                highest = max(highest, _largest_margin_at_zero(state, povm), kd.quantum_nonreality(state, povm))
+    assert lowest > 1e-12
+    assert highest <= 1e-12
+
+
 def test_lueders_update():
     diag = kd.validate_density(np.diag([0.75, 0.25]))
     p0 = np.diag([1.0, 0.0])
