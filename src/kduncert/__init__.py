@@ -25,7 +25,6 @@ from .errors import (
     KdUncertError,
     NotHermitianError,
     NotPsdError,
-    NotProjectorError,
     NotUnitaryError,
     NotUnitTraceError,
     SingularSumError,
@@ -68,7 +67,6 @@ from .witness import (
     WitnessReport,
     contextuality_witness,
     disturbance_nonreality,
-    lueders_update,
     quantum_via_weak_values,
     weak_values,
 )

@@ -53,10 +53,6 @@ class BadPartitionError(ValidationError):
     pass
 
 
-class NotProjectorError(ValidationError):
-    pass
-
-
 class DimMismatchError(KdUncertError, ValueError):
     """Operands live on Hilbert spaces of incompatible dimensions."""
 

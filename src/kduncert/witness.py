@@ -3,9 +3,8 @@
 A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
 variable model. The witness first scans the canonical unbiased bases, read
-from a per-dimension cache, and their lifts by the measurement basis (when
-the POVM is a rank-1 PVM), each lift built only when the scan reaches it,
-so a verdict whose entry sits in an unbiased basis builds no lift.
+from a per-dimension cache, so a verdict whose entry sits in one of them
+builds no other candidate.
 
 When those hold no strange entry the rest is a closed form. For a unit
 postselection vector b with Pr(b) = <b|rho|b> > 0 the weak value of M^a has
@@ -19,9 +18,9 @@ holds one in its top column. One eigh on the stack of margins gives the
 candidates; when no margin is positive, WitnessNotFoundError states the
 largest one, which certifies that no basis holds a strange entry.
 
-The module also owns the Lueders updates: disturbance_nonreality reaches
-the nonreality part through them, one projector at a time, as a check
-independent of the commutator closed form.
+disturbance_nonreality reaches the nonreality part through the Lueders
+update of each projector, one at a time, as a check independent of the
+commutator closed form.
 """
 
 from __future__ import annotations
@@ -32,19 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    Povm,
-    RankOnePvm,
-    _mubs,
-    _povm_basis,
-    _pvm_unchecked,
-    as_operator,
-    herm_deviation,
-    trace_norm,
-    validate_density,
-)
-from .errors import DimMismatchError, NotProjectorError, ValidationError, WitnessNotFoundError
+from .core import DensityMatrix, Povm, RankOnePvm, _mubs, _pvm_unchecked, trace_norm
+from .errors import DimMismatchError, ValidationError, WitnessNotFoundError
 from .optimize import _quantum_parts
 
 UNDEFINED_PROB = 1e-12
@@ -122,34 +110,23 @@ def _is_strange(w: complex, threshold: float) -> bool:
     return abs(w.imag) > threshold or w.real < -threshold
 
 
-def _first_strange(state, povm, basis, threshold):
-    table = weak_values(state, povm, basis)
-    for a in range(povm.n_outcomes):
-        for b in range(basis.dim):
-            if table.postselect_probs[b] < _SCAN_PROB_MIN:
-                continue
-            w = complex(table.values[a, b])
-            if _is_strange(w, threshold):
-                return WitnessEntry(a=povm.labels[a], b=b, weak_value=w, basis=basis)
-    return None
+def _first_strange(state, povm, unitaries, threshold):
+    """The first strange entry in the bases with the given unitaries, scanned in order, or None.
 
-
-def _unbiased_bases(state: DensityMatrix, povm: Povm):
-    """Canonical unbiased bases, then their lifts by the measurement basis, each built only when reached.
-
-    The lifts exist only when the POVM is a rank-1 PVM. The maximizing
-    basis is determined only up to a degenerate attainment set, so scanning
-    a fixed catalog first makes the reported entry deterministic and
-    reproducible. The unbiased bases come from the per-dimension cache of
-    _mubs, so a call builds none of them.
+    Entries with postselection probability below _SCAN_PROB_MIN are skipped,
+    and each basis's weak-value table is built only when the scan reaches it.
     """
-    mubs = _mubs(state.dim)
-    for u in mubs:
-        yield _pvm_unchecked(u)
-    basis_u = _povm_basis(povm)
-    if basis_u is not None:
-        for u in mubs:
-            yield _pvm_unchecked(basis_u @ u)
+    for u in unitaries:
+        basis = _pvm_unchecked(u)
+        table = weak_values(state, povm, basis)
+        for a in range(povm.n_outcomes):
+            for b in range(basis.dim):
+                if table.postselect_probs[b] < _SCAN_PROB_MIN:
+                    continue
+                w = complex(table.values[a, b])
+                if _is_strange(w, threshold):
+                    return WitnessEntry(a=povm.labels[a], b=b, weak_value=w, basis=basis)
+    return None
 
 
 def _margins(state: DensityMatrix, povm: Povm, threshold: float) -> np.ndarray:
@@ -169,10 +146,9 @@ def _margin_entry(state: DensityMatrix, povm: Povm, threshold: float, nre: float
     """
     values, vectors = np.linalg.eigh(_margins(state, povm, threshold))
     top = values[:, -1]
-    for i in np.flatnonzero(top > 0):
-        entry = _first_strange(state, povm, _pvm_unchecked(vectors[i]), threshold)
-        if entry is not None:
-            return entry
+    entry = _first_strange(state, povm, (vectors[i] for i in np.flatnonzero(top > 0)), threshold)
+    if entry is not None:
+        return entry
     largest = float(top.max())
     if largest <= 0:
         raise WitnessNotFoundError(
@@ -194,33 +170,35 @@ def contextuality_witness(
 ) -> WitnessReport:
     """Decide contextuality of (state, POVM) and exhibit a strange weak value.
 
-    The verdict is nre > threshold; the nonclassicality channel must agree
-    (the two vanish together), and disagreement is flagged as an internal
-    inconsistency rather than trusted. When contextual, the returned entry
-    re-verifies as strange by direct recomputation; when no basis holds
-    one, WitnessNotFoundError states the largest margin (see the module
-    docstring). The threshold must be finite and non-negative. cfg is
-    accepted and not read, so callers that pass an OptimizerConfig keep
-    working; no part of the witness searches.
+    The verdict is nre > threshold. The two quantumness values vanish
+    together, so flavors_agree checks that nre and ncl fall on the same side
+    of the roundoff scale DEFAULT_THRESHOLD, whatever the threshold: ncl runs
+    well below nre, so comparing both with a raised threshold would flag
+    ordinary inputs. A disagreement is warned about as an internal
+    inconsistency rather than trusted. When contextual, the entry is the
+    first strange one in the canonical unbiased bases, then in the
+    eigenbases of the positive margins, and it re-verifies as strange by
+    direct recomputation; when no basis holds one, WitnessNotFoundError
+    states the largest margin (see the module docstring). The threshold must
+    be finite and non-negative. cfg is accepted and not read, so callers
+    that pass an OptimizerConfig keep working; no part of the witness
+    searches.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
     nre, ncl = _quantum_parts(state, povm)
     contextual = nre > threshold
-    agree = contextual == (ncl > threshold)
+    agree = (nre > DEFAULT_THRESHOLD) == (ncl > DEFAULT_THRESHOLD)
     if not agree:
         warnings.warn(
             f"nonreality ({nre:.3e}) and nonclassicality ({ncl:.3e}) disagree "
-            f"at threshold {threshold:.1e}; treating nonreality as authoritative",
+            f"at threshold {DEFAULT_THRESHOLD:.1e}; treating nonreality as authoritative",
             RuntimeWarning,
         )
     entry = None
     if contextual:
-        for basis in _unbiased_bases(state, povm):
-            entry = _first_strange(state, povm, basis, threshold)
-            if entry is not None:
-                break
-        else:
+        entry = _first_strange(state, povm, _mubs(state.dim), threshold)
+        if entry is None:
             entry = _margin_entry(state, povm, threshold, nre)
     return WitnessReport(
         contextual=contextual,
@@ -236,20 +214,6 @@ def lueders_state(rho: np.ndarray, projector: np.ndarray) -> np.ndarray:
     """State after the nonselective binary measurement {P, I - P} (raw matrix)."""
     comp = np.eye(rho.shape[0]) - projector
     return projector @ rho @ projector + comp @ rho @ comp
-
-
-def lueders_update(state: DensityMatrix, projector) -> DensityMatrix:
-    """State after the nonselective binary measurement {P, I - P}."""
-    p = as_operator(projector)
-    if p.shape[0] != state.dim:
-        raise DimMismatchError(f"projector dim {p.shape[0]} != state dim {state.dim}")
-    dev = herm_deviation(p)
-    if dev > 1e-10:
-        raise NotProjectorError(f"projector is not Hermitian: deviation {dev:.3e}")
-    idem = float(np.abs(p @ p - p).max())
-    if idem > 1e-10:
-        raise NotProjectorError(f"projector is not idempotent: max |P^2 - P| = {idem:.3e}")
-    return validate_density(lueders_state(state.matrix, p))
 
 
 def disturbance_nonreality(state: DensityMatrix, pvm: RankOnePvm) -> float:

@@ -8,24 +8,23 @@ basis bytes) or the WitnessNotFoundError message, so a rewrite of the
 witness that claims to change only speed can be checked for identical
 output. The cases cover contextual mixed, pure and rank-deficient states
 under POVMs and rank-1 PVMs, commuting pairs, and search instances at a
-raised threshold whose canonical unbiased bases (and their lifts) hold no
-strange entry, so the scan goes on to the eigenbases of the positive
-margins, or no margin is positive and the witness raises. Regenerate it
-only together with a deliberate change of the results, and say so in the
-change log. The script refuses to write when a case whose entry sits in an
-unbiased basis, or a case with no verdict, changes its bits against the
-committed file.
+raised threshold whose canonical unbiased bases hold no strange entry, so
+the scan goes on to the eigenbases of the positive margins, or no margin
+is positive and the witness raises. Regenerate it only together with a
+deliberate change of the results, and say so in the change log. The
+script refuses to write when a case whose entry sits in an unbiased basis,
+or a case with no verdict, changes its bits against the committed file.
 """
 
 import hashlib
 import json
 import os
-import warnings
 
 import numpy as np
 
 import kduncert as kd
 from kduncert import witness
+from kduncert.core import _mubs
 
 # (name, d, state rank, POVM outcomes | "pvm" | "commuting", state seed, POVM seed, threshold)
 # A "commuting" state is diagonal in the PVM basis with spectrum rank, rank-1, ..., 1 (then zeros).
@@ -108,10 +107,7 @@ def run(case) -> dict:
     """Bits of one case: the report, or the WitnessNotFoundError message."""
     state, povm, threshold = build(case)
     try:
-        with warnings.catch_warnings():
-            # at a raised threshold the two flavors may disagree; flavors_agree records it
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return bits(kd.contextuality_witness(state, povm, threshold=threshold))
+        return bits(kd.contextuality_witness(state, povm, threshold=threshold))
     except kd.WitnessNotFoundError as exc:
         return {"not_found": str(exc)}
 
@@ -128,7 +124,7 @@ def search_end(case, fx) -> str:
         return "no verdict"
     state, povm, threshold = build(case)
     sha = fx["entry"]["basis_sha256"]
-    if any(_basis_sha256(b.basis_unitary) == sha for b in witness._unbiased_bases(state, povm)):
+    if any(_basis_sha256(u) == sha for u in _mubs(state.dim)):
         return "mub"
     if any(_basis_sha256(u) == sha for u in np.linalg.eigh(witness._margins(state, povm, threshold))[1]):
         return "margin"

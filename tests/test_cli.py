@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ def test_witness_cli(capsys, fixtures, derived):
     )
     assert code == 0
     assert out["contextual"] is False
+
+
+def test_witness_flavors_agree_at_a_raised_threshold(capsys, tmp_path):
+    # both quantum parts are far from zero, so they agree although only nre exceeds the threshold
+    state = tmp_path / "state.json"
+    povm = tmp_path / "povm.json"
+    state.write_text(serialize.dumps(serialize.matrix_to_json(kd.random_density(2, 1, seed=1).matrix)))
+    povm.write_text(serialize.dumps(serialize.povm_to_json(kd.random_povm(2, 2, seed=101))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(capsys, ["witness", str(state), str(povm), "--threshold", "0.3"])
+    assert code == 0
+    assert out["nre"] > 0.3 > out["ncl"] > 1e-7
+    assert out["contextual"] is True and out["flavors_agree"] is True
 
 
 def test_infimum_cli(capsys, fixtures, derived):

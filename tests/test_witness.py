@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import pytest
 import gen_witness_bits
 import kduncert as kd
 import kduncert.witness as witness_mod
+from kduncert.core import _mubs
 from conftest import HADAMARD, Y_BASIS
 
 
@@ -214,7 +214,9 @@ def _log_calls(monkeypatch, names):
 
 
 def test_witness_builds_candidates_only_when_reached(monkeypatch):
-    log = _log_calls(monkeypatch, ("weak_values", "_povm_basis", "_margins"))
+    # the scan reads no measurement basis: its catalog is the unbiased bases, then the margins
+    assert not hasattr(witness_mod, "_povm_basis")
+    log = _log_calls(monkeypatch, ("weak_values", "_margins"))
     for d in (2, 3):
         state = kd.random_density(d, d, seed=730 + d)
         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d)).as_povm()
@@ -223,13 +225,12 @@ def test_witness_builds_candidates_only_when_reached(monkeypatch):
         assert np.array_equal(report.witness_entry.basis.basis_unitary, kd.mub_bases(d)[0])
         assert log == ["weak_values"]
         log.clear()
-    # the margin stack is built once, after every unbiased basis and lift was scanned
-    for name, n_unbiased in (("d2-search-margin-povm3", 2), ("d2-search-margin-pvm", 4)):
+    # the margin stack is built once, after every unbiased basis was scanned
+    for name, n_unbiased in (("d2-search-margin-povm3", 2), ("d2-search-margin-pvm", 2)):
         state, povm, threshold = _search_case(name)
-        with pytest.warns(RuntimeWarning):
-            kd.contextuality_witness(state, povm, threshold=threshold)
+        kd.contextuality_witness(state, povm, threshold=threshold)
         at = log.index("_margins")
-        assert log.count("_margins") == 1 and log.count("_povm_basis") == 1
+        assert log.count("_margins") == 1
         assert log[:at].count("weak_values") == n_unbiased
         assert log[at + 1:] == ["weak_values"] * (len(log) - at - 1) and len(log) > at + 1
         log.clear()
@@ -275,7 +276,7 @@ def test_margins_match_the_whitened_numerical_range():
 
 def test_witness_not_found_is_a_certificate():
     state, povm, threshold = _search_case("d2-search-not-found")
-    with pytest.warns(RuntimeWarning), pytest.raises(kd.WitnessNotFoundError, match="no basis holds") as exc:
+    with pytest.raises(kd.WitnessNotFoundError, match="no basis holds") as exc:
         kd.contextuality_witness(state, povm, threshold=threshold)
     assert -2e-3 < _largest_margin(exc.value) <= 0
     # the whitened closed form agrees: no weak value is strange at this threshold
@@ -286,7 +287,7 @@ def test_witness_positive_margin_without_scannable_entry(monkeypatch):
     # with the probability floor above 1 no entry can be scanned, although a margin is positive
     monkeypatch.setattr(witness_mod, "_SCAN_PROB_MIN", 2.0)
     state, povm, threshold = _search_case("d2-search-margin-povm3")
-    with pytest.warns(RuntimeWarning), pytest.raises(kd.WitnessNotFoundError, match="> 0, but no entry") as exc:
+    with pytest.raises(kd.WitnessNotFoundError, match="> 0, but no entry") as exc:
         kd.contextuality_witness(state, povm, threshold=threshold)
     assert _largest_margin(exc.value) > 0
 
@@ -313,15 +314,13 @@ def test_witness_margin_sweep():
                         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1)).as_povm()
                     else:
                         povm = kd.random_povm(d, 3, seed=seed + 1)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        try:
-                            report = kd.contextuality_witness(state, povm, threshold=t)
-                        except kd.WitnessNotFoundError as exc:
-                            assert _largest_margin(exc) <= 0, exc
-                            assert _no_strange_entry_in_haar_bases(state, povm, t, seed)
-                            ends["none"] += 1
-                            continue
+                    try:
+                        report = kd.contextuality_witness(state, povm, threshold=t)
+                    except kd.WitnessNotFoundError as exc:
+                        assert _largest_margin(exc) <= 0, exc
+                        assert _no_strange_entry_in_haar_bases(state, povm, t, seed)
+                        ends["none"] += 1
+                        continue
                     entry = report.witness_entry
                     if entry is None:
                         continue
@@ -331,11 +330,48 @@ def test_witness_margin_sweep():
                     assert again == entry.weak_value
                     assert abs(again.imag) > t or again.real < -t
                     assert table.postselect_probs[entry.b] >= witness_mod._SCAN_PROB_MIN
-                    unbiased = [b.basis_unitary for b in witness_mod._unbiased_bases(state, povm)]
-                    in_unbiased = any(np.array_equal(entry.basis.basis_unitary, u) for u in unbiased)
+                    in_unbiased = any(np.array_equal(entry.basis.basis_unitary, u) for u in _mubs(d))
                     ends["mub" if in_unbiased else "margin"] += 1
     # every end of the scan occurs in the sweep
     assert min(ends.values()) > 0, ends
+
+
+def _holds_strange_entry(state, povm, u, threshold):
+    """Whether the basis with unitary u holds a weak value strange at threshold with Pr(b) >= the scan's floor."""
+    table = kd.weak_values(state, povm, kd.rank_one_pvm(u))
+    w = table.values[:, table.postselect_probs >= witness_mod._SCAN_PROB_MIN]
+    return bool((np.abs(w.imag) > threshold).any() or (w.real < -threshold).any())
+
+
+def test_margins_cover_the_lifted_unbiased_bases():
+    # For a rank-1 PVM with basis V, the lifted bases V U (U unbiased) can hold a strange entry
+    # that the unbiased bases miss; the eigenbases of the positive margins then hold one too.
+    lifted = 0
+    for d in (2, 3, 4, 5):
+        for t in (0.1, 0.3, 0.5):
+            for k in range(40):
+                seed = 40_000 + 1000 * d + 100 * round(10 * t) + k
+                state = kd.random_density(d, 1 + k % d, seed=seed)
+                v = kd.haar_random_unitary(d, seed=seed + 1)
+                povm = kd.rank_one_pvm(v).as_povm()
+                if any(_holds_strange_entry(state, povm, u, t) for u in _mubs(d)):
+                    continue
+                if not any(_holds_strange_entry(state, povm, v @ u, t) for u in _mubs(d)):
+                    continue
+                # a lift holds a strange entry, so no certificate may deny one
+                report = kd.contextuality_witness(state, povm, threshold=t)
+                if not report.contextual:
+                    continue
+                lifted += 1
+                entry = report.witness_entry
+                margin_bases = np.linalg.eigh(witness_mod._margins(state, povm, t))[1]
+                assert any(np.array_equal(entry.basis.basis_unitary, u) for u in margin_bases)
+                table = kd.weak_values(state, povm, entry.basis)
+                again = complex(table.values[povm.labels.index(entry.a), entry.b])
+                assert again == entry.weak_value
+                assert abs(again.imag) > t or again.real < -t
+                assert table.postselect_probs[entry.b] >= witness_mod._SCAN_PROB_MIN
+    assert lifted >= 10, lifted
 
 
 def _commuting_pair(d, rank, seed, rank_one):
@@ -372,28 +408,6 @@ def test_zero_threshold_margin_is_positive_iff_the_pair_does_not_commute():
                 highest = max(highest, _largest_margin_at_zero(state, povm), kd.quantum_nonreality(state, povm))
     assert lowest > 1e-12
     assert highest <= 1e-12
-
-
-def test_lueders_update():
-    diag = kd.validate_density(np.diag([0.75, 0.25]))
-    p0 = np.diag([1.0, 0.0])
-    assert np.abs(kd.lueders_update(diag, p0).matrix - diag.matrix).max() < 1e-12
-
-    plus = kd.validate_density(np.full((2, 2), 0.5))
-    assert np.abs(kd.lueders_update(plus, p0).matrix - np.eye(2) / 2).max() < 1e-12
-
-    for i in range(10):
-        d = 2 + i % 3
-        rho = kd.random_density(d, d, seed=610 + i)
-        u = kd.haar_random_unitary(d, seed=620 + i)
-        proj = np.outer(u[:, 0], u[:, 0].conj())
-        updated = kd.lueders_update(rho, proj)
-        assert abs(np.trace(updated.matrix) - 1.0) < 1e-12
-
-    with pytest.raises(kd.NotProjectorError):
-        kd.lueders_update(diag, np.diag([0.5, 0.0]))
-    with pytest.raises(kd.NotProjectorError):
-        kd.lueders_update(diag, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_disturbance_fixtures():
