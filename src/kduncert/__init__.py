@@ -15,22 +15,7 @@ from .core import (
     validate_density,
     validate_povm,
 )
-from .errors import (
-    BadDistributionError,
-    BadPartitionError,
-    BadRankError,
-    DimMismatchError,
-    EffectNotPsdError,
-    IncompleteSumError,
-    KdUncertError,
-    NotHermitianError,
-    NotPsdError,
-    NotUnitaryError,
-    NotUnitTraceError,
-    SingularSumError,
-    ValidationError,
-    WitnessNotFoundError,
-)
+from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from .kdtable import (
     JohansenComponents,
     KdTable,

@@ -46,12 +46,16 @@ def _read_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON ({exc.msg} at line {exc.lineno})") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's int-to-str digit limit
+        raise ValidationError(f"{path}: unreadable JSON (an integer literal has too many digits)") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: unreadable JSON (nested too deeply)") from exc
 
 
 def _write_output(obj, path):

@@ -16,18 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadRankError,
-    DimMismatchError,
-    IncompleteSumError,
-    EffectNotPsdError,
-    NotHermitianError,
-    NotPsdError,
-    NotUnitaryError,
-    NotUnitTraceError,
-    SingularSumError,
-    ValidationError,
-)
+from .errors import DimMismatchError, ValidationError
 
 HERM_ATOL = 1e-10       # Hermiticity / PSD / unitarity validation
 COMPLETENESS_ATOL = 1e-9  # POVM and projector completeness
@@ -116,13 +105,13 @@ def validate_density(m) -> DensityMatrix:
     a = as_operator(m)
     dev = herm_deviation(a)
     if dev > HERM_ATOL:
-        raise NotHermitianError(f"state is not Hermitian: max |m - m^dag| = {dev:.3e}")
+        raise ValidationError(f"state is not Hermitian: max |m - m^dag| = {dev:.3e}")
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > HERM_ATOL:
-        raise NotUnitTraceError(f"state trace is {tr:.12g}, deviation {abs(tr - 1.0):.3e}")
+        raise ValidationError(f"state trace is {tr:.12g}, deviation {abs(tr - 1.0):.3e}")
     w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     if w[0] < -HERM_ATOL:
-        raise NotPsdError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
+        raise ValidationError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
     return DensityMatrix(matrix=_frozen(a))
 
 
@@ -146,13 +135,13 @@ def validate_povm(effects, labels=None) -> Povm:
     if bad.any():
         i = int(np.argmax(bad))
         if devs[i] > HERM_ATOL:
-            raise EffectNotPsdError(f"effect {i} is not Hermitian: deviation {devs[i]:.3e}")
-        raise EffectNotPsdError(f"effect {i} is not PSD: min eigenvalue {mins[i]:.3e}")
+            raise ValidationError(f"effect {i} is not Hermitian: deviation {devs[i]:.3e}")
+        raise ValidationError(f"effect {i} is not PSD: min eigenvalue {mins[i]:.3e}")
     if n < len(ops):
         raise DimMismatchError(f"effect {n} has dim {ops[n].shape[0]}, expected {d}")
     dev = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
     if dev > COMPLETENESS_ATOL:
-        raise IncompleteSumError(f"effects do not resolve identity: max |sum - I| = {dev:.3e}")
+        raise ValidationError(f"effects do not resolve identity: max |sum - I| = {dev:.3e}")
     if labels is None:
         labels = tuple(str(i) for i in range(len(ops)))
     else:
@@ -171,7 +160,7 @@ def rank_one_pvm(u) -> RankOnePvm:
     d = a.shape[0]
     dev = float(np.abs(a.conj().T @ a - np.eye(d)).max())
     if dev > HERM_ATOL:
-        raise NotUnitaryError(f"basis is not unitary: max |U^dag U - I| = {dev:.3e}")
+        raise ValidationError(f"basis is not unitary: max |U^dag U - I| = {dev:.3e}")
     return RankOnePvm(basis_unitary=_frozen(a))
 
 
@@ -239,7 +228,7 @@ def random_density(d: int, rank: int, seed) -> DensityMatrix:
     """
     _check_dim(d)
     if not 1 <= rank <= d:
-        raise BadRankError(f"rank must be in [1, {d}], got {rank}")
+        raise ValidationError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
@@ -269,7 +258,7 @@ def _normalized_povm(draws) -> Povm:
     total = np.sum(draws, axis=0)
     w, v = np.linalg.eigh(total)
     if w[0] < 1e-12:
-        raise SingularSumError(f"effect sum is singular: min eigenvalue {w[0]:.3e}")
+        raise ValidationError(f"effect sum is singular: min eigenvalue {w[0]:.3e}")
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     return validate_povm(inv_sqrt @ np.stack(draws) @ inv_sqrt)
 

@@ -1,7 +1,10 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package: one class per CLI exit code.
 
-Every validation error message names the violated invariant and carries the
-measured deviation so callers (and the CLI) can report exactly what failed.
+ValidationError exits 2, DimMismatchError 3, WitnessNotFoundError 4 and any
+other KdUncertError 5 (see kduncert.cli). A new class earns its place only
+with a new exit code; which invariant failed is told by the message, which
+names the invariant and carries the measured deviation, e.g. "state is not
+PSD: min eigenvalue -5.000e-01".
 """
 
 
@@ -11,46 +14,6 @@ class KdUncertError(Exception):
 
 class ValidationError(KdUncertError, ValueError):
     """An input object violates one of its declared invariants."""
-
-
-class NotHermitianError(ValidationError):
-    pass
-
-
-class NotUnitTraceError(ValidationError):
-    pass
-
-
-class NotPsdError(ValidationError):
-    pass
-
-
-class EffectNotPsdError(ValidationError):
-    pass
-
-
-class IncompleteSumError(ValidationError):
-    pass
-
-
-class NotUnitaryError(ValidationError):
-    pass
-
-
-class BadRankError(ValidationError):
-    pass
-
-
-class SingularSumError(ValidationError):
-    pass
-
-
-class BadDistributionError(ValidationError):
-    pass
-
-
-class BadPartitionError(ValidationError):
-    pass
 
 
 class DimMismatchError(KdUncertError, ValueError):

@@ -69,10 +69,6 @@ def _require(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where}: missing field '{key}'")
     val = obj[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ValidationError(f"{where}: field '{key}' must be a number")
-        return float(val)
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
             raise ValidationError(f"{where}: field '{key}' must be an integer")
@@ -94,7 +90,11 @@ def matrix_from_json(obj, where="matrix") -> np.ndarray:
     d = _require(obj, "d", int, where)
     entries = _require(obj, "re_im", list, where)
     if d < 1 or len(entries) != d * d:
-        raise ValidationError(f"{where}: 're_im' must hold {d * d} entries, got {len(entries)}")
+        try:
+            want = str(d * d)
+        except ValueError:  # d * d has more digits than int-to-str conversion allows
+            want = f"d * d (d has {len(str(d))} digits)"
+        raise ValidationError(f"{where}: 're_im' must hold {want} entries, got {len(entries)}")
     flat = []
     for i, pair in enumerate(entries):
         if (
@@ -103,7 +103,10 @@ def matrix_from_json(obj, where="matrix") -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise ValidationError(f"{where}: 're_im' entry {i} must be a [re, im] pair")
-        flat.append(complex(pair[0], pair[1]))
+        try:
+            flat.append(complex(pair[0], pair[1]))
+        except OverflowError as exc:  # an integer beyond float range
+            raise ValidationError(f"{where}: 're_im' entry {i} is out of float range") from exc
     return np.array(flat, dtype=complex).reshape(d, d)
 
 

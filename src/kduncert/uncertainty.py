@@ -23,7 +23,7 @@ from .core import (
     rank_one_pvm,
     validate_povm,
 )
-from .errors import BadDistributionError, BadPartitionError, DimMismatchError, KdUncertError, ValidationError
+from .errors import DimMismatchError, KdUncertError, ValidationError
 from .optimize import (
     SupremumResult,
     _trace_norms,
@@ -72,9 +72,9 @@ def _check_probs(probs):
     p = [float(x) for x in probs]
     for x in p:
         if x < -1e-10 or x > 1.0 + 1e-10:
-            raise BadDistributionError(f"probability {x:.12g} outside [0, 1]")
+            raise ValidationError(f"probability {x:.12g} outside [0, 1]")
     if abs(sum(p) - 1.0) > PROB_ATOL:
-        raise BadDistributionError(f"probabilities sum to {sum(p):.12g}")
+        raise ValidationError(f"probabilities sum to {sum(p):.12g}")
     return [min(max(x, 0.0), 1.0) for x in p]
 
 
@@ -181,11 +181,11 @@ def coarse_grain(povm: Povm, partition) -> Povm:
     blocks = [tuple(int(i) for i in block) for block in partition]
     seen = sorted(i for block in blocks for i in block)
     if seen != list(range(povm.n_outcomes)):
-        raise BadPartitionError(
+        raise ValidationError(
             f"partition {blocks} does not cover indices 0..{povm.n_outcomes - 1} exactly once"
         )
     if not all(blocks):
-        raise BadPartitionError(f"partition {blocks} has an empty block")
+        raise ValidationError(f"partition {blocks} has an empty block")
     effects = povm.stack[[block[0] for block in blocks]]  # then the rest of each block, left to right
     owners = [k for k, block in enumerate(blocks) for _ in block[1:]]
     np.add.at(effects, owners, povm.stack[[i for block in blocks for i in block[1:]]])

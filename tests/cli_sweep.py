@@ -4,13 +4,15 @@ Run as a script:
 
     PYTHONPATH=src python tests/cli_sweep.py > sweep.txt
 
-It writes seeded inputs (states, POVMs, bases and invalid POVM files) to a
-temporary directory with plain numpy, so the inputs do not depend on the
-package under test, then runs each argv in-process through
+It writes seeded inputs (states, POVMs, bases, invalid POVM files and
+malformed JSON) to a temporary directory with plain numpy, so the inputs do
+not depend on the package under test, then runs each argv in-process through
 kduncert.cli.main. For each argv it prints the argv, with the temporary
 directory written as <tmp>, and the sha256 of the exit code, stdout and
-stderr. Warnings are shown as "Category: message", without the file:line
-prefix, and every warning is shown, not only the first per location.
+stderr. An exception that escapes main is recorded as the exit code
+"traceback:<type>" and the sweep goes on. Warnings are shown as
+"Category: message", without the file:line prefix, and every warning is
+shown, not only the first per location.
 Running it on two trees and diffing the outputs shows which argvs changed.
 Not collected by pytest.
 """
@@ -108,6 +110,14 @@ def _inputs(tmp) -> dict:
     write("bad_malformed", None, text="{nope")
     write("bad_state_trace", _matrix(np.diag([0.5, 0.6])))
     write("bad_state_nonpsd", _matrix(np.diag([1.5, -0.5])))
+    # files that the decoder, the JSON parser or the float conversion refuses
+    with open(os.path.join(tmp, "malformed_not_utf8"), "wb") as fh:
+        fh.write(b"\xff\xfe{}\n")
+    paths["malformed_not_utf8"] = fh.name
+    write("malformed_long_int", None, text='{"d": 1, "re_im": [[' + "1" * 4301 + ", 0]]}\n")
+    write("malformed_deep", None, text="[" * 100000 + "]" * 100000 + "\n")
+    write("malformed_overflow", None, text='{"d": 1, "re_im": [[1' + "0" * 400 + ", 0]]}\n")
+    write("malformed_long_d", None, text='{"d": 1' + "0" * 2200 + ', "re_im": [[1, 0]]}\n')
     return paths
 
 
@@ -177,6 +187,8 @@ def _argvs(p) -> list:
         ["selftest", "--dims", "2,,3"],
         ["selftest", "--samples", "0"],
     ]
+    for name in sorted(n for n in p if n.startswith("malformed_")):
+        argvs += [["infimum", p[name]], ["witness", p["full2"], p[name]]]
     return argvs
 
 
@@ -193,6 +205,8 @@ def _run(argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # an input that escapes main's error mapping
+            code = f"traceback:{type(exc).__name__}"
     return code, out.getvalue(), err.getvalue()
 
 

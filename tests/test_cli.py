@@ -68,6 +68,41 @@ def test_kd_table_validation_exit_codes(capsys, fixtures, tmp_path):
     assert code == 2
 
 
+# files that the decoder, the JSON parser or the float conversion refuses, and the message each one ends in
+MALFORMED = {
+    "long_int": (
+        b'{"d": 1, "re_im": [[' + b"1" * 4301 + b", 0]]}",
+        "unreadable JSON (an integer literal has too many digits)",
+    ),
+    "deep": (b"[" * 100000 + b"]" * 100000, "unreadable JSON (nested too deeply)"),
+    "overflow": (b'{"d": 1, "re_im": [[1' + b"0" * 400 + b", 0]]}", "'re_im' entry 0 is out of float range"),
+    "long_d": (
+        b'{"d": 1' + b"0" * 2200 + b', "re_im": [[1, 0]]}',
+        "'re_im' must hold d * d (d has 2201 digits) entries, got 1",
+    ),
+    "not_utf8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["decompose", "kd-table", "bounds", "witness", "infimum"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_json_is_a_validation_error(capsys, fixtures, tmp_path, kind, subcommand):
+    content, message = MALFORMED[kind]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(content + b"\n")
+    measurements = {"decompose": 1, "kd-table": 2, "bounds": 1, "witness": 1, "infimum": 0}[subcommand]
+    argvs = [[subcommand, str(bad)] + [fixtures["xbasis"]] * measurements]
+    if measurements:  # the malformed file in the last measurement slot
+        argvs.append([subcommand, fixtures["zero"]] + [fixtures["xbasis"]] * (measurements - 1) + [str(bad)])
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err[:200]
+        assert captured.err.endswith(message + "\n"), captured.err[:200]
+
+
 def test_dim_mismatch_exit_code(capsys, fixtures):
     code, _ = _run(capsys, ["kd-table", fixtures["zero"], fixtures["povm3"], fixtures["ybasis"]])
     assert code == 3

@@ -12,11 +12,11 @@ def test_validate_density_accepts_pure_states():
 
 
 def test_validate_density_rejections():
-    with pytest.raises(kd.NotPsdError):
+    with pytest.raises(kd.ValidationError, match=r"^state is not PSD: min eigenvalue -1\.000e-01$"):
         kd.validate_density([[0.5, 0.6], [0.6, 0.5]])  # eigenvalues 1.1, -0.1
-    with pytest.raises(kd.NotUnitTraceError):
+    with pytest.raises(kd.ValidationError, match=r"^state trace is 0\.75\+0j, deviation 2\.500e-01$"):
         kd.validate_density([[0.5, 0], [0, 0.25]])
-    with pytest.raises(kd.NotHermitianError):
+    with pytest.raises(kd.ValidationError, match=r"^state is not Hermitian: max \|m - m\^dag\| = 4\.000e-01$"):
         kd.validate_density([[0.5, 0.5], [0.1, 0.5]])
     with pytest.raises(kd.ValidationError):
         kd.validate_density([[np.inf, 0], [0, 1]])
@@ -25,9 +25,9 @@ def test_validate_density_rejections():
 def test_validate_povm_examples():
     kd.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     kd.validate_povm([np.eye(2) / 2, np.eye(2) / 2])
-    with pytest.raises(kd.IncompleteSumError):
+    with pytest.raises(kd.ValidationError, match=r"^effects do not resolve identity: max \|sum - I\| = 1\.000e\+00$"):
         kd.validate_povm([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
-    with pytest.raises(kd.EffectNotPsdError):
+    with pytest.raises(kd.ValidationError, match=r"^effect 1 is not PSD: min eigenvalue -5\.000e-01$"):
         kd.validate_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
@@ -45,7 +45,7 @@ def test_povm_labels():
 
 def test_rank_one_pvm_validation():
     kd.rank_one_pvm(np.eye(3))
-    with pytest.raises(kd.NotUnitaryError):
+    with pytest.raises(kd.ValidationError, match=r"^basis is not unitary: max \|U\^dag U - I\| = 1\.000e\+00$"):
         kd.rank_one_pvm(np.array([[1, 0], [1, 0]], dtype=complex))
 
 
@@ -93,7 +93,7 @@ def test_random_density():
     mixed = kd.random_density(2, rank=2, seed=7)
     assert np.trace(mixed.matrix @ mixed.matrix).real < 1.0 - 1e-6
     assert np.array_equal(kd.random_density(2, 2, seed=5).matrix, kd.random_density(2, 2, seed=5).matrix)
-    with pytest.raises(kd.BadRankError):
+    with pytest.raises(kd.ValidationError, match=r"^rank must be in \[1, 2\], got 3$"):
         kd.random_density(2, rank=3, seed=0)
 
 
@@ -180,12 +180,12 @@ def test_povm_stack_is_read_only_effect_stack():
 def test_validate_povm_names_the_first_failing_effect():
     not_psd = np.diag([-0.1, 0.0])
     not_hermitian = np.array([[1.1, 0.3], [0.0, 1.0]])
-    with pytest.raises(kd.EffectNotPsdError, match=r"^effect 0 is not PSD: min eigenvalue -1\.000e-01$"):
+    with pytest.raises(kd.ValidationError, match=r"^effect 0 is not PSD: min eigenvalue -1\.000e-01$"):
         kd.validate_povm([not_psd, not_hermitian])
     # a lone bad effect that is neither Hermitian nor PSD is reported as not Hermitian
-    with pytest.raises(kd.EffectNotPsdError, match=r"^effect 1 is not Hermitian: deviation 3\.000e-01$"):
+    with pytest.raises(kd.ValidationError, match=r"^effect 1 is not Hermitian: deviation 3\.000e-01$"):
         kd.validate_povm([np.eye(2) / 2, np.array([[-1.0, 0.3], [0.0, 0.5]])])
-    with pytest.raises(kd.EffectNotPsdError, match=r"^effect 0 is not PSD"):
+    with pytest.raises(kd.ValidationError, match=r"^effect 0 is not PSD"):
         kd.validate_povm([not_psd, np.eye(3)])
     with pytest.raises(kd.DimMismatchError, match=r"^effect 1 has dim 3, expected 2$"):
         kd.validate_povm([np.eye(2), np.eye(3), not_hermitian])

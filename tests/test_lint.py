@@ -92,3 +92,34 @@ def test_traced_spans_resolve_to_package_functions():
     for span in spans:
         module, name = span.split(".")
         assert callable(getattr(importlib.import_module(f"kduncert.{module}"), name, None)), span
+
+
+def _exit_code_classes(errors_source: str, cli_source: str) -> tuple:
+    """(classes errors.py defines, classes cli.main's except clauses name)."""
+    defined = {node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)}
+    main = next(
+        node for node in ast.parse(cli_source).body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = set()
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(t.id for t in types if isinstance(t, ast.Name))
+    return defined, caught
+
+
+def test_one_exception_class_per_exit_code():
+    # a class that cli.main does not map adds no exit code, so nothing outside the message tells it apart
+    defined, caught = _exit_code_classes((SRC / "errors.py").read_text(), (SRC / "cli.py").read_text())
+    assert defined == caught == {"KdUncertError", "ValidationError", "DimMismatchError", "WitnessNotFoundError"}
+
+
+def test_exit_code_class_check_catches_a_leftover():
+    errors = "class Base(Exception):\n    pass\n\nclass Bad(Base):\n    pass\n\nclass Spare(Bad):\n    pass\n"
+    cli = (
+        "def main():\n    try:\n        run()\n    except Bad:\n        return 2\n"
+        "    except (Base, OSError):\n        return 5\n"
+    )
+    defined, caught = _exit_code_classes(errors, cli)
+    assert defined - caught == {"Spare"}
+    assert caught - defined == {"OSError"}

@@ -41,9 +41,9 @@ def test_s_entropy_examples(derived):
     assert kd.s_entropy([1.0, 0.0, 0.0]) == 0.0
     assert abs(kd.s_entropy([0.25] * 4) - derived["s_entropy_uniform4"]) < 1e-12
     assert abs(kd.s_entropy([0.5, 0.5]) - 1.0) < 1e-12
-    with pytest.raises(kd.BadDistributionError):
+    with pytest.raises(kd.ValidationError, match=r"^probabilities sum to 1\.4$"):
         kd.s_entropy([0.7, 0.7])
-    with pytest.raises(kd.BadDistributionError):
+    with pytest.raises(kd.ValidationError, match=r"^probability 1\.2 outside \[0, 1\]$"):
         kd.s_entropy([1.2, -0.2])
 
 
@@ -155,9 +155,10 @@ def test_coarse_grain():
     merged = kd.coarse_grain(povm, [(0, 1, 2, 3)])
     assert np.abs(merged.effects[0] - np.eye(2)).max() < 1e-9
     assert merged.labels == ("0+1+2+3",)
-    with pytest.raises(kd.BadPartitionError):
+    cover = r" does not cover indices 0\.\.3 exactly once$"
+    with pytest.raises(kd.ValidationError, match=r"^partition \[\(0, 1\), \(1, 2, 3\)\]" + cover):
         kd.coarse_grain(povm, [(0, 1), (1, 2, 3)])
-    with pytest.raises(kd.BadPartitionError):
+    with pytest.raises(kd.ValidationError, match=r"^partition \[\(0, 1\)\]" + cover):
         kd.coarse_grain(povm, [(0, 1)])
     # a joined label may not repeat another label
     labelled = kd.validate_povm([np.eye(2) / 3] * 3, labels=["0", "1", "0+1"])
@@ -174,7 +175,7 @@ def test_coarse_grain_matches_per_block_sums_bitwise():
         assert np.array_equal(effect.view(float), np.sum([povm.effects[i] for i in block], axis=0).view(float))
     assert merged.labels == ("4+0+2", "5", "1+3")
     for empty in ([(), (0, 1, 2, 3, 4, 5)], [(0, 1, 2), (), (3, 4, 5)], [(0, 1, 2, 3, 4, 5), ()]):
-        with pytest.raises(kd.BadPartitionError, match="empty block"):
+        with pytest.raises(kd.ValidationError, match="has an empty block$"):
             kd.coarse_grain(povm, empty)
 
 
