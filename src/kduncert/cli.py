@@ -62,9 +62,12 @@ def _write_output(obj, path):
     text = serialize.dumps(obj) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _seed(args) -> int:

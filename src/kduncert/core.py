@@ -100,6 +100,18 @@ class RankOnePvm:
         return Povm(stack=self.projectors(), labels=tuple(str(b) for b in range(self.dim)))
 
 
+def _eigvalsh(m: np.ndarray, name: str) -> np.ndarray:
+    """np.linalg.eigvalsh(m); when it does not converge, a ValidationError that names the input."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"{name} eigenvalues did not converge, so positivity cannot be checked") from exc
+
+
+# The three validators run with numpy's overflow and invalid-value warnings
+# off: entries near float max overflow in their arithmetic, and each reports
+# such input by its own message, which the warnings would only precede.
+@np.errstate(over="ignore", invalid="ignore")
 def validate_density(m) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity; return a DensityMatrix."""
     a = as_operator(m)
@@ -109,12 +121,13 @@ def validate_density(m) -> DensityMatrix:
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > HERM_ATOL:
         raise ValidationError(f"state trace is {tr:.12g}, deviation {abs(tr - 1.0):.3e}")
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    w = _eigvalsh(0.5 * (a + a.conj().T), "state")
     if w[0] < -HERM_ATOL:
         raise ValidationError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
     return DensityMatrix(matrix=_frozen(a))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_povm(effects, labels=None) -> Povm:
     """Validate each effect (Hermitian PSD) and completeness; return a Povm.
 
@@ -130,7 +143,7 @@ def validate_povm(effects, labels=None) -> Povm:
     stack = np.stack(ops[:n])
     adjoint = stack.conj().swapaxes(-1, -2)
     devs = np.abs(stack - adjoint).max(axis=(1, 2))
-    mins = np.linalg.eigvalsh(0.5 * (stack + adjoint))[:, 0]
+    mins = _eigvalsh(0.5 * (stack + adjoint), "effect")[:, 0]
     bad = (devs > HERM_ATOL) | (mins < -HERM_ATOL)
     if bad.any():
         i = int(np.argmax(bad))
@@ -154,6 +167,7 @@ def validate_povm(effects, labels=None) -> Povm:
     return Povm(stack=stack, labels=labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rank_one_pvm(u) -> RankOnePvm:
     """Validate unitarity of the column basis; return a RankOnePvm."""
     a = as_operator(u)

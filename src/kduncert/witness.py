@@ -4,7 +4,10 @@ A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
 variable model. The witness first scans the canonical unbiased bases, read
 from a per-dimension cache, so a verdict whose entry sits in one of them
-builds no other candidate.
+builds no other candidate. The scan builds no WeakValueTable: per basis it
+takes the probabilities and numerators from _weak_value_parts, divides once,
+and walks the quotients as plain Python numbers; only the basis of the hit
+becomes a RankOnePvm.
 
 When those hold no strange entry the rest is a closed form. For a unit
 postselection vector b with Pr(b) = <b|rho|b> > 0 the weak value of M^a has
@@ -76,18 +79,23 @@ class WitnessReport:
     flavors_agree: bool
 
 
+def _weak_value_parts(rho: np.ndarray, stack: np.ndarray, u: np.ndarray):
+    """Pr(b) = <b|rho|b>, shape (d,), and <b|M^a rho|b>, shape (n, d), over the columns b of u, undivided."""
+    u_conj = u.conj()
+    rho_u = rho @ u
+    probs = np.einsum("ib,ib->b", u_conj, rho_u).real
+    numer = np.einsum("ib,aij,jb->ab", u_conj, stack, rho_u)
+    return probs, numer
+
+
 def weak_values(state: DensityMatrix, povm: Povm, basis: RankOnePvm) -> WeakValueTable:
     """Weak-value table of the POVM with preselection rho and postselection basis."""
     d = state.dim
     if povm.dim != d or basis.dim != d:
         raise DimMismatchError(f"state dim {d} vs POVM {povm.dim}, basis {basis.dim}")
-    u = basis.basis_unitary
-    rho = state.matrix
-    rho_u = rho @ u
-    probs = np.einsum("ib,ib->b", u.conj(), rho_u).real
+    probs, numer = _weak_value_parts(state.matrix, povm.stack, basis.basis_unitary)
     probs = np.clip(probs, 0.0, None)
     mask = probs <= UNDEFINED_PROB
-    numer = np.einsum("ib,aij,jb->ab", u.conj(), povm.stack, rho_u)
     values = np.zeros((povm.n_outcomes, d), dtype=complex)
     np.divide(numer, probs, out=values, where=~mask)
     return WeakValueTable(values=values, postselect_probs=probs, undefined_mask=mask)
@@ -113,19 +121,24 @@ def _is_strange(w: complex, threshold: float) -> bool:
 def _first_strange(state, povm, unitaries, threshold):
     """The first strange entry in the bases with the given unitaries, scanned in order, or None.
 
-    Entries with postselection probability below _SCAN_PROB_MIN are skipped,
-    and each basis's weak-value table is built only when the scan reaches it.
+    Within a basis the scan runs over effects, then columns, and skips the
+    columns with postselection probability below _SCAN_PROB_MIN. A basis
+    costs one _weak_value_parts call and one divide, made only when the scan
+    reaches it; no WeakValueTable is built. Every scanned column has
+    Pr(b) >= _SCAN_PROB_MIN, so dividing by max(Pr(b), _SCAN_PROB_MIN) gives
+    the bits weak_values reports there.
     """
+    rho, stack = state.matrix, povm.stack
     for u in unitaries:
-        basis = _pvm_unchecked(u)
-        table = weak_values(state, povm, basis)
-        for a in range(povm.n_outcomes):
-            for b in range(basis.dim):
-                if table.postselect_probs[b] < _SCAN_PROB_MIN:
+        probs, numer = _weak_value_parts(rho, stack, u)
+        rows = (numer / np.maximum(probs, _SCAN_PROB_MIN)).tolist()
+        probs = probs.tolist()
+        for a, row in enumerate(rows):
+            for b, w in enumerate(row):
+                if probs[b] < _SCAN_PROB_MIN:
                     continue
-                w = complex(table.values[a, b])
                 if _is_strange(w, threshold):
-                    return WitnessEntry(a=povm.labels[a], b=b, weak_value=w, basis=basis)
+                    return WitnessEntry(a=povm.labels[a], b=b, weak_value=w, basis=_pvm_unchecked(u))
     return None
 
 

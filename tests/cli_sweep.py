@@ -4,8 +4,8 @@ Run as a script:
 
     PYTHONPATH=src python tests/cli_sweep.py > sweep.txt
 
-It writes seeded inputs (states, POVMs, bases, invalid POVM files and
-malformed JSON) to a temporary directory with plain numpy, so the inputs do
+It writes seeded inputs (states, POVMs, bases, invalid POVM files,
+entries at the edge of float range and malformed JSON) to a temporary directory with plain numpy, so the inputs do
 not depend on the package under test, then runs each argv in-process through
 kduncert.cli.main. For each argv it prints the argv, with the temporary
 directory written as <tmp>, and the sha256 of the exit code, stdout and
@@ -110,6 +110,11 @@ def _inputs(tmp) -> dict:
     write("bad_malformed", None, text="{nope")
     write("bad_state_trace", _matrix(np.diag([0.5, 0.6])))
     write("bad_state_nonpsd", _matrix(np.diag([1.5, -0.5])))
+    # entries whose validation arithmetic overflows, or whose eigenvalues do not converge
+    write("edge_basis_overflow", _matrix(1e200 * np.eye(2)))
+    write("edge_effect_overflow", _povm([np.diag([1e308, 0.5]), half]))
+    write("edge_effect_diverging", _povm([np.array([[1e308, 1e308, 0], [1e308, 0, 0], [0, 0, 0]]), np.eye(3)]))
+    write("edge_state_diverging", _matrix([[1 / 3, 1e308, 0], [1e308, 1 / 3, 0], [0, 0, 1 / 3]]))
     # files that the decoder, the JSON parser or the float conversion refuses
     with open(os.path.join(tmp, "malformed_not_utf8"), "wb") as fh:
         fh.write(b"\xff\xfe{}\n")
@@ -178,6 +183,11 @@ def _argvs(p) -> list:
         ["random", "state", "--d", "0"],
         ["random", "state", "--d", "3", "--rank", "4"],
         ["random", "pvm", "--d", "2", "--seed", "-1"],
+        ["random", "state", "--d", "2", "-o", os.path.join(os.path.dirname(p["full2"]), "missing", "x.json")],
+        ["bounds", p["full2"], p["edge_basis_overflow"]],
+        ["decompose", p["full2"], p["edge_effect_overflow"]],
+        ["kd-table", p["mixed3"], p["edge_effect_diverging"], p["edge_effect_diverging"]],
+        ["infimum", p["edge_state_diverging"]],
     ]
     argvs += [
         ["selftest", "--dims", "1", "--samples", "2"],

@@ -10,7 +10,9 @@ the one-effect-at-a-time forms of kd_table and outcome_probs, with the
 library's order of operations, so the stacked library paths can be pinned
 to them bit for bit. johansen_loop keeps the per-entry trace form of
 johansen_components, whose closed form regroups that arithmetic, so that
-pin is a tolerance.
+pin is a tolerance. first_strange_loop keeps the witness scan's former
+table-and-loop form, a full weak-value table per basis read one entry at a
+time, so the table-free scan can be pinned to it bit for bit.
 """
 
 import cmath
@@ -299,3 +301,29 @@ def outcome_probs_loop(rho, effects):
     if abs(sum(probs) - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {sum(probs):.12g}")
     return probs
+
+
+def first_strange_loop(rho, stack, unitaries, threshold, prob_min, undefined_prob):
+    """(a, b, w, u) of the first weak value with |Im w| > threshold or Re w < -threshold, or None.
+
+    The bases are the columns of each unitary u, in order; within a basis
+    the scan runs over effects a, then columns b, and skips columns whose
+    clipped postselection probability is below prob_min. Each basis gets the
+    full table: probabilities clipped at 0, and numerators divided wherever
+    the probability exceeds undefined_prob, zero elsewhere.
+    """
+    for u in unitaries:
+        rho_u = rho @ u
+        probs = np.clip(np.einsum("ib,ib->b", u.conj(), rho_u).real, 0.0, None)
+        mask = probs <= undefined_prob
+        numer = np.einsum("ib,aij,jb->ab", u.conj(), stack, rho_u)
+        values = np.zeros((stack.shape[0], u.shape[1]), dtype=complex)
+        np.divide(numer, probs, out=values, where=~mask)
+        for a in range(stack.shape[0]):
+            for b in range(u.shape[1]):
+                if probs[b] < prob_min:
+                    continue
+                w = complex(values[a, b])
+                if abs(w.imag) > threshold or w.real < -threshold:
+                    return a, b, w, u
+    return None

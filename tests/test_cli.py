@@ -411,6 +411,61 @@ def test_output_file(capsys, fixtures, tmp_path):
     json.loads(out_path.read_text())
 
 
+def _real(rows):
+    return serialize.matrix_to_json(np.array(rows, dtype=float))
+
+
+# inputs at the edge of float range or of the file system, and the one error line each ends in
+BOUNDARY = {
+    "output_dir_missing": (
+        lambda f: ["random", "state", "--d", "2", "-o", str(f["dir"] / "missing" / "x.json")],
+        "cannot write {dir}/missing/x.json: ",
+    ),
+    "basis_overflow": (
+        lambda f: ["bounds", f["plus"], f["huge_basis"]],
+        "basis is not unitary: max |U^dag U - I| = inf",
+    ),
+    "effect_overflow": (
+        lambda f: ["decompose", f["plus"], f["huge_povm"]],
+        "effects do not resolve identity: max |sum - I| = 1.000e+308",
+    ),
+    "effect_eigenvalues_diverge": (
+        lambda f: ["kd-table", f["mixed3"], f["diverging_povm"], f["diverging_povm"]],
+        "effect eigenvalues did not converge, so positivity cannot be checked",
+    ),
+    "state_eigenvalues_diverge": (
+        lambda f: ["infimum", f["diverging_state"]],
+        "state eigenvalues did not converge, so positivity cannot be checked",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY))
+def test_boundary_input_ends_in_one_error_line(capsys, fixtures, case):
+    inputs = {
+        "huge_basis": _real([[1e200, 0], [0, 1e200]]),
+        "huge_povm": serialize.povm_to_json(kd.Povm(np.array([np.diag([1e308, 0.5]), np.eye(2) / 2]), ("0", "1"))),
+        "mixed3": _real(np.eye(3) / 3),
+        "diverging_povm": serialize.povm_to_json(
+            kd.Povm(np.array([[[1e308, 1e308, 0], [1e308, 0, 0], [0, 0, 0]], np.eye(3)], dtype=complex), ("0", "1"))
+        ),
+        "diverging_state": _real([[1 / 3, 1e308, 0], [1e308, 1 / 3, 0], [0, 0, 1 / 3]]),
+    }
+    for name, obj in inputs.items():
+        path = fixtures["dir"] / f"{name}.json"
+        path.write_text(serialize.dumps(obj) + "\n")
+        fixtures[name] = str(path)
+    argv, message = BOUNDARY[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv(fixtures))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("error: " + message.format(dir=fixtures["dir"])), captured.err
+
+
 def test_selftest_smoke_and_injection(capsys, monkeypatch):
     code = main(["selftest", "--dims", "2", "--samples", "1"])
     err = capsys.readouterr()

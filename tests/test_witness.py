@@ -10,6 +10,7 @@ import kduncert as kd
 import kduncert.witness as witness_mod
 from kduncert.core import _mubs
 from conftest import HADAMARD, Y_BASIS
+from oracles import first_strange_loop
 
 
 def _x_povm():
@@ -216,14 +217,14 @@ def _log_calls(monkeypatch, names):
 def test_witness_builds_candidates_only_when_reached(monkeypatch):
     # the scan reads no measurement basis: its catalog is the unbiased bases, then the margins
     assert not hasattr(witness_mod, "_povm_basis")
-    log = _log_calls(monkeypatch, ("weak_values", "_margins"))
+    log = _log_calls(monkeypatch, ("_weak_value_parts", "_margins"))
     for d in (2, 3):
         state = kd.random_density(d, d, seed=730 + d)
         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d)).as_povm()
         report = kd.contextuality_witness(state, povm)
         # the first unbiased basis holds the entry, so no later candidate is built
         assert np.array_equal(report.witness_entry.basis.basis_unitary, kd.mub_bases(d)[0])
-        assert log == ["weak_values"]
+        assert log == ["_weak_value_parts"]
         log.clear()
     # the margin stack is built once, after every unbiased basis was scanned
     for name, n_unbiased in (("d2-search-margin-povm3", 2), ("d2-search-margin-pvm", 2)):
@@ -231,9 +232,46 @@ def test_witness_builds_candidates_only_when_reached(monkeypatch):
         kd.contextuality_witness(state, povm, threshold=threshold)
         at = log.index("_margins")
         assert log.count("_margins") == 1
-        assert log[:at].count("weak_values") == n_unbiased
-        assert log[at + 1:] == ["weak_values"] * (len(log) - at - 1) and len(log) > at + 1
+        assert log[:at].count("_weak_value_parts") == n_unbiased
+        assert log[at + 1:] == ["_weak_value_parts"] * (len(log) - at - 1) and len(log) > at + 1
         log.clear()
+
+
+def test_first_strange_matches_table_loop_oracle_bitwise():
+    # per basis and over each whole catalog: the unbiased bases, then the margins' eigenbases
+    ends = {"hit": 0, "none": 0, "skipped": 0}
+    for d in range(1, 9):
+        for rank in sorted({1, d}):
+            state = kd.random_density(d, rank, seed=900 + 10 * d + rank)
+            povms = (
+                kd.random_povm(d, 2, seed=990 + d),
+                kd.random_povm(d, 3, seed=1000 + d),
+                kd.rank_one_pvm(kd.haar_random_unitary(d, seed=1010 + d)).as_povm(),
+            )
+            for povm in povms:
+                for t in (0.0, 1e-7, 0.05, 0.3):
+                    margin_bases = list(np.linalg.eigh(witness_mod._margins(state, povm, t))[1])
+                    for catalog in (list(_mubs(d)), margin_bases):
+                        for unitaries in [catalog] + [[u] for u in catalog]:
+                            got = witness_mod._first_strange(state, povm, unitaries, t)
+                            want = first_strange_loop(
+                                state.matrix, povm.stack, unitaries, t,
+                                witness_mod._SCAN_PROB_MIN, witness_mod.UNDEFINED_PROB,
+                            )
+                            if want is None:
+                                assert got is None
+                                ends["none"] += 1
+                                continue
+                            a, b, w, u = want
+                            assert (got.a, got.b) == (povm.labels[a], b)
+                            assert (got.weak_value.real.hex(), got.weak_value.imag.hex()) == (w.real.hex(), w.imag.hex())
+                            assert got.basis.basis_unitary.tobytes() == u.tobytes()
+                            ends["hit"] += 1
+                    for u in margin_bases:
+                        probs = np.einsum("ib,ij,jb->b", u.conj(), state.matrix, u).real
+                        ends["skipped"] += int((probs < witness_mod._SCAN_PROB_MIN).sum())
+    # both outcomes occur, and some columns fall below the scan's probability floor
+    assert min(ends.values()) > 0, ends
 
 
 def _largest_margin(exc) -> float:
