@@ -38,10 +38,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def herm_deviation(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian operator."""
@@ -100,12 +96,19 @@ class RankOnePvm:
         return Povm(stack=self.projectors(), labels=tuple(str(b) for b in range(self.dim)))
 
 
-def _eigvalsh(m: np.ndarray, name: str) -> np.ndarray:
-    """np.linalg.eigvalsh(m); when it does not converge, a ValidationError that names the input."""
+def _hermitian_psd(stack: np.ndarray, name: str):
+    """Per matrix of a stack: max |m - m^dag| and the least eigenvalue of 0.5 m + 0.5 m^dag.
+
+    Halving before adding keeps that finite for every finite entry, but the
+    eigenvalue is NaN when an entry's modulus overflows; callers test it with
+    >=, which NaN fails. Non-convergence is a ValidationError naming the input.
+    """
+    adjoint = stack.conj().swapaxes(-1, -2)
     try:
-        return np.linalg.eigvalsh(m)
+        mins = np.linalg.eigvalsh(0.5 * stack + 0.5 * adjoint)[:, 0]
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"{name} eigenvalues did not converge, so positivity cannot be checked") from exc
+    return np.abs(stack - adjoint).max(axis=(1, 2)), mins
 
 
 # The three validators run with numpy's overflow and invalid-value warnings
@@ -115,15 +118,14 @@ def _eigvalsh(m: np.ndarray, name: str) -> np.ndarray:
 def validate_density(m) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity; return a DensityMatrix."""
     a = as_operator(m)
-    dev = herm_deviation(a)
+    (dev,), (w0,) = _hermitian_psd(a[None], "state")
     if dev > HERM_ATOL:
         raise ValidationError(f"state is not Hermitian: max |m - m^dag| = {dev:.3e}")
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > HERM_ATOL:
         raise ValidationError(f"state trace is {tr:.12g}, deviation {abs(tr - 1.0):.3e}")
-    w = _eigvalsh(0.5 * (a + a.conj().T), "state")
-    if w[0] < -HERM_ATOL:
-        raise ValidationError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
+    if not w0 >= -HERM_ATOL:
+        raise ValidationError(f"state is not PSD: min eigenvalue {w0:.3e}")
     return DensityMatrix(matrix=_frozen(a))
 
 
@@ -141,10 +143,8 @@ def validate_povm(effects, labels=None) -> Povm:
     d = ops[0].shape[0]
     n = next((i for i, e in enumerate(ops) if e.shape[0] != d), len(ops))
     stack = np.stack(ops[:n])
-    adjoint = stack.conj().swapaxes(-1, -2)
-    devs = np.abs(stack - adjoint).max(axis=(1, 2))
-    mins = _eigvalsh(0.5 * (stack + adjoint), "effect")[:, 0]
-    bad = (devs > HERM_ATOL) | (mins < -HERM_ATOL)
+    devs, mins = _hermitian_psd(stack, "effect")
+    bad = (devs > HERM_ATOL) | ~(mins >= -HERM_ATOL)
     if bad.any():
         i = int(np.argmax(bad))
         if devs[i] > HERM_ATOL:

@@ -115,6 +115,11 @@ def _inputs(tmp) -> dict:
     write("edge_effect_overflow", _povm([np.diag([1e308, 0.5]), half]))
     write("edge_effect_diverging", _povm([np.array([[1e308, 1e308, 0], [1e308, 0, 0], [0, 0, 0]]), np.eye(3)]))
     write("edge_state_diverging", _matrix([[1 / 3, 1e308, 0], [1e308, 1 / 3, 0], [0, 0, 1 / 3]]))
+    write("edge_state_overflow", _matrix([[0.5, 1e308], [1e308, 0.5]]))
+    write("edge_povm_overflow", _povm([np.array([[0.5, off], [off, 0.5]]) for off in (1e308, -1e308)]))
+    big = complex(np.finfo(float).max, np.finfo(float).max)  # its modulus overflows
+    write("edge_state_nan", _matrix([[0.5, big], [np.conj(big), 0.5]]))
+    write("edge_povm_nan", _povm([np.array([[0.5, z], [np.conj(z), 0.5]]) for z in (big, -big)]))
     # files that the decoder, the JSON parser or the float conversion refuses
     with open(os.path.join(tmp, "malformed_not_utf8"), "wb") as fh:
         fh.write(b"\xff\xfe{}\n")
@@ -199,6 +204,14 @@ def _argvs(p) -> list:
     ]
     for name in sorted(n for n in p if n.startswith("malformed_")):
         argvs += [["infimum", p[name]], ["witness", p["full2"], p[name]]]
+    # appended after the rest, so that older sweep outputs still line up argv by argv
+    argvs += [
+        ["kd-table", p["edge_state_overflow"], p["eye2"], p["eye2"]],
+        ["decompose", p["mixed2"], p["edge_povm_overflow"]],
+        ["witness", p["pure2"], p["edge_povm_overflow"]],
+        ["kd-table", p["edge_state_nan"], p["eye2"], p["eye2"]],
+        ["decompose", p["mixed2"], p["edge_povm_nan"]],
+    ]
     return argvs
 
 

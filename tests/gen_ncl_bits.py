@@ -10,6 +10,14 @@ refuses to write if any per-effect value falls by more than DROP_TOL: the
 values are suprema, so a correct change can only raise them. Regenerate it
 only together with a deliberate change of the results, and say so in the
 change log.
+
+The bits hold for one numpy build and one BLAS kernel: the committed file
+was written with numpy 2.4.6 and its bundled OpenBLAS on the SkylakeX
+kernel. numpy.show_config() names the BLAS build; OpenBLAS picks the kernel
+from the CPU, and the environment variable OPENBLAS_CORETYPE overrides it.
+Under another kernel every value moves by at most 1.8e-15 and the basis
+bytes change, so the bit test fails there; do not regenerate the file to
+make it pass.
 """
 
 import hashlib

@@ -14,6 +14,14 @@ is positive and the witness raises. Regenerate it only together with a
 deliberate change of the results, and say so in the change log. The
 script refuses to write when a case whose entry sits in an unbiased basis,
 or a case with no verdict, changes its bits against the committed file.
+
+The bits hold for one numpy build and one BLAS kernel: the committed file
+was written with numpy 2.4.6 and its bundled OpenBLAS on the SkylakeX
+kernel. numpy.show_config() names the BLAS build; OpenBLAS picks the kernel
+from the CPU, and the environment variable OPENBLAS_CORETYPE overrides it.
+Under another kernel every value moves by at most 1.8e-15 and the basis
+bytes change, so the bit test fails there; do not regenerate the file to
+make it pass.
 """
 
 import hashlib

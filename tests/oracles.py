@@ -2,7 +2,8 @@
 
 Deliberately primitive: closed-form 2x2 singular values, literal dense
 matrix products, Bloch-sphere grid scans (with a golden-section refinement
-in brute_force_sup_qubit), and corner enumeration (pure Python for qubits;
+in brute_force_sup_qubit), the qubit decompositions in closed form in the
+Bloch vectors (qubit_closed_forms), and corner enumeration (pure Python for qubits;
 for the d x d commutator bounds, one dense numpy commutator per sign
 corner). Nothing here calls into the package, so agreement between these
 values and the library is a genuine cross-check. The *_loop functions keep
@@ -86,6 +87,31 @@ def bloch_basis(theta, phi):
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     ph = cmath.exp(1j * phi)
     return (c + 0j, ph * s), (-ph.conjugate() * s, c + 0j)
+
+
+def qubit_closed_forms(r, n):
+    """Closed forms of rho = (I + r.sigma) / 2 measured in the eigenbasis of n.sigma, with c = n.r.
+
+    r is a Bloch vector (|r| <= 1) and n a unit vector. Returns the NRe total
+    sqrt(1 - c^2) and quantum part |n x r|, the NCl total
+    sum_+- sqrt((1 +- c) / 2) - 1 and quantum part
+    sum_+- sqrt((1 + |r|^2) / 4 +- c / 2) - 1, and impurity_s sqrt(1 - |r|^2).
+    Roundoff below 0 under a square root, as at |r| = 1, is read as 0.
+    """
+    c = n[0] * r[0] + n[1] * r[1] + n[2] * r[2]
+    r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+    cross = (n[1] * r[2] - n[2] * r[1], n[2] * r[0] - n[0] * r[2], n[0] * r[1] - n[1] * r[0])
+
+    def root(x):
+        return math.sqrt(max(x, 0.0))
+
+    return {
+        "nre_total": root(1.0 - c * c),
+        "nre_quantum": math.sqrt(sum(x * x for x in cross)),
+        "ncl_total": root((1.0 + c) / 2.0) + root((1.0 - c) / 2.0) - 1.0,
+        "ncl_quantum": root((1.0 + r2) / 4.0 + c / 2.0) + root((1.0 + r2) / 4.0 - c / 2.0) - 1.0,
+        "impurity_s": root(1.0 - r2),
+    }
 
 
 def expectation(vec, m):

@@ -431,17 +431,40 @@ BOUNDARY = {
     ),
     "effect_eigenvalues_diverge": (
         lambda f: ["kd-table", f["mixed3"], f["diverging_povm"], f["diverging_povm"]],
-        "effect eigenvalues did not converge, so positivity cannot be checked",
+        "effect 0 is not PSD: min eigenvalue -6.180e+307",
     ),
     "state_eigenvalues_diverge": (
         lambda f: ["infimum", f["diverging_state"]],
-        "state eigenvalues did not converge, so positivity cannot be checked",
+        "state is not PSD: min eigenvalue -1.000e+308",
+    ),
+    # 0.5 * (m + m^dag) of these overflows to inf; the Hermitian part must be halved before it is summed
+    "state_hermitian_part_overflow": (
+        lambda f: ["kd-table", f["overflow_state"], f["zbasis"], f["zbasis"]],
+        "state is not PSD: min eigenvalue -1.000e+308",
+    ),
+    "effect_hermitian_part_overflow_decompose": (
+        lambda f: ["decompose", f["mixed2"], f["overflow_povm"]],
+        "effect 0 is not PSD: min eigenvalue -1.000e+308",
+    ),
+    "effect_hermitian_part_overflow_witness": (
+        lambda f: ["witness", f["plus"], f["overflow_povm"]],
+        "effect 0 is not PSD: min eigenvalue -1.000e+308",
+    ),
+    # an off-diagonal entry whose modulus overflows gives a NaN least eigenvalue, even halved
+    "state_eigenvalue_nan": (
+        lambda f: ["kd-table", f["nan_state"], f["zbasis"], f["zbasis"]],
+        "state is not PSD: min eigenvalue nan",
+    ),
+    "effect_eigenvalue_nan": (
+        lambda f: ["decompose", f["mixed2"], f["nan_povm"]],
+        "effect 0 is not PSD: min eigenvalue nan",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDARY))
 def test_boundary_input_ends_in_one_error_line(capsys, fixtures, case):
+    big = complex(np.finfo(float).max, np.finfo(float).max)
     inputs = {
         "huge_basis": _real([[1e200, 0], [0, 1e200]]),
         "huge_povm": serialize.povm_to_json(kd.Povm(np.array([np.diag([1e308, 0.5]), np.eye(2) / 2]), ("0", "1"))),
@@ -450,6 +473,15 @@ def test_boundary_input_ends_in_one_error_line(capsys, fixtures, case):
             kd.Povm(np.array([[[1e308, 1e308, 0], [1e308, 0, 0], [0, 0, 0]], np.eye(3)], dtype=complex), ("0", "1"))
         ),
         "diverging_state": _real([[1 / 3, 1e308, 0], [1e308, 1 / 3, 0], [0, 0, 1 / 3]]),
+        "mixed2": _real(np.eye(2) / 2),
+        "overflow_state": _real([[0.5, 1e308], [1e308, 0.5]]),
+        "overflow_povm": serialize.povm_to_json(
+            kd.Povm(np.array([[[0.5, x], [x, 0.5]] for x in (1e308, -1e308)], dtype=complex), ("0", "1"))
+        ),
+        "nan_state": serialize.matrix_to_json(np.array([[0.5, big], [np.conj(big), 0.5]])),
+        "nan_povm": serialize.povm_to_json(
+            kd.Povm(np.array([[[0.5, z], [np.conj(z), 0.5]] for z in (big, -big)]), ("0", "1"))
+        ),
     }
     for name, obj in inputs.items():
         path = fixtures["dir"] / f"{name}.json"
@@ -464,6 +496,23 @@ def test_boundary_input_ends_in_one_error_line(capsys, fixtures, case):
     assert captured.out == ""
     assert captured.err.count("\n") == 1, captured.err
     assert captured.err.startswith("error: " + message.format(dir=fixtures["dir"])), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, name", [(["random", "state", "--d", "2"], "state"), (["random", "povm", "--d", "2"], "effect")]
+)
+def test_eigenvalues_that_do_not_converge_end_in_one_error_line(capsys, monkeypatch, argv, name):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {name} eigenvalues did not converge, so positivity cannot be checked\n"
 
 
 def test_selftest_smoke_and_injection(capsys, monkeypatch):

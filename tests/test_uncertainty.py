@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from conftest import HADAMARD, PAULI_X
 from kduncert import selftest
 from kduncert.selftest import run_selftest
 from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
-from oracles import corner_bound_asymmetry, corner_relation_bound, outcome_probs_loop
+from oracles import bloch_basis, corner_bound_asymmetry, corner_relation_bound, outcome_probs_loop, qubit_closed_forms
 
 
 def _z():
@@ -125,6 +127,28 @@ def test_impurities(derived):
     diag = kd.validate_density(np.diag([0.75, 0.25]))
     assert abs(kd.impurity_s(diag) - derived["impurity_s_diag34"]) < 1e-12
     assert abs(kd.impurity_t(diag) - derived["impurity_t_diag34"]) < 1e-12
+
+
+def test_qubit_decompositions_match_bloch_closed_forms():
+    # every fourth draw is pure (|r| = 1); the rest are uniform in the Bloch ball
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    rng = np.random.default_rng(7100)
+    for k in range(1000):
+        v = rng.standard_normal(3)
+        radius = 1.0 if k % 4 == 0 else rng.uniform() ** (1 / 3)
+        r = tuple(float(x) for x in radius * v / np.linalg.norm(v))
+        theta, phi = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
+        n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        rho = kd.validate_density(0.5 * (np.eye(2) + np.einsum("k,kij->ij", r, sigma)))
+        povm = kd.rank_one_pvm(np.array(bloch_basis(theta, phi)).T).as_povm()
+        ref = qubit_closed_forms(r, n)
+        for flavor, key in ((kd.Flavor.NRE, "nre"), (kd.Flavor.NCL, "ncl")):
+            dec = kd.decompose(rho, povm, flavor)
+            assert abs(dec.total - ref[key + "_total"]) < 1e-12, (k, key)
+            assert abs(dec.quantum - ref[key + "_quantum"]) < 1e-12, (k, key)
+        # near purity the square root amplifies roundoff in 1 - |r|^2 to about 1e-8
+        if radius <= 0.99:
+            assert abs(kd.impurity_s(rho) - ref["impurity_s"]) < 1e-12, k
 
 
 def test_infimum_total():
