@@ -173,7 +173,7 @@ def rank_one_pvm(u) -> RankOnePvm:
     a = as_operator(u)
     d = a.shape[0]
     dev = float(np.abs(a.conj().T @ a - np.eye(d)).max())
-    if dev > HERM_ATOL:
+    if not dev <= HERM_ATOL:  # a product that overflows to inf - inf gives NaN, which > would pass
         raise ValidationError(f"basis is not unitary: max |U^dag U - I| = {dev:.3e}")
     return RankOnePvm(basis_unitary=_frozen(a))
 

@@ -14,11 +14,11 @@ values, from singular values alone (svd with compute_uv=False, whose
 values can differ in the last bit from those of a full svd), and
 _attaining_bases gives a basis attaining each supremum. The nonreality
 part reads the trace norms of the stacked commutators; the
-nonclassicality part and sup_over_pvm(k_op) also return the attaining
-bases. _quantum_parts gives both values alone from one _trace_norms call
-on the commutators and the products M^a rho stacked together, with the
-same bits as the two separate calls. No function here takes a search
-configuration.
+nonclassicality part builds only the largest effect's attaining basis,
+and sup_over_pvm(M^a rho) gives any effect's basis with the same bits.
+_quantum_parts gives both values alone from one _trace_norms call on the
+commutators and the products M^a rho stacked together, with the same bits
+as the two separate calls. No function here takes a search configuration.
 
 No path searches either. OptimizerConfig is kept, with its two validated
 fields, only because callers still pass one to contextuality_witness, which
@@ -60,10 +60,8 @@ class SupremumResult:
     """A supremum with a basis attaining it.
 
     The suprema are closed forms, so per_restart_values is (value,),
-    converged is True and iterations_used is 1. For per-effect aggregates
-    (the quantum parts), value sums the per-effect suprema in effect order,
-    per_effect_values / per_effect_bases carry each supremum with its
-    attaining basis, and best_basis is that of the largest effect value.
+    converged is True and iterations_used is 1. quantum_nonclassicality also
+    fills per_effect_values in effect order; best_basis attains the largest.
     """
 
     value: float
@@ -72,7 +70,6 @@ class SupremumResult:
     converged: bool
     iterations_used: int
     per_effect_values: tuple | None = None
-    per_effect_bases: tuple | None = None
 
 
 def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
@@ -148,22 +145,22 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
     """Nonclassicality quantumness: per-effect suprema of the modulus mass, minus one.
 
     Each per-effect supremum over rank-1 PVM bases is the trace norm of
-    K = M^a rho, and per_effect_bases holds a basis attaining it. A total
-    within NONCLASSICALITY_CLAMP below zero is reported as 0.
+    K = M^a rho. Only the largest effect's attaining basis is built;
+    sup_over_pvm(M^a rho) gives any effect's basis with the same bits. A
+    total within NONCLASSICALITY_CLAMP below zero is reported as 0.
     """
     _check_dims(state, povm)
     k_ops = povm.stack @ state.matrix
     values = tuple(_trace_norms(k_ops).tolist())
-    bases = tuple(_pvm_unchecked(u) for u in _attaining_bases(k_ops))
+    i = int(np.argmax(values))
     total = _ncl_total(values)
     return SupremumResult(
         value=total,
-        best_basis=bases[int(np.argmax(values))],
+        best_basis=_pvm_unchecked(_attaining_bases(k_ops[i : i + 1])[0]),
         per_restart_values=(total,),
         converged=True,
         iterations_used=1,
         per_effect_values=values,
-        per_effect_bases=bases,
     )
 
 

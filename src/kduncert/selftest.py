@@ -350,12 +350,14 @@ def prop_ncl_attaining_basis(dims, samples, seed):
         else:
             rho, povm = _rand_state(d, rng), random_povm(d, 2 + i % 2, rng)
         res = quantum_nonclassicality(rho, povm)
-        for m, v, basis in zip(povm.effects, res.per_effect_values, res.per_effect_bases):
+        best = int(np.argmax(res.per_effect_values))
+        for a, (m, v) in enumerate(zip(povm.effects, res.per_effect_values)):
             k_op = m @ rho.matrix
-            u = basis.basis_unitary
-            worst_unitary = max(worst_unitary, float(np.abs(u.conj().T @ u - np.eye(d)).max()))
-            score = float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
-            worst_score = max(worst_score, abs(score - v) / max(1.0, v))
+            for basis in [sup_over_pvm(k_op).best_basis] + ([res.best_basis] if a == best else []):
+                u = basis.basis_unitary
+                worst_unitary = max(worst_unitary, float(np.abs(u.conj().T @ u - np.eye(d)).max()))
+                score = float(np.abs(np.einsum("ib,ij,jb->b", u.conj(), k_op, u)).sum())
+                worst_score = max(worst_score, abs(score - v) / max(1.0, v))
             for _ in range(4):
                 h = haar_random_unitary(d, rng)
                 other = float(np.abs(np.einsum("ib,ij,jb->b", h.conj(), k_op, h)).sum())

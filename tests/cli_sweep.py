@@ -120,6 +120,8 @@ def _inputs(tmp) -> dict:
     big = complex(np.finfo(float).max, np.finfo(float).max)  # its modulus overflows
     write("edge_state_nan", _matrix([[0.5, big], [np.conj(big), 0.5]]))
     write("edge_povm_nan", _povm([np.array([[0.5, z], [np.conj(z), 0.5]]) for z in (big, -big)]))
+    # U^dag U of this basis overflows to inf - inf, so its deviation from I is NaN
+    write("edge_basis_nan", _matrix([[-1.79e308j, 1 + 1.79e308j], [1e308 + 1.79e308j, -1.79e308 + 1.79e308j]]))
     # files that the decoder, the JSON parser or the float conversion refuses
     with open(os.path.join(tmp, "malformed_not_utf8"), "wb") as fh:
         fh.write(b"\xff\xfe{}\n")
@@ -211,6 +213,10 @@ def _argvs(p) -> list:
         ["witness", p["pure2"], p["edge_povm_overflow"]],
         ["kd-table", p["edge_state_nan"], p["eye2"], p["eye2"]],
         ["decompose", p["mixed2"], p["edge_povm_nan"]],
+        ["decompose", p["pure2"], p["edge_basis_nan"]],
+        ["bounds", p["pure2"], p["edge_basis_nan"]],
+        ["witness", p["pure2"], p["edge_basis_nan"]],
+        ["kd-table", p["pure2"], p["edge_basis_nan"], p["eye2"]],
     ]
     return argvs
 

@@ -55,26 +55,32 @@ def build(case):
 
 
 def variational_nonreality(state, povm):
-    """Per-effect sup_over_pvm of K = [M, rho] / 2i, summed in effect order into one SupremumResult."""
+    """Per-effect sup_over_pvm of K = [M, rho] / 2i, summed in effect order; (SupremumResult, per-effect bases)."""
     m = state.matrix
     per_effect = [kd.sup_over_pvm((e @ m - m @ e) / 2j) for e in povm.effects]
     values = tuple(r.value for r in per_effect)
     value = sum(values)
-    return kd.SupremumResult(
+    res = kd.SupremumResult(
         value=value,
         best_basis=per_effect[int(np.argmax(values))].best_basis,
         per_restart_values=(value,),
         converged=all(r.converged for r in per_effect),
         iterations_used=max(r.iterations_used for r in per_effect),
         per_effect_values=values,
-        per_effect_bases=tuple(r.best_basis for r in per_effect),
     )
+    return res, [r.best_basis for r in per_effect]
 
 
-def bits(res) -> dict:
-    """Exact fingerprint of a per-effect SupremumResult."""
+def nonclassicality(state, povm):
+    """(quantum_nonclassicality, each effect's attaining basis from sup_over_pvm(M^a rho))."""
+    bases = [kd.sup_over_pvm(e @ state.matrix).best_basis for e in povm.effects]
+    return kd.quantum_nonclassicality(state, povm), bases
+
+
+def bits(res, bases) -> dict:
+    """Exact fingerprint of a per-effect SupremumResult and its per-effect attaining bases."""
     digest = hashlib.sha256()
-    for b in res.per_effect_bases:
+    for b in bases:
         digest.update(np.ascontiguousarray(b.basis_unitary).tobytes())
     return {
         "value": float(res.value).hex(),
@@ -89,8 +95,8 @@ def bits(res) -> dict:
 def compute() -> dict:
     out = {}
     for case in CASES:
-        out[case[0]] = bits(kd.quantum_nonclassicality(*build(case)))
-    out[VARIATIONAL_CASE[0]] = bits(variational_nonreality(*build(VARIATIONAL_CASE)))
+        out[case[0]] = bits(*nonclassicality(*build(case)))
+    out[VARIATIONAL_CASE[0]] = bits(*variational_nonreality(*build(VARIATIONAL_CASE)))
     return out
 
 

@@ -459,6 +459,23 @@ BOUNDARY = {
         lambda f: ["decompose", f["mixed2"], f["nan_povm"]],
         "effect 0 is not PSD: min eigenvalue nan",
     ),
+    # U^dag U of this basis overflows to inf - inf, so its deviation from I is NaN
+    "basis_nan_decompose": (
+        lambda f: ["decompose", f["plus"], f["nan_basis"]],
+        "basis is not unitary: max |U^dag U - I| = nan",
+    ),
+    "basis_nan_bounds": (
+        lambda f: ["bounds", f["plus"], f["nan_basis"]],
+        "basis is not unitary: max |U^dag U - I| = nan",
+    ),
+    "basis_nan_witness": (
+        lambda f: ["witness", f["plus"], f["nan_basis"]],
+        "basis is not unitary: max |U^dag U - I| = nan",
+    ),
+    "basis_nan_kd_table": (
+        lambda f: ["kd-table", f["plus"], f["nan_basis"], f["zbasis"]],
+        "basis is not unitary: max |U^dag U - I| = nan",
+    ),
 }
 
 
@@ -481,6 +498,9 @@ def test_boundary_input_ends_in_one_error_line(capsys, fixtures, case):
         "nan_state": serialize.matrix_to_json(np.array([[0.5, big], [np.conj(big), 0.5]])),
         "nan_povm": serialize.povm_to_json(
             kd.Povm(np.array([[[0.5, z], [np.conj(z), 0.5]] for z in (big, -big)]), ("0", "1"))
+        ),
+        "nan_basis": serialize.matrix_to_json(
+            np.array([[-1.79e308j, 1 + 1.79e308j], [1e308 + 1.79e308j, -1.79e308 + 1.79e308j]])
         ),
     }
     for name, obj in inputs.items():

@@ -94,6 +94,43 @@ def test_traced_spans_resolve_to_package_functions():
         assert callable(getattr(importlib.import_module(f"kduncert.{module}"), name, None)), span
 
 
+def _missing_ncl_fields(tracing_source: str, result) -> list:
+    """Attributes that Tracer._count_ncl reads from its result argument and result lacks."""
+    count = next(
+        node
+        for node in ast.walk(ast.parse(tracing_source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_count_ncl"
+    )
+    read = {
+        node.attr
+        for node in ast.walk(count)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "result"
+    }
+    assert read, "_count_ncl reads no field of its result"
+    return sorted(name for name in read if not hasattr(result, name))
+
+
+def _ncl_result():
+    import kduncert as kd
+
+    return kd.quantum_nonclassicality(kd.random_density(2, 2, seed=0), kd.random_povm(2, 2, seed=1))
+
+
+def test_traced_ncl_fields_exist_on_the_result():
+    # the tracer reads these fields of every quantum_nonclassicality result, so
+    # deleting one would break every traced benchmark run that calls it
+    source = (ROOT / "perfbench" / "tracing.py").read_text()
+    assert _missing_ncl_fields(source, _ncl_result()) == []
+
+
+def test_traced_ncl_field_check_catches_a_leftover():
+    source = (
+        "class Tracer:\n    def _count_ncl(self, result):\n"
+        "        self.n += len(result.per_effect_values) + len(result.per_effect_bases)\n"
+    )
+    assert _missing_ncl_fields(source, _ncl_result()) == ["per_effect_bases"]
+
+
 def _exit_code_classes(errors_source: str, cli_source: str) -> tuple:
     """(classes errors.py defines, classes cli.main's except clauses name)."""
     defined = {node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)}

@@ -7,6 +7,7 @@ import pytest
 
 import gen_ncl_bits
 import kduncert as kd
+from kduncert import optimize
 from kduncert.optimize import _quantum_parts
 from conftest import HADAMARD, PAULI_X
 from oracles import brute_force_sup_qubit
@@ -177,7 +178,9 @@ def test_ncl_closed_form_attained():
     cases = []  # (K, value, attaining basis)
     for rho, povm in _ncl_instances():
         res = kd.quantum_nonclassicality(rho, povm)
-        cases.extend(zip([m @ rho.matrix for m in povm.effects], res.per_effect_values, res.per_effect_bases))
+        for m, v in zip(povm.effects, res.per_effect_values):
+            k_op = m @ rho.matrix
+            cases.append((k_op, v, kd.sup_over_pvm(k_op).best_basis))
     for d in range(1, 9):
         for k_op in (np.zeros((d, d)), -np.eye(d)):
             res = kd.sup_over_pvm(k_op)
@@ -187,6 +190,30 @@ def test_ncl_closed_form_attained():
         assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
         assert abs(_abs_diag(k_op, u) - v) <= 1e-12 * max(1.0, v)
         assert v == kd.trace_norm(k_op)
+
+
+def test_ncl_builds_only_the_largest_effects_basis(monkeypatch):
+    stacks = []
+    build = optimize._attaining_bases
+
+    def spy(k_ops):
+        stacks.append(k_ops.shape)
+        return build(k_ops)
+
+    instances = _ncl_instances()
+    for d in range(1, 17):
+        instances.append((kd.random_density(d, d, seed=700 + d), kd.random_povm(d, 2 + d % 3, seed=800 + d)))
+    monkeypatch.setattr(optimize, "_attaining_bases", spy)
+    for rho, povm in instances:
+        stacks.clear()
+        res = kd.quantum_nonclassicality(rho, povm)
+        assert stacks == [(1, rho.dim, rho.dim)]
+        i = int(np.argmax(res.per_effect_values))
+        k_op = povm.effects[i] @ rho.matrix
+        u = res.best_basis.basis_unitary
+        assert u.tobytes() == kd.sup_over_pvm(k_op).best_basis.basis_unitary.tobytes()
+        v = max(res.per_effect_values)
+        assert abs(_abs_diag(k_op, u) - v) <= 1e-12 * max(1.0, v)
 
 
 def test_ncl_upper_bounds_random_bases():
