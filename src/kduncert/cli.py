@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 3 dimension
 mismatch, 4 no witness, 5 internal check failure (any other KdUncertError);
-argparse's own usage errors, such as an unknown flag, also exit 2. Exit 4's
-message states the witness's largest margin, and a margin <= 0 certifies
-that no postselection basis holds a weak value strange at the threshold.
+argparse's own usage errors, such as an unknown flag, and a MemoryError
+from a subcommand also exit 2. Exit 4's message states the witness's
+largest margin, and a margin <= 0 certifies that no postselection basis
+holds a weak value strange at the threshold.
 Only random and selftest take a seed: the default is 0, KDUNCERT_SEED
 overrides it and an explicit --seed flag wins over both. A negative seed is
 a validation error.
@@ -280,11 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the subcommand; a failed allocation (e.g. --d 100000) is a ValidationError with numpy's message."""
+    try:
+        return args.fn(args)
+    except MemoryError as exc:
+        raise ValidationError(f"out of memory: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(args)
     except DimMismatchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DIM_MISMATCH

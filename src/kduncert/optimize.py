@@ -8,17 +8,17 @@ trace norm ||K||_1:
 - with the polar form K = W |K|, the unitary W^dag is diagonal in some
   orthonormal basis {|b>} with phases v_b, and there
   sum_b |<b|K|b>| >= Re sum_b v_b <b|K|b> = Re tr(K W^dag) = ||K||_1.
-So no path optimizes. Two helpers take a stack K of shape (n, d, d) and
-run each numpy.linalg call once on the whole stack: _trace_norms gives the
-values, from singular values alone (svd with compute_uv=False, whose
-values can differ in the last bit from those of a full svd), and
-_attaining_bases gives a basis attaining each supremum. The nonreality
-part reads the trace norms of the stacked commutators; the
-nonclassicality part builds only the largest effect's attaining basis,
-and sup_over_pvm(M^a rho) gives any effect's basis with the same bits.
-_quantum_parts gives both values alone from one _trace_norms call on the
-commutators and the products M^a rho stacked together, with the same bits
-as the two separate calls. No function here takes a search configuration.
+So no path optimizes. _trace_norms takes a stack K of shape (n, d, d) and
+runs one svd on the whole stack, from singular values alone (svd with
+compute_uv=False, whose values can differ in the last bit from those of a
+full svd). _attaining_basis takes one (d, d) matrix and gives a basis
+attaining its supremum. The nonreality part reads the trace norms of the
+stacked commutators; the nonclassicality part builds only the largest
+effect's attaining basis, and sup_over_pvm(M^a rho) gives any effect's
+basis with the same bits. _quantum_parts gives both values alone from one
+_trace_norms call on the commutators and the products M^a rho stacked
+together, with the same bits as the two separate calls. No function here
+takes a search configuration.
 
 No path searches either. OptimizerConfig is kept, with its two validated
 fields, only because callers still pass one to contextuality_witness, which
@@ -77,51 +77,52 @@ def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
     return np.linalg.svd(k_ops, compute_uv=False).sum(axis=-1)
 
 
-def _attaining_bases(k_ops: np.ndarray) -> np.ndarray:
-    """Per matrix K_i of a stack (n, d, d), an orthonormal basis {|b>} with sum_b |<b|K_i|b>| = ||K_i||_1.
+def _attaining_basis(k: np.ndarray) -> np.ndarray:
+    """For one (d, d) K, an orthonormal basis {|b>} with sum_b |<b|K|b>| = ||K||_1, as columns.
 
-    Basis i is the column set of element i of the result. With
-    svd(K) = U S V^dag the unitary X = V U^dag makes K X = U S U^dag
+    With svd(K) = U S V^dag the unitary X = V U^dag makes K X = U S U^dag
     positive, so in an eigenbasis of X (X|b> = v_b |b>) every term
     |<b|K|b>| = <b|K X|b> and the terms sum to tr(K X) = ||K||_1. The
     eigenbasis comes from eigh on a Cayley transform of X, rotated so that
     the widest gap of X's spectrum sits at -1: eig would not return
     orthonormal vectors for the degenerate spectra of K = 0, pure states or
-    commuting pairs. Each step runs once on the whole stack.
+    commuting pairs.
     """
-    n, d, _ = k_ops.shape
-    u, _, vh = np.linalg.svd(k_ops)
-    x = vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
-    phases = np.sort(np.angle(np.linalg.eigvals(x)), axis=-1)
-    gaps = np.diff(np.concatenate([phases, phases[:, :1] + 2.0 * math.pi], axis=-1), axis=-1)
-    rows = np.arange(n)
-    i = np.argmax(gaps, axis=-1)
-    y = x * np.exp(1j * (math.pi - phases[rows, i] - 0.5 * gaps[rows, i]))[:, None, None]
-    eye = np.eye(d)
+    u, _, vh = np.linalg.svd(k)
+    x = vh.conj().T @ u.conj().T
+    phases = np.sort(np.angle(np.linalg.eigvals(x)))
+    gaps = np.diff(np.append(phases, phases[0] + 2.0 * math.pi))
+    i = np.argmax(gaps)
+    y = x * np.exp(1j * (math.pi - phases[i] - 0.5 * gaps[i]))
+    eye = np.eye(k.shape[0])
     h = 1j * np.linalg.solve(eye + y, eye - y)
-    return np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))[1]
+    return np.linalg.eigh(0.5 * (h + h.conj().T))[1]
+
+
+def _supremum_result(value: float, k: np.ndarray, per_effect_values: tuple | None = None) -> SupremumResult:
+    """The closed-form SupremumResult of value, with best_basis attaining ||k||_1."""
+    return SupremumResult(
+        value=value,
+        best_basis=_pvm_unchecked(_attaining_basis(k)),
+        per_restart_values=(value,),
+        converged=True,
+        iterations_used=1,
+        per_effect_values=per_effect_values,
+    )
 
 
 def sup_over_pvm(k_op) -> SupremumResult:
     """Maximize sum_b |<b|K|b>| over rank-1 PVM bases {|b>} of K's dimension.
 
     The supremum is the trace norm of K, attained by the basis in
-    best_basis (see _attaining_bases).
+    best_basis (see _attaining_basis).
     """
     k = np.asarray(k_op, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
         raise ValidationError(f"K must be a non-empty square matrix, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ValidationError("K has non-finite entries")
-    stack = k[None]
-    value = float(_trace_norms(stack)[0])
-    return SupremumResult(
-        value=value,
-        best_basis=_pvm_unchecked(_attaining_bases(stack)[0]),
-        per_restart_values=(value,),
-        converged=True,
-        iterations_used=1,
-    )
+    return _supremum_result(float(_trace_norms(k[None])[0]), k)
 
 
 def _check_dims(state: DensityMatrix, povm: Povm):
@@ -152,16 +153,7 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
     _check_dims(state, povm)
     k_ops = povm.stack @ state.matrix
     values = tuple(_trace_norms(k_ops).tolist())
-    i = int(np.argmax(values))
-    total = _ncl_total(values)
-    return SupremumResult(
-        value=total,
-        best_basis=_pvm_unchecked(_attaining_bases(k_ops[i : i + 1])[0]),
-        per_restart_values=(total,),
-        converged=True,
-        iterations_used=1,
-        per_effect_values=values,
-    )
+    return _supremum_result(_ncl_total(values), k_ops[int(np.argmax(values))], values)
 
 
 def _ncl_total(norms) -> float:

@@ -106,7 +106,8 @@ def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor) -> Decomposition
 
     Both quantum parts are closed forms: commutator trace norms for NRe,
     trace norms of M^a rho for NCl. The NCl flavor also carries the
-    supremum record (per-effect values and attaining bases) as diagnostics.
+    supremum record as diagnostics: the per-effect values and the basis
+    attaining the largest of them, the only basis it builds.
     """
     probs = outcome_probs(state, povm)
     if flavor is Flavor.NRE:

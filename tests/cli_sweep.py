@@ -14,7 +14,8 @@ stderr. An exception that escapes main is recorded as the exit code
 "Category: message", without the file:line prefix, and every warning is
 shown, not only the first per location.
 Running it on two trees and diffing the outputs shows which argvs changed.
-Not collected by pytest.
+Not collected by pytest; test_cli.py runs the same argvs through _run and
+checks that none ends in a traceback or a warning line.
 """
 
 import contextlib

@@ -14,6 +14,9 @@ johansen_components, whose closed form regroups that arithmetic, so that
 pin is a tolerance. first_strange_loop keeps the witness scan's former
 table-and-loop form, a full weak-value table per basis read one entry at a
 time, so the table-free scan can be pinned to it bit for bit.
+attaining_bases_stacked keeps the NCl attaining-basis build's former form,
+each step run once on a stack of matrices, so the one-matrix build can be
+pinned to its rows bit for bit.
 """
 
 import cmath
@@ -353,3 +356,23 @@ def first_strange_loop(rho, stack, unitaries, threshold, prob_min, undefined_pro
                 if abs(w.imag) > threshold or w.real < -threshold:
                     return a, b, w, u
     return None
+
+
+def attaining_bases_stacked(k_ops):
+    """Per matrix K_i of a stack (n, d, d), an orthonormal basis attaining ||K_i||_1, as the columns of row i.
+
+    Eigenbasis of X = V U^dag from svd(K) = U S V^dag, by eigh on a Cayley
+    transform of X rotated so that the widest gap of its spectrum sits at
+    -1; each numpy.linalg call runs once on the whole stack.
+    """
+    n, d, _ = k_ops.shape
+    u, _, vh = np.linalg.svd(k_ops)
+    x = vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
+    phases = np.sort(np.angle(np.linalg.eigvals(x)), axis=-1)
+    gaps = np.diff(np.concatenate([phases, phases[:, :1] + 2.0 * math.pi], axis=-1), axis=-1)
+    rows = np.arange(n)
+    i = np.argmax(gaps, axis=-1)
+    y = x * np.exp(1j * (math.pi - phases[rows, i] - 0.5 * gaps[rows, i]))[:, None, None]
+    eye = np.eye(d)
+    h = 1j * np.linalg.solve(eye + y, eye - y)
+    return np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))[1]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cli_sweep
 import kduncert as kd
 from kduncert import selftest, serialize
 from kduncert.cli import main
@@ -535,6 +537,20 @@ def test_eigenvalues_that_do_not_converge_end_in_one_error_line(capsys, monkeypa
     assert captured.err == f"error: {name} eigenvalues did not converge, so positivity cannot be checked\n"
 
 
+def test_memory_exhaustion_ends_in_one_error_line(capsys, monkeypatch):
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type complex128"
+
+    def exhaust(d, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("kduncert.cli.haar_random_unitary", exhaust)
+    code = main(["random", "pvm", "--d", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {message}\n"
+
+
 def test_selftest_smoke_and_injection(capsys, monkeypatch):
     code = main(["selftest", "--dims", "2", "--samples", "1"])
     err = capsys.readouterr()
@@ -623,3 +639,13 @@ def test_cli_import_leaves_selftest_unloaded():
     code = "import sys, kduncert.cli; print('kduncert.selftest' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_sweep_ends_in_no_traceback_and_no_warning(tmp_path, monkeypatch):
+    # every argv of tests/cli_sweep.py: no exception escapes main, no "Category: message" warning line
+    monkeypatch.delenv("KDUNCERT_SEED", raising=False)
+    argvs = cli_sweep._argvs(cli_sweep._inputs(str(tmp_path)))
+    for argv in argvs:
+        code, _, err = cli_sweep._run(argv)
+        assert not str(code).startswith("traceback:"), (argv, code)
+        assert not [line for line in err.splitlines() if re.match(r"[A-Z]\w*: ", line)], (argv, err)

@@ -10,7 +10,7 @@ import kduncert as kd
 from kduncert import optimize
 from kduncert.optimize import _quantum_parts
 from conftest import HADAMARD, PAULI_X
-from oracles import brute_force_sup_qubit
+from oracles import attaining_bases_stacked, brute_force_sup_qubit
 
 
 def _z_povm():
@@ -193,27 +193,45 @@ def test_ncl_closed_form_attained():
 
 
 def test_ncl_builds_only_the_largest_effects_basis(monkeypatch):
-    stacks = []
-    build = optimize._attaining_bases
+    shapes = []
+    build = optimize._attaining_basis
 
-    def spy(k_ops):
-        stacks.append(k_ops.shape)
-        return build(k_ops)
+    def spy(k):
+        shapes.append(k.shape)
+        return build(k)
 
     instances = _ncl_instances()
     for d in range(1, 17):
         instances.append((kd.random_density(d, d, seed=700 + d), kd.random_povm(d, 2 + d % 3, seed=800 + d)))
-    monkeypatch.setattr(optimize, "_attaining_bases", spy)
+    monkeypatch.setattr(optimize, "_attaining_basis", spy)
     for rho, povm in instances:
-        stacks.clear()
+        shapes.clear()
         res = kd.quantum_nonclassicality(rho, povm)
-        assert stacks == [(1, rho.dim, rho.dim)]
+        assert shapes == [(rho.dim, rho.dim)]
         i = int(np.argmax(res.per_effect_values))
         k_op = povm.effects[i] @ rho.matrix
         u = res.best_basis.basis_unitary
         assert u.tobytes() == kd.sup_over_pvm(k_op).best_basis.basis_unitary.tobytes()
         v = max(res.per_effect_values)
         assert abs(_abs_diag(k_op, u) - v) <= 1e-12 * max(1.0, v)
+
+
+def test_attaining_basis_matches_the_stacked_build_bit_for_bit():
+    # products M^a rho and commutators [M^a, rho] / 2i of full-rank and rank-1 states,
+    # commuting products and K = 0, each against its row of the stacked build
+    ks = []
+    for d in range(1, 17):
+        povm = kd.random_povm(d, d, seed=900 + d)
+        for rank in sorted({1, d}):
+            rho = kd.random_density(d, rank, seed=950 + 2 * d + rank).matrix
+            for m in povm.effects:
+                ks += [m @ rho, (m @ rho - rho @ m) / 2j]
+        u = kd.haar_random_unitary(d, seed=1000 + d)
+        lam = np.linspace(1, 2, d)
+        rho = (u * (lam / lam.sum())) @ u.conj().T
+        ks += [p @ rho for p in kd.rank_one_pvm(u).projectors()] + [np.zeros((d, d), dtype=complex)]
+    for k in ks:
+        assert optimize._attaining_basis(k).tobytes() == attaining_bases_stacked(k[None])[0].tobytes()
 
 
 def test_ncl_upper_bounds_random_bases():
