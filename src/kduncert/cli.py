@@ -112,8 +112,8 @@ def _as_pvm(measurement, which: str) -> RankOnePvm:
 
 def cmd_kd_table(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
-    first = _as_povm(_load_measurement(args.povm))
-    second = _as_povm(_load_measurement(args.basis))
+    first = _load_measurement(args.povm)
+    second = _load_measurement(args.basis)
     table = kd_table(state, first, second)
     out = serialize.kdtable_to_json(table)
     out["nonreality"] = table_nonreality(table)

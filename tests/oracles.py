@@ -1,12 +1,13 @@
 """Independent brute-force oracles for the worked-example regression fixtures.
 
 Deliberately primitive: closed-form 2x2 singular values, literal dense
-matrix products, Bloch-sphere grid scans (with a golden-section refinement
-in brute_force_sup_qubit), the qubit decompositions in closed form in the
-Bloch vectors (qubit_closed_forms), and corner enumeration (pure Python for qubits;
-for the d x d commutator bounds, one dense numpy commutator per sign
-corner). Nothing here calls into the package, so agreement between these
-values and the library is a genuine cross-check. The *_loop functions keep
+matrix products, one Bloch-sphere grid scan (bloch_grid_sup_abs, with which
+tests/gen_fixtures.py cross-checks its NCl fixture), the qubit
+decompositions in closed form in the Bloch vectors (qubit_closed_forms),
+and corner enumeration (pure Python for qubits; for the d x d commutator
+bounds, one dense numpy commutator per sign corner). Nothing here calls
+into the package, so agreement between these values and the library is a
+genuine cross-check. The *_loop functions keep
 the one-effect-at-a-time forms of kd_table and outcome_probs, with the
 library's order of operations, so the stacked library paths can be pinned
 to them bit for bit. johansen_loop keeps the per-entry trace form of
@@ -133,68 +134,6 @@ def bloch_grid_sup_abs(k_op, grid=400):
             u1, u2 = bloch_basis(theta, phi)
             val = abs(expectation(u1, k_op)) + abs(expectation(u2, k_op))
             best = max(best, val)
-    return best
-
-
-def brute_force_sup_qubit(k_op, grid_density):
-    """max over rank-1 PVM qubit bases of sum_b |<b|K|b>|: nested Bloch grid, then golden-section refinement.
-
-    K is any 2x2 array of rows. The grid is theta = pi k / g (k = 0..g),
-    phi = 2 pi j / (2g), so doubling grid_density only adds points and the
-    scanned maximum is monotone in g. Golden-section refinement around the
-    best cell alternates axes; the returned value is the maximum over the
-    grid and each refinement's end point. For the basis (c, e^{i phi} s), (-e^{-i phi} s, c) with
-    c = cos(theta/2), s = sin(theta/2), the two diagonal entries are
-    c^2 K00 + s^2 K11 + x and s^2 K00 + c^2 K11 - x, where
-    x = c s (e^{i phi} K01 + e^{-i phi} K10).
-    """
-    k = mat2(k_op)
-    g = int(grid_density)
-    if g < 2:
-        raise ValueError(f"grid_density must be >= 2, got {g}")
-
-    def value(theta, phi):
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        ph = complex(math.cos(phi), math.sin(phi))
-        x = c * s * (ph * k[0][1] + ph.conjugate() * k[1][0])
-        return abs(c * c * k[0][0] + s * s * k[1][1] + x) + abs(s * s * k[0][0] + c * c * k[1][1] - x)
-
-    best = -math.inf
-    best_t = best_p = 0.0
-    for i in range(g + 1):
-        theta = math.pi * i / g
-        for j in range(2 * g):
-            phi = math.pi * j / g
-            v = value(theta, phi)
-            if v > best:
-                best, best_t, best_p = v, theta, phi
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(fn, lo, hi, rounds=40):
-        nonlocal best
-        a, b = lo, hi
-        x1 = b - inv_phi * (b - a)
-        x2 = a + inv_phi * (b - a)
-        f1, f2 = fn(x1), fn(x2)
-        for _ in range(rounds):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + inv_phi * (b - a)
-                f2 = fn(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - inv_phi * (b - a)
-                f1 = fn(x1)
-        x = 0.5 * (a + b)
-        fx = fn(x)
-        best = max(best, fx)
-        return x
-
-    dt = math.pi / g
-    for _ in range(3):
-        best_t = golden(lambda t: value(t, best_p), max(0.0, best_t - dt), min(math.pi, best_t + dt))
-        best_p = golden(lambda p: value(best_t, p), best_p - dt, best_p + dt)
     return best
 
 

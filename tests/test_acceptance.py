@@ -10,7 +10,6 @@ import numpy as np
 import kduncert as kd
 from kduncert.selftest import _rand_rank1_povm, run_selftest
 from conftest import HADAMARD, PAULI_X, Y_BASIS
-from oracles import brute_force_sup_qubit
 
 
 def _report(criterion, ok, detail):
@@ -307,18 +306,6 @@ def test_criterion_9_worked_example_regression(derived):
         got = kd.quantum_nonclassicality(psi, pvm).value
         worst_pure = max(worst_pure, abs(got - expect_v))
     errs["ncl_pure_sqrtp"] = worst_pure if worst_pure > 1e-6 else 0.0
-
-    # Bloch-grid oracle agreement for the qubit brute force at grid 200
-    worst_bf = 0.0
-    for i in range(20):
-        rho = kd.random_density(2, 2, seed=40_000 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=41_000 + i)).as_povm()
-        target = kd.quantum_nonreality(rho, pvm)
-        total = 0.0
-        for m in pvm.effects:
-            total += brute_force_sup_qubit((m @ rho.matrix - rho.matrix @ m) / 2j, 200)
-        worst_bf = max(worst_bf, abs(total - target))
-    errs["brute_force_grid200"] = worst_bf if worst_bf > 1e-4 else 0.0
 
     bad = {k: v for k, v in errs.items() if v > 1e-9}
     _report(9, not bad, f"{len(errs)} fixture groups, mismatches: {bad if bad else 'none'}")

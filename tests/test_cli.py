@@ -32,6 +32,7 @@ def fixtures(tmp_path):
         ),
         "xpovm": write("xpovm.json", serialize.povm_to_json(kd.rank_one_pvm(HADAMARD).as_povm())),
         "ybasis": write("ybasis.json", serialize.matrix_to_json(Y_BASIS)),
+        "ypovm": write("ypovm.json", serialize.povm_to_json(kd.rank_one_pvm(Y_BASIS).as_povm())),
         "zbasis": write("zbasis.json", serialize.matrix_to_json(np.eye(2))),
         "xbasis": write("xbasis.json", serialize.matrix_to_json(HADAMARD)),
         "badstate": write("badstate.json", serialize.matrix_to_json(np.diag([0.5, 0.6]))),
@@ -47,8 +48,15 @@ def _run(capsys, argv):
 
 
 def test_kd_table_summary(capsys, fixtures, derived):
-    code, out = _run(capsys, ["kd-table", fixtures["zero"], fixtures["xpovm"], fixtures["ybasis"]])
-    assert code == 0
+    # the basis as its unitary and as the POVM of its projectors prints the same bytes
+    stdouts = []
+    for basis in (fixtures["ybasis"], fixtures["ypovm"]):
+        assert main(["kd-table", fixtures["zero"], fixtures["xpovm"], basis]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    out = json.loads(stdouts[0])
+    expect = [pair for row in derived["kd_zero_x_y"] for pair in row]
+    assert np.abs(np.array(out["values"]) - np.array(expect)).max() < 1e-9
     assert abs(out["nonreality"] - derived["nonreality_zero_x_y"]) < 1e-9
     assert abs(out["nonclassicality"] - derived["nonclassicality_zero_x_y"]) < 1e-9
     assert out["n_a"] == 2 and out["n_b"] == 2

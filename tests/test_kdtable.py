@@ -48,20 +48,6 @@ def test_kd_table_commuting_first_is_real_nonnegative():
         assert t.values.real.min() > -1e-12
 
 
-def test_kd_table_marginals():
-    for i in range(500):
-        d = 2 + i % 3
-        rho = kd.random_density(d, d, seed=700 + i)
-        first = kd.random_povm(d, 2 + i % 3, seed=800 + i)
-        second = kd.random_povm(d, 2 + (i + 1) % 3, seed=900 + i)
-        t = kd.kd_table(rho, first, second)
-        pa = np.array([np.trace(m @ rho.matrix) for m in first.effects])
-        pb = np.array([np.trace(m @ rho.matrix) for m in second.effects])
-        assert np.abs(t.marginal_a() - pa).max() < 1e-9
-        assert np.abs(t.marginal_b() - pb).max() < 1e-9
-        assert abs(t.values.sum() - 1.0) < 1e-9
-
-
 def test_kd_table_dim_mismatch():
     rho = kd.validate_density(np.eye(2) / 2)
     with pytest.raises(kd.DimMismatchError):

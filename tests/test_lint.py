@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+import mutants
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kduncert"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -160,3 +162,8 @@ def test_exit_code_class_check_catches_a_leftover():
     defined, caught = _exit_code_classes(errors, cli)
     assert defined - caught == {"Spare"}
     assert caught - defined == {"OSError"}
+
+
+def test_every_mutant_applies():
+    # each mutant of tests/mutants.py is one substitution; an edited target line would drop it from the harness
+    assert mutants.check_mutants() == []

@@ -9,8 +9,8 @@ import gen_ncl_bits
 import kduncert as kd
 from kduncert import optimize
 from kduncert.optimize import _quantum_parts
-from conftest import HADAMARD, PAULI_X
-from oracles import attaining_bases_stacked, brute_force_sup_qubit
+from conftest import PAULI_X
+from oracles import attaining_bases_stacked
 
 
 def _z_povm():
@@ -49,15 +49,6 @@ def _variational_nonreality(rho, povm):
     """Sum over effects of the |diag| supremum of K = [M, rho] / 2i."""
     m = rho.matrix
     return sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.effects)
-
-
-def test_variational_nonreality_agrees_with_closed_form():
-    for i in range(12):
-        d = 2 + i % 2
-        rho = kd.random_density(d, d, seed=70 + i)
-        povm = kd.random_povm(d, 2, seed=80 + i)
-        exact = kd.quantum_nonreality(rho, povm)
-        assert abs(_variational_nonreality(rho, povm) - exact) < 1e-6
 
 
 def test_variational_nonreality_commuting():
@@ -243,96 +234,6 @@ def test_ncl_upper_bounds_random_bases():
             for _ in range(500):
                 u = kd.haar_random_unitary(rho.dim, seed=next(seeds))
                 assert _abs_diag(k_op, u) <= v + 1e-12
-
-
-def test_brute_force_constant_and_monotone():
-    # K = 0.625 I scores 0.625 on each basis vector, so every basis gives 1.25
-    assert abs(brute_force_sup_qubit(0.625 * np.eye(2), 40) - 1.25) < 1e-12
-
-    rho = kd.random_density(2, 2, seed=130).matrix
-    m = kd.rank_one_pvm(HADAMARD).projectors()[0]
-    k_op = m @ rho
-
-    coarse = brute_force_sup_qubit(k_op, 60)
-    fine = brute_force_sup_qubit(k_op, 120)
-    assert fine >= coarse - 1e-12
-
-
-def test_brute_force_agrees_with_closed_form():
-    for i in range(4):
-        rho = kd.random_density(2, 2, seed=140 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=150 + i)).as_povm()
-        target = kd.quantum_nonreality(rho, pvm)
-        total = 0.0
-        for m in pvm.effects:
-            total += brute_force_sup_qubit((m @ rho.matrix - rho.matrix @ m) / 2j, 100)
-        assert abs(total - target) < 2e-4
-
-
-def test_unitary_covariance_of_quantumness():
-    for i in range(50):
-        d = 2 + i % 2
-        rho = kd.random_density(d, d, seed=170 + i)
-        povm = kd.random_povm(d, 2, seed=180 + i)
-        v = kd.haar_random_unitary(d, seed=190 + i)
-        rho_v = kd.validate_density(v @ rho.matrix @ v.conj().T)
-        povm_v = kd.validate_povm([v @ m @ v.conj().T for m in povm.effects])
-        assert abs(kd.quantum_nonreality(rho, povm) - kd.quantum_nonreality(rho_v, povm_v)) < 1e-9
-        if i < 3:
-            a = kd.quantum_nonclassicality(rho, povm).value
-            b = kd.quantum_nonclassicality(rho_v, povm_v).value
-            assert abs(a - b) < 1e-6
-
-
-def test_mixing_convexity():
-    rng = np.random.default_rng(200)
-    for i in range(10):
-        d = 2 + i % 2
-        p = float(rng.random())
-        rho1 = kd.random_density(d, d, seed=210 + i)
-        rho2 = kd.random_density(d, 1, seed=220 + i)
-        mixed = kd.validate_density(p * rho1.matrix + (1 - p) * rho2.matrix)
-        povm = kd.random_povm(d, 2, seed=230 + i)
-        lhs = kd.quantum_nonreality(mixed, povm)
-        rhs = p * kd.quantum_nonreality(rho1, povm) + (1 - p) * kd.quantum_nonreality(rho2, povm)
-        assert lhs <= rhs + 1e-6
-
-
-def test_flavors_vanish_together():
-    eps = 1e-7
-    for i in range(12):
-        d = 2 + i % 2
-        if i % 2 == 0:
-            u = kd.haar_random_unitary(d, seed=240 + i)
-            lam = np.linspace(1, 2, d)
-            lam /= lam.sum()
-            rho = kd.validate_density((u * lam) @ u.conj().T)
-            povm = kd.rank_one_pvm(u).as_povm()
-        else:
-            rho = kd.random_density(d, d, seed=250 + i)
-            povm = kd.random_povm(d, 2, seed=260 + i)
-        nre = kd.quantum_nonreality(rho, povm)
-        ncl = kd.quantum_nonclassicality(rho, povm).value
-        assert (nre > eps) == (ncl > eps)
-
-
-def test_partial_access_monotone():
-    eye2 = np.eye(2)
-    for i in range(10):
-        rho12 = kd.random_density(4, 4, seed=270 + i)
-        rho1 = kd.validate_density(kd.partial_trace(rho12.matrix, (2, 2), 0))
-        povm1 = kd.random_povm(2, 2, seed=280 + i)
-        lifted = kd.validate_povm([kd.tensor(m, eye2) for m in povm1.effects])
-        assert kd.quantum_nonreality(rho1, povm1) <= kd.quantum_nonreality(rho12, lifted) + 1e-6
-
-
-def test_coarse_graining_monotone():
-    for i in range(10):
-        d = 2 + i % 3
-        rho = kd.random_density(d, d, seed=290 + i)
-        povm = kd.random_povm(d, 4, seed=300 + i)
-        merged = kd.coarse_grain(povm, [(0, 1), (2, 3)])
-        assert kd.quantum_nonreality(rho, merged) <= kd.quantum_nonreality(rho, povm) + 1e-6
 
 
 def _haar_pvm(d, seed):

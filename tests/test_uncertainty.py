@@ -325,17 +325,6 @@ def test_selftest_passes_at_larger_dims_and_other_seeds():
         assert passed, (seed, [(r.name, r.detail) for r in results if not r.ok])
 
 
-def test_decomposition_invariants_random():
-    for i in range(10):
-        d = 2 + i % 2
-        rho = kd.random_density(d, d, seed=420 + i)
-        povm = kd.random_povm(d, 2, seed=430 + i)
-        for flavor in kd.Flavor:
-            dec = kd.decompose(rho, povm, flavor)
-            assert dec.quantum <= dec.total + 1e-6
-            assert dec.total >= -1e-9 and dec.quantum >= -1e-9 and dec.classical >= -1e-9
-
-
 def test_coherence_faithfulness_runs_its_coherent_half(monkeypatch):
     monkeypatch.setattr(selftest, "quantum_nonreality", lambda *args: 0.0)
     with pytest.raises(selftest.PropertyFailure, match="coherent state scored"):

@@ -79,18 +79,6 @@ def test_weak_values_undefined_mask():
     assert abs(table.postselect_probs.sum() - 1.0) < 1e-9
 
 
-def test_weak_value_factorization_random():
-    for i in range(30):
-        d = 2 + i % 3
-        rho = kd.random_density(d, d, seed=520 + i)
-        povm = kd.random_povm(d, 2 + i % 3, seed=530 + i)
-        basis = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=540 + i))
-        table = kd.weak_values(rho, povm, basis)
-        t = kd.kd_table(rho, povm, basis.as_povm())
-        prod = table.values * table.postselect_probs[np.newaxis, :]
-        assert np.abs(prod - t.values).max() < 1e-9
-
-
 def test_quantum_via_weak_values_matches_table(derived):
     zero = kd.validate_density([[1, 0], [0, 0]])
     nre, ncl = kd.quantum_via_weak_values(zero, _x_povm(), kd.rank_one_pvm(Y_BASIS))
@@ -457,13 +445,3 @@ def test_disturbance_fixtures():
     plus = kd.validate_density(np.full((2, 2), 0.5))
     z = kd.rank_one_pvm(np.eye(2))
     assert abs(kd.disturbance_nonreality(plus, z) - 1.0) < 1e-12
-
-
-def test_disturbance_equals_commutator_form():
-    for i in range(40):
-        d = 2 + i % 3
-        rho = kd.random_density(d, d, seed=630 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=640 + i))
-        a = kd.disturbance_nonreality(rho, pvm)
-        b = kd.quantum_nonreality(rho, pvm.as_povm())
-        assert abs(a - b) < 1e-9
