@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import serialize
-from .core import Povm, RankOnePvm, _povm_basis, haar_random_unitary, random_density, random_povm, rank_one_pvm
+from .core import RankOnePvm, _povm_basis, haar_random_unitary, random_density, random_povm, rank_one_pvm
 from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from .kdtable import kd_table, table_nonclassicality, table_nonreality
 from .uncertainty import (
@@ -91,12 +91,6 @@ def _load_measurement(path: str):
     return serialize.load_measurement(_read_json(path))
 
 
-def _as_povm(measurement) -> Povm:
-    if isinstance(measurement, RankOnePvm):
-        return measurement.as_povm()
-    return measurement
-
-
 def _as_pvm(measurement, which: str) -> RankOnePvm:
     if isinstance(measurement, RankOnePvm):
         return measurement
@@ -124,7 +118,7 @@ def cmd_kd_table(args) -> int:
 
 def cmd_decompose(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
-    povm = _as_povm(_load_measurement(args.povm))
+    povm = _load_measurement(args.povm)
     flavor = serialize.flavor_from_name(args.flavor)
     dec = decompose(state, povm, flavor)
     _write_output(serialize.decomposition_to_json(dec), args.output)
@@ -133,7 +127,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_witness(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
-    povm = _as_povm(_load_measurement(args.povm))
+    povm = _load_measurement(args.povm)
     report = contextuality_witness(state, povm, threshold=args.threshold)
     _write_output(serialize.witness_report_to_json(report), args.output)
     return EXIT_OK
@@ -151,7 +145,7 @@ def cmd_infimum(args) -> int:
 def cmd_bounds(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
     pvm = _as_pvm(_load_measurement(args.pvm), "pvm")
-    ent = s_entropy(outcome_probs(state, pvm.as_povm()))
+    ent = s_entropy(outcome_probs(state, pvm))
     bound = bound_asymmetry(state, pvm)
     out = {
         "asymmetry_bound": bound,
@@ -163,7 +157,7 @@ def cmd_bounds(args) -> int:
     if args.pvm2 is not None:
         pvm2 = _as_pvm(_load_measurement(args.pvm2), "pvm2")
         rel = uncertainty_relation_bound(state, pvm, pvm2)
-        s_sum = ent + s_entropy(outcome_probs(state, pvm2.as_povm()))
+        s_sum = ent + s_entropy(outcome_probs(state, pvm2))
         if rel > s_sum + 1e-6:
             raise KdUncertError(f"relation bound {rel!r} exceeds entropy sum {s_sum!r}")
         out["relation_bound"] = rel

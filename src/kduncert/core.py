@@ -5,8 +5,9 @@ with validated invariants (Hermiticity, positivity, completeness, unitarity)
 and are immutable after construction. A POVM is one read-only stack of its
 effects, shape (n_outcomes, d, d), and every computation over its effects
 runs on that stack; only the draws in random_povm loop over effects, to
-keep the seeded order. All randomness is driven by explicit seeds, never
-shared state.
+keep the seeded order. A rank-1 PVM reads as a POVM, so every function
+that takes one takes the other. Objects holding an array compare equal only
+to themselves. All randomness is driven by explicit seeds, never shared state.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian operator."""
 
@@ -77,9 +78,13 @@ class Povm:
         return self.stack.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOnePvm:
-    """Orthonormal rank-1 projector basis, stored as the unitary of its columns."""
+    """Orthonormal rank-1 projector basis, stored as the read-only unitary of its columns.
+
+    It reads as the Povm of its projectors |b><b|, labelled "0" ... "d-1";
+    stack, element b first, is built on first read and cached, read-only.
+    """
 
     basis_unitary: np.ndarray
 
@@ -87,13 +92,20 @@ class RankOnePvm:
     def dim(self) -> int:
         return self.basis_unitary.shape[0]
 
-    def projectors(self) -> np.ndarray:
-        """The stack of projectors |b><b|, shape (d, d, d), element b first."""
-        u = self.basis_unitary.T
-        return u[:, :, None] * u.conj()[:, None, :]
+    n_outcomes = dim
 
-    def as_povm(self) -> Povm:
-        return Povm(stack=self.projectors(), labels=tuple(str(b) for b in range(self.dim)))
+    @property
+    def labels(self) -> tuple:
+        return tuple(str(b) for b in range(self.dim))
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        u = self.basis_unitary.T
+        return _frozen(u[:, :, None] * u.conj()[:, None, :])
+
+    @functools.cached_property
+    def effects(self) -> tuple:
+        return tuple(self.stack)
 
 
 def _hermitian_psd(stack: np.ndarray, name: str):
@@ -180,7 +192,7 @@ def rank_one_pvm(u) -> RankOnePvm:
 
 def _pvm_unchecked(u: np.ndarray) -> RankOnePvm:
     # internal hot path: caller guarantees unitarity
-    return RankOnePvm(basis_unitary=u)
+    return RankOnePvm(basis_unitary=_frozen(u))
 
 
 def _povm_basis(povm: Povm):

@@ -4,10 +4,10 @@ The table entry at (a, b) is Tr{M^b M^a rho}: a complex joint quasi-
 distribution with correct marginals that may go nonreal or negative when
 the three operators fail to commute. Entries are kept raw; nothing is
 rounded to real inside the table, so the quantumness functionals read
-exact values. Each measurement enters as one stack of effects (a Povm's
-stack, or the projector stack of a rank-1 PVM), and the table is one
-batched product over the (a, b) pairs. Over two rank-1 bases, the Johansen
-split of the table is a closed form in their overlaps.
+exact values. Each measurement, a Povm or a rank-1 PVM, enters as its
+stack of effects, and the table is one batched product over the (a, b)
+pairs. Over two rank-1 bases, the Johansen split of the table is a closed
+form in their overlaps.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm
+from .core import DensityMatrix, RankOnePvm
 from .errors import DimMismatchError
 
 NONCLASSICALITY_CLAMP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdTable:
     """Complex quasiprobability table indexed (a, b), a-major."""
 
@@ -45,7 +45,7 @@ class KdTable:
         return self.values.sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JohansenComponents:
     """Three-term split of a KD table over a pair of rank-1 PVM bases.
 
@@ -61,25 +61,13 @@ class JohansenComponents:
         return self.projected + self.real_shift + self.imag_part
 
 
-def _as_stack(measurement) -> np.ndarray:
-    if isinstance(measurement, RankOnePvm):
-        return measurement.projectors()
-    if isinstance(measurement, Povm):
-        return measurement.stack
-    raise TypeError(f"expected Povm or RankOnePvm, got {type(measurement).__name__}")
-
-
 def kd_table(state: DensityMatrix, first, second) -> KdTable:
     """Quasiprobability table values(a, b) = Tr{M^b M^a rho}, each M^a rho taken once."""
-    first_stack = _as_stack(first)
-    second_stack = _as_stack(second)
     d = state.dim
-    if first_stack.shape[1] != d or second_stack.shape[1] != d:
-        raise DimMismatchError(
-            f"state dim {d} vs measurements {first_stack.shape[1]}, {second_stack.shape[1]}"
-        )
-    ma_rho = first_stack @ state.matrix
-    values = np.trace(second_stack @ ma_rho[:, None], axis1=-2, axis2=-1)
+    if first.dim != d or second.dim != d:
+        raise DimMismatchError(f"state dim {d} vs measurements {first.dim}, {second.dim}")
+    ma_rho = first.stack @ state.matrix
+    values = np.trace(second.stack @ ma_rho[:, None], axis1=-2, axis2=-1)
     return KdTable(values=values)
 
 

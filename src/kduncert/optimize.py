@@ -59,17 +59,27 @@ class OptimizerConfig:
 class SupremumResult:
     """A supremum with a basis attaining it.
 
-    The suprema are closed forms, so per_restart_values is (value,),
-    converged is True and iterations_used is 1. quantum_nonclassicality also
-    fills per_effect_values in effect order; best_basis attains the largest.
+    quantum_nonclassicality also fills per_effect_values in effect order;
+    best_basis attains the largest. The suprema are closed forms, so the
+    read-only per_restart_values is (value,), converged is True and
+    iterations_used is 1.
     """
 
     value: float
     best_basis: RankOnePvm
-    per_restart_values: tuple
-    converged: bool
-    iterations_used: int
     per_effect_values: tuple | None = None
+
+    @property
+    def per_restart_values(self) -> tuple:
+        return (self.value,)
+
+    @property
+    def converged(self) -> bool:
+        return True
+
+    @property
+    def iterations_used(self) -> int:
+        return 1
 
 
 def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
@@ -99,18 +109,6 @@ def _attaining_basis(k: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(0.5 * (h + h.conj().T))[1]
 
 
-def _supremum_result(value: float, k: np.ndarray, per_effect_values: tuple | None = None) -> SupremumResult:
-    """The closed-form SupremumResult of value, with best_basis attaining ||k||_1."""
-    return SupremumResult(
-        value=value,
-        best_basis=_pvm_unchecked(_attaining_basis(k)),
-        per_restart_values=(value,),
-        converged=True,
-        iterations_used=1,
-        per_effect_values=per_effect_values,
-    )
-
-
 def sup_over_pvm(k_op) -> SupremumResult:
     """Maximize sum_b |<b|K|b>| over rank-1 PVM bases {|b>} of K's dimension.
 
@@ -122,7 +120,7 @@ def sup_over_pvm(k_op) -> SupremumResult:
         raise ValidationError(f"K must be a non-empty square matrix, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ValidationError("K has non-finite entries")
-    return _supremum_result(float(_trace_norms(k[None])[0]), k)
+    return SupremumResult(float(_trace_norms(k[None])[0]), _pvm_unchecked(_attaining_basis(k)))
 
 
 def _check_dims(state: DensityMatrix, povm: Povm):
@@ -153,7 +151,8 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
     _check_dims(state, povm)
     k_ops = povm.stack @ state.matrix
     values = tuple(_trace_norms(k_ops).tolist())
-    return _supremum_result(_ncl_total(values), k_ops[int(np.argmax(values))], values)
+    best = _pvm_unchecked(_attaining_basis(k_ops[int(np.argmax(values))]))
+    return SupremumResult(_ncl_total(values), best, values)
 
 
 def _ncl_total(norms) -> float:

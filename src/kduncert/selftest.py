@@ -210,7 +210,7 @@ def prop_kd_diagonal_eigenvalues(dims, samples, seed):
     worst = 0.0
     for _, d, rng in _draws(seed, 23, dims, samples):
         u, lam, rho = _diagonal_state(d, rng)
-        pvm = rank_one_pvm(u).as_povm()
+        pvm = rank_one_pvm(u)
         t = kd_table(rho, pvm, pvm)
         worst = max(worst, float(np.abs(np.diag(t.values) - lam).max()))
         off = t.values - np.diag(np.diag(t.values))
@@ -332,7 +332,7 @@ def prop_nre_variational_agreement(dims, samples, seed):
     worst = 0.0
     for _, d, rng in _draws(seed, 36, (2, 3), 2 * samples):
         rho = _rand_state(d, rng)
-        povm = rank_one_pvm(haar_random_unitary(d, rng)).as_povm()
+        povm = rank_one_pvm(haar_random_unitary(d, rng))
         exact = quantum_nonreality(rho, povm)
         variational = sum(sup_over_pvm(commutator(m, rho.matrix) / 2j).value for m in povm.effects)
         worst = max(worst, abs(variational - exact))
@@ -382,7 +382,7 @@ def prop_quantum_bounded_by_total(dims, samples, seed):
             worst = max(worst, dec.quantum - dec.total)
         # equality for pure states and rank-1 PVMs
         pure = random_density(d, 1, rng)
-        pvm = rank_one_pvm(haar_random_unitary(d, rng)).as_povm()
+        pvm = rank_one_pvm(haar_random_unitary(d, rng))
         for flavor in Flavor:
             dec = decompose(pure, pvm, flavor)
             worst_eq = max(worst_eq, abs(dec.total - dec.quantum))
@@ -452,13 +452,13 @@ def prop_maximal_trichotomy(dims, samples, seed):
     worst = 0.0
     for d in dims:
         coherent = _maximally_coherent(d)
-        comp = rank_one_pvm(np.eye(d)).as_povm()
+        comp = rank_one_pvm(np.eye(d))
         dec = decompose(coherent, comp, Flavor.NRE)
         worst = max(worst, abs(dec.total - np.sqrt(d - 1)), abs(dec.quantum - np.sqrt(d - 1)))
         dec = decompose(coherent, comp, Flavor.NCL)
         worst = max(worst, abs(dec.total - (np.sqrt(d) - 1)), abs(dec.quantum - (np.sqrt(d) - 1)))
         mixed = validate_density(np.eye(d) / d)
-        pvm = rank_one_pvm(haar_random_unitary(d, _rng(seed, 45, d))).as_povm()
+        pvm = rank_one_pvm(haar_random_unitary(d, _rng(seed, 45, d)))
         for flavor in Flavor:
             dec = decompose(mixed, pvm, flavor)
             worst = max(worst, abs(dec.classical - dec.total), abs(dec.quantum))
@@ -477,11 +477,11 @@ def prop_coherence_faithfulness(dims, samples, seed):
         u, _, diagonal = _diagonal_state(d, rng)
         pvm = rank_one_pvm(u)
         _require(
-            quantum_nonreality(diagonal, pvm.as_povm()) <= eps,
+            quantum_nonreality(diagonal, pvm) <= eps,
             "diagonal state scored nonzero quantum part",
         )
         coherent = random_density(d, 1, rng)
-        q = quantum_nonreality(coherent, pvm.as_povm())
+        q = quantum_nonreality(coherent, pvm)
         r = np.abs(u.conj().T @ coherent.matrix @ u)
         if r.sum() - np.trace(r) > 1e-6:  # off-diagonal l1 coherence in the basis
             _require(q > eps, f"coherent state scored {q:.2e} <= {eps}")
@@ -548,7 +548,7 @@ def prop_asymmetry_bound(dims, samples, seed):
             refused += 1
             continue
         bound = bound_asymmetry(rho, pvm)
-        ent = s_entropy(outcome_probs(rho, pvm.as_povm()))
+        ent = s_entropy(outcome_probs(rho, pvm))
         worst = max(worst, bound - ent)
     _require(worst <= 1e-6, f"asymmetry bound exceeded entropy by {worst:.2e}")
     return f"worst bound-entropy slack {worst:.2e}, {refused} draws refused above d = {CORNER_SCAN_MAX_DIM}"
@@ -566,8 +566,8 @@ def prop_entropic_relation(dims, samples, seed):
             refused += 1
             continue
         bound = uncertainty_relation_bound(rho, pvm_a, pvm_b)
-        total = s_entropy(outcome_probs(rho, pvm_a.as_povm())) + s_entropy(
-            outcome_probs(rho, pvm_b.as_povm())
+        total = s_entropy(outcome_probs(rho, pvm_a)) + s_entropy(
+            outcome_probs(rho, pvm_b)
         )
         worst = max(worst, bound - total)
     _require(worst <= 1e-6, f"relation bound exceeded entropy sum by {worst:.2e}")
@@ -584,7 +584,7 @@ def prop_weak_value_factorization(dims, samples, seed):
         povm = random_povm(d, 2 + i % 3, rng)
         basis = rank_one_pvm(haar_random_unitary(d, rng))
         table = weak_values(rho, povm, basis)
-        kdt = kd_table(rho, povm, basis.as_povm())
+        kdt = kd_table(rho, povm, basis)
         prod = table.values * table.postselect_probs[np.newaxis, :]
         defined = ~np.broadcast_to(table.undefined_mask, prod.shape)
         worst = max(worst, float(np.abs((prod - kdt.values))[defined].max()))
@@ -599,7 +599,7 @@ def prop_weak_value_integrands(dims, samples, seed):
         povm = random_povm(d, 2, rng)
         basis = rank_one_pvm(haar_random_unitary(d, rng))
         nre, ncl = quantum_via_weak_values(rho, povm, basis)
-        t = kd_table(rho, povm, basis.as_povm())
+        t = kd_table(rho, povm, basis)
         worst = max(worst, abs(nre - table_nonreality(t)))
         worst = max(worst, abs(ncl - table_nonclassicality(t)))
     _require(worst <= 1e-9, f"weak-value integrands off by {worst:.2e}")
@@ -636,7 +636,7 @@ def prop_disturbance_identity(dims, samples, seed):
         pvm = rank_one_pvm(haar_random_unitary(d, rng))
         worst = max(
             worst,
-            abs(disturbance_nonreality(rho, pvm) - quantum_nonreality(rho, pvm.as_povm())),
+            abs(disturbance_nonreality(rho, pvm) - quantum_nonreality(rho, pvm)),
         )
     _require(worst <= 1e-9, f"disturbance identity off by {worst:.2e}")
     return f"worst identity residual {worst:.2e}"

@@ -147,11 +147,11 @@ def impurity_t(state: DensityMatrix) -> float:
 
 
 def infimum_total(state: DensityMatrix, flavor: Flavor):
-    """Minimum of the total uncertainty over sharp-effect measurements, with a minimizer.
+    """Minimum of the total uncertainty over sharp-effect measurements, and the RankOnePvm attaining it.
 
     The value is the flavor's impurity of the state; it is attained by the
-    eigenprojectors of rho (any rank-1 refinement of degenerate blocks gives
-    the same value, since only the spectrum enters). The achieving
+    eigenbasis of rho (any rank-1 refinement of degenerate blocks gives the
+    same value, since only the spectrum enters). The achieving
     measurement commutes with the state, so its quantum part vanishes and
     the minimum is entirely classical; both facts are checked here, and a
     failed check raises KdUncertError.
@@ -161,7 +161,7 @@ def infimum_total(state: DensityMatrix, flavor: Flavor):
     effects can suppress outcome entropy trivially, down to zero for the
     single-outcome measurement {I}.
     """
-    achieving = rank_one_pvm(np.linalg.eigh(state.matrix)[1]).as_povm()
+    achieving = rank_one_pvm(np.linalg.eigh(state.matrix)[1])
     value = impurity_s(state) if flavor is Flavor.NRE else impurity_t(state)
     achieved = total_uncertainty(state, achieving, flavor)
     # sqrt amplifies machine-eps probability noise to ~1.5e-8 when an

@@ -43,7 +43,7 @@ DEFAULT_THRESHOLD = 1e-7
 _SCAN_PROB_MIN = 1e-6  # witness scan ignores entries whose weight cannot carry quantumness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakValueTable:
     """Weak values of each effect for every postselection vector of a basis.
 
@@ -241,7 +241,7 @@ def disturbance_nonreality(state: DensityMatrix, pvm: RankOnePvm) -> float:
         raise DimMismatchError(f"state dim {state.dim} != PVM dim {pvm.dim}")
     rho = state.matrix
     total = 0.0
-    for pa in pvm.projectors():
+    for pa in pvm.stack:
         delta = rho - lueders_state(rho, pa)
         total += 0.5 * trace_norm(delta)
     return total

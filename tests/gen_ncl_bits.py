@@ -48,7 +48,7 @@ def build(case):
     _, d, rank, outcomes, state_seed, povm_seed = case
     state = kd.random_density(d, rank, seed=state_seed)
     if outcomes == "pvm":
-        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=povm_seed)).as_povm()
+        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=povm_seed))
     else:
         povm = kd.random_povm(d, outcomes, seed=povm_seed)
     return state, povm
@@ -59,15 +59,7 @@ def variational_nonreality(state, povm):
     m = state.matrix
     per_effect = [kd.sup_over_pvm((e @ m - m @ e) / 2j) for e in povm.effects]
     values = tuple(r.value for r in per_effect)
-    value = sum(values)
-    res = kd.SupremumResult(
-        value=value,
-        best_basis=per_effect[int(np.argmax(values))].best_basis,
-        per_restart_values=(value,),
-        converged=all(r.converged for r in per_effect),
-        iterations_used=max(r.iterations_used for r in per_effect),
-        per_effect_values=values,
-    )
+    res = kd.SupremumResult(sum(values), per_effect[int(np.argmax(values))].best_basis, values)
     return res, [r.best_basis for r in per_effect]
 
 

@@ -75,11 +75,11 @@ def build(case):
         u = kd.haar_random_unitary(d, seed=povm_seed)
         lam = np.concatenate([np.arange(rank, 0, -1, dtype=float), np.zeros(d - rank)])
         state = kd.validate_density((u * (lam / lam.sum())) @ u.conj().T)
-        povm = kd.rank_one_pvm(u).as_povm()
+        povm = kd.rank_one_pvm(u)
     else:
         state = kd.random_density(d, rank, seed=state_seed)
         if outcomes == "pvm":
-            povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=povm_seed)).as_povm()
+            povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=povm_seed))
         else:
             povm = kd.random_povm(d, outcomes, seed=povm_seed)
     return state, povm, threshold

@@ -88,14 +88,20 @@ MUTANTS = (
     (
         "core.projectors_conjugated",
         "core.py",
-        "return u[:, :, None] * u.conj()[:, None, :]",
-        "return u.conj()[:, :, None] * u[:, None, :]",
+        "return _frozen(u[:, :, None] * u.conj()[:, None, :])",
+        "return _frozen(u.conj()[:, :, None] * u[:, None, :])",
     ),
     (
-        "core.as_povm_labels_from_1",
+        "core.pvm_labels_from_1",
         "core.py",
-        "labels=tuple(str(b) for b in range(self.dim))",
-        "labels=tuple(str(b + 1) for b in range(self.dim))",
+        "return tuple(str(b) for b in range(self.dim))",
+        "return tuple(str(b + 1) for b in range(self.dim))",
+    ),
+    (
+        "core.pvm_unchecked_writable",
+        "core.py",
+        "    return RankOnePvm(basis_unitary=_frozen(u))",
+        "    return RankOnePvm(basis_unitary=u)",
     ),
     (
         "core.partial_trace_wrong_factor",
@@ -114,8 +120,8 @@ MUTANTS = (
     (
         "kd.einsum_table",
         "kdtable.py",
-        "    values = np.trace(second_stack @ ma_rho[:, None], axis1=-2, axis2=-1)",
-        '    values = np.einsum("bij,aji->ab", second_stack, ma_rho)',
+        "    values = np.trace(second.stack @ ma_rho[:, None], axis1=-2, axis2=-1)",
+        '    values = np.einsum("bij,aji->ab", second.stack, ma_rho)',
     ),
     ("kd.marginal_a_wrong_axis", "kdtable.py", "return self.values.sum(axis=1)", "return self.values.sum(axis=0)"),
     ("kd.marginal_b_wrong_axis", "kdtable.py", "return self.values.sum(axis=0)", "return self.values.sum(axis=1)"),
@@ -129,8 +135,8 @@ MUTANTS = (
         "kd.johansen_pb_pa_rho_pa",
         "kdtable.py",
         "    projected = np.abs(overlap) ** 2 * r[:, None]",
-        "    projected = np.array([[np.trace(pb @ (pa @ state.matrix @ pa)).real for pb in second.projectors()]"
-        " for pa in first.projectors()])",
+        "    projected = np.array([[np.trace(pb @ (pa @ state.matrix @ pa)).real for pb in second.stack]"
+        " for pa in first.stack])",
     ),
     # optimize.py
     (
@@ -208,7 +214,7 @@ MUTANTS = (
         "projector @ rho @ projector + comp @ rho @ comp",
         "projector @ rho @ projector + comp @ rho",
     ),
-    ("wit.disturbance_skips_first", "witness.py", "for pa in pvm.projectors():", "for pa in pvm.projectors()[1:]:"),
+    ("wit.disturbance_skips_first", "witness.py", "for pa in pvm.stack:", "for pa in pvm.stack[1:]:"),
     (
         "wit.agree_at_threshold",
         "witness.py",

@@ -39,7 +39,7 @@ def test_criterion_1_quantum_bounded_by_total():
     for i in range(100):
         d = 2 + i % 3
         psi = kd.random_density(d, 1, seed=21_000 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=22_000 + i)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=22_000 + i))
         total_s = kd.total_uncertainty(psi, pvm, kd.Flavor.NRE)
         total_t = kd.total_uncertainty(psi, pvm, kd.Flavor.NCL)
         worst_eq = max(worst_eq, abs(kd.quantum_nonreality(psi, pvm) - total_s))
@@ -97,7 +97,7 @@ def test_criterion_3_disturbance_identity():
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=26_000 + i))
         worst = max(
             worst,
-            abs(kd.disturbance_nonreality(rho, pvm) - kd.quantum_nonreality(rho, pvm.as_povm())),
+            abs(kd.disturbance_nonreality(rho, pvm) - kd.quantum_nonreality(rho, pvm)),
         )
     _report(3, worst <= 1e-9, f"200 pairs, worst |trace-distance - commutator| {worst:.2e}")
 
@@ -120,7 +120,7 @@ def test_criterion_5_maximal_values():
     worst = 0.0
     for d in (2, 3, 4, 5):
         coherent = kd.validate_density(np.full((d, d), 1.0 / d))
-        comp = kd.rank_one_pvm(np.eye(d)).as_povm()
+        comp = kd.rank_one_pvm(np.eye(d))
         dec = kd.decompose(coherent, comp, kd.Flavor.NRE)
         worst = max(worst, abs(dec.total - np.sqrt(d - 1)), abs(dec.quantum - np.sqrt(d - 1)))
         dec = kd.decompose(coherent, comp, kd.Flavor.NCL)
@@ -128,7 +128,7 @@ def test_criterion_5_maximal_values():
             worst, abs(dec.total - (np.sqrt(d) - 1)), abs(dec.quantum - (np.sqrt(d) - 1))
         )
         mixed = kd.validate_density(np.eye(d) / d)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=28_000 + d)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=28_000 + d))
         degenerate = kd.validate_povm([np.eye(d) / d] * d)
         rho = kd.random_density(d, d, seed=29_000 + d)
         for flavor in kd.Flavor:
@@ -160,8 +160,8 @@ def test_criterion_7_bound_checks():
         rho = kd.random_density(d, d if i % 2 else 1, seed=30_000 + i)
         pvm_a = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=31_000 + i))
         pvm_b = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=32_000 + i))
-        ent_a = kd.s_entropy(kd.outcome_probs(rho, pvm_a.as_povm()))
-        ent_b = kd.s_entropy(kd.outcome_probs(rho, pvm_b.as_povm()))
+        ent_a = kd.s_entropy(kd.outcome_probs(rho, pvm_a))
+        ent_b = kd.s_entropy(kd.outcome_probs(rho, pvm_b))
         worst_slack = max(worst_slack, kd.bound_asymmetry(rho, pvm_a) - ent_a)
         worst_slack = max(
             worst_slack,
@@ -194,7 +194,7 @@ def test_criterion_8_witness():
             lam = rng.random(d) + 0.1
             lam /= lam.sum()
             rho = kd.validate_density((u * lam) @ u.conj().T)
-            povm = kd.rank_one_pvm(u).as_povm()
+            povm = kd.rank_one_pvm(u)
         else:
             rho, povm = _random_pair(d, seed=35_000 + i)
         report = kd.contextuality_witness(rho, povm, kd.OptimizerConfig(n_restarts=1, seed=0))
@@ -208,7 +208,7 @@ def test_criterion_8_witness():
             reverified = reverified and abs(w - entry.weak_value) <= 1e-9 and strange
 
     zero = kd.validate_density([[1, 0], [0, 0]])
-    x_povm = kd.rank_one_pvm(HADAMARD).as_povm()
+    x_povm = kd.rank_one_pvm(HADAMARD)
     fixture = kd.contextuality_witness(zero, x_povm, kd.OptimizerConfig(n_restarts=2, seed=0))
     fixture_ok = (
         fixture.contextual
@@ -230,8 +230,8 @@ def test_criterion_9_worked_example_regression(derived):
     errs["trace_norm"] = abs(kd.trace_norm(swap) - derived["trace_norm_quarter_swap"])
 
     zero = kd.validate_density([[1, 0], [0, 0]])
-    x_povm = kd.rank_one_pvm(HADAMARD).as_povm()
-    y_povm = kd.rank_one_pvm(Y_BASIS).as_povm()
+    x_povm = kd.rank_one_pvm(HADAMARD)
+    y_povm = kd.rank_one_pvm(Y_BASIS)
     t = kd.kd_table(zero, x_povm, y_povm)
     expect = np.array([[complex(re, im) for re, im in row] for row in derived["kd_zero_x_y"]])
     errs["kd_table"] = float(np.abs(t.values - expect).max())
@@ -241,7 +241,7 @@ def test_criterion_9_worked_example_regression(derived):
     )
 
     plus = kd.validate_density(np.full((2, 2), 0.5))
-    z_povm = kd.rank_one_pvm(np.eye(2)).as_povm()
+    z_povm = kd.rank_one_pvm(np.eye(2))
     errs["nre_plus_z"] = abs(kd.quantum_nonreality(plus, z_povm) - derived["nre_plus_z"])
     mix = kd.validate_density(np.eye(2) / 2 + PAULI_X / 4)
     errs["nre_halfmix_z"] = abs(kd.quantum_nonreality(mix, z_povm) - derived["nre_halfmix_z"])
@@ -290,7 +290,7 @@ def test_criterion_9_worked_example_regression(derived):
     for i in range(50):
         d = 2 + i % 2
         rho = kd.random_density(d, d, seed=36_000 + i)
-        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=37_000 + i)).as_povm()
+        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=37_000 + i))
         m = rho.matrix
         variational = sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.effects)
         worst_var = max(worst_var, abs(variational - kd.quantum_nonreality(rho, povm)))
@@ -300,7 +300,7 @@ def test_criterion_9_worked_example_regression(derived):
     worst_pure = 0.0
     for i in range(20):
         psi = kd.random_density(2, 1, seed=38_000 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=39_000 + i)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=39_000 + i))
         probs = kd.outcome_probs(psi, pvm)
         expect_v = sum(np.sqrt(p) for p in probs) - 1.0
         got = kd.quantum_nonclassicality(psi, pvm).value

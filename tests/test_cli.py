@@ -30,9 +30,9 @@ def fixtures(tmp_path):
         "yplus": write(
             "yplus.json", serialize.matrix_to_json(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
         ),
-        "xpovm": write("xpovm.json", serialize.povm_to_json(kd.rank_one_pvm(HADAMARD).as_povm())),
+        "xpovm": write("xpovm.json", serialize.povm_to_json(kd.rank_one_pvm(HADAMARD))),
         "ybasis": write("ybasis.json", serialize.matrix_to_json(Y_BASIS)),
-        "ypovm": write("ypovm.json", serialize.povm_to_json(kd.rank_one_pvm(Y_BASIS).as_povm())),
+        "ypovm": write("ypovm.json", serialize.povm_to_json(kd.rank_one_pvm(Y_BASIS))),
         "zbasis": write("zbasis.json", serialize.matrix_to_json(np.eye(2))),
         "xbasis": write("xbasis.json", serialize.matrix_to_json(HADAMARD)),
         "badstate": write("badstate.json", serialize.matrix_to_json(np.diag([0.5, 0.6]))),
@@ -119,7 +119,7 @@ def test_dim_mismatch_exit_code(capsys, fixtures):
 
 
 def test_povm_labels_must_be_a_list_of_strings_or_integers(capsys, fixtures, tmp_path):
-    povm = serialize.povm_to_json(kd.rank_one_pvm(HADAMARD).as_povm())
+    povm = serialize.povm_to_json(kd.rank_one_pvm(HADAMARD))
     for labels in (5, "01", {"a": 1, "b": 2}):
         path = tmp_path / "labels.json"
         path.write_text(serialize.dumps(dict(povm, labels=labels)) + "\n")
@@ -136,7 +136,7 @@ def test_povm_labels_must_be_a_list_of_strings_or_integers(capsys, fixtures, tmp
 
 
 def test_povm_labels_must_be_distinct(capsys, fixtures, tmp_path):
-    povm = serialize.povm_to_json(kd.rank_one_pvm(HADAMARD).as_povm())
+    povm = serialize.povm_to_json(kd.rank_one_pvm(HADAMARD))
     path = tmp_path / "labels.json"
     for labels, repeated in ((["x", "x"], "x"), ([1, "1"], "1")):
         path.write_text(serialize.dumps(dict(povm, labels=labels)) + "\n")
@@ -342,7 +342,7 @@ def test_bounds_reads_a_pvm_given_as_effects(capsys, tmp_path):
     for seed in (6, 7):
         u = kd.haar_random_unitary(3, seed=seed)
         argv["basis"].append(write(f"basis{seed}.json", serialize.matrix_to_json(u)))
-        argv["effects"].append(write(f"effects{seed}.json", serialize.povm_to_json(kd.rank_one_pvm(u).as_povm())))
+        argv["effects"].append(write(f"effects{seed}.json", serialize.povm_to_json(kd.rank_one_pvm(u))))
     code, from_basis = _run(capsys, argv["basis"])
     assert code == 0
     code, from_effects = _run(capsys, argv["effects"])
@@ -374,6 +374,22 @@ def test_random_bad_dimension_exit_code(capsys):
             assert code == 2, (kind, d)
             assert captured.out == ""
             assert captured.err == f"error: dimension must be >= 1, got {d}\n"
+
+
+def test_seed_defaults_to_zero(capsys, monkeypatch):
+    monkeypatch.delenv("KDUNCERT_SEED", raising=False)
+    for argv in (
+        ["random", "state", "--d", "3"],
+        ["random", "povm", "--d", "3", "--outcomes", "3"],
+        ["random", "pvm", "--d", "3"],
+        ["selftest", "--samples", "1"],
+    ):
+        assert main(argv) == 0
+        default_out = capsys.readouterr().out
+        assert main(argv + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == default_out, argv
+        assert main(argv + ["--seed", "1"]) == 0
+        assert capsys.readouterr().out != default_out, argv
 
 
 def test_seed_env_var(capsys, monkeypatch):
@@ -605,14 +621,20 @@ def test_selftest_samples_below_one_exit_code(capsys):
 
 
 def test_infimum_failed_self_check_is_a_named_error(capsys, fixtures, monkeypatch):
-    monkeypatch.setattr("kduncert.uncertainty.total_uncertainty", lambda *args: 0.5)
-    code = main(["infimum", fixtures["diag34"], "--flavor", "NRe"])
-    captured = capsys.readouterr()
-    assert code == 5
-    assert captured.out == ""
-    assert captured.err.startswith("error: eigenbasis measurement scores")
-    assert len(captured.err.strip().splitlines()) == 1
-    assert "Traceback" not in captured.err
+    # each of infimum_total's two self-checks, forced to fail in turn
+    for patched, value, message in (
+        ("total_uncertainty", 0.5, "error: eigenbasis measurement scores"),
+        ("quantum_nonreality", 1e-6, "error: achieving POVM has nonzero quantum part 1e-06"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(f"kduncert.uncertainty.{patched}", lambda *args, v=value: v)
+            code = main(["infimum", fixtures["diag34"], "--flavor", "NRe"])
+        captured = capsys.readouterr()
+        assert code == 5, patched
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 def test_bounds_failed_check_is_an_internal_error(capsys, fixtures, monkeypatch):

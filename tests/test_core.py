@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import kduncert as kd
-from kduncert.core import _mubs
+from kduncert import serialize
+from kduncert.core import _mubs, _pvm_unchecked
 from conftest import PAULI_X, PAULI_Y
 
 
@@ -27,6 +28,8 @@ def test_validate_povm_examples():
     kd.validate_povm([np.eye(2) / 2, np.eye(2) / 2])
     with pytest.raises(kd.ValidationError, match=r"^effects do not resolve identity: max \|sum - I\| = 1\.000e\+00$"):
         kd.validate_povm([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+    with pytest.raises(kd.ValidationError, match=r"^effects do not resolve identity: max \|sum - I\| = 1\.000e-06$"):
+        kd.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - 1e-6])])
     with pytest.raises(kd.ValidationError, match=r"^effect 1 is not PSD: min eigenvalue -5\.000e-01$"):
         kd.validate_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
@@ -52,7 +55,7 @@ def test_rank_one_pvm_validation():
 def test_rank_one_pvm_projectors_complete():
     u = kd.haar_random_unitary(4, seed=11)
     pvm = kd.rank_one_pvm(u)
-    projs = pvm.projectors()
+    projs = pvm.stack
     total = np.sum(projs, axis=0)
     assert np.abs(total - np.eye(4)).max() < 1e-9
     for a in range(4):
@@ -166,7 +169,7 @@ def test_povm_stack_is_read_only_effect_stack():
     povms = [
         kd.random_povm(3, 4, seed=5),
         kd.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
-        kd.rank_one_pvm(kd.haar_random_unitary(3, seed=6)).as_povm(),
+        kd.rank_one_pvm(kd.haar_random_unitary(3, seed=6)),
         kd.coarse_grain(kd.random_povm(3, 4, seed=7), [(0, 1), (2, 3)]),
     ]
     for povm in povms:
@@ -192,7 +195,7 @@ def test_validate_povm_names_the_first_failing_effect():
 
 
 def test_povm_effects_are_read_only_views_of_the_stack():
-    for povm in (kd.random_povm(3, 4, seed=8), kd.rank_one_pvm(kd.haar_random_unitary(3, seed=9)).as_povm()):
+    for povm in (kd.random_povm(3, 4, seed=8), kd.rank_one_pvm(kd.haar_random_unitary(3, seed=9))):
         assert len(povm.effects) == povm.n_outcomes
         for i, e in enumerate(povm.effects):
             assert np.shares_memory(e, povm.stack)
@@ -210,9 +213,70 @@ def test_povms_with_equal_labels_and_different_effects_differ():
     assert not first == second
 
 
+def test_array_holders_compare_by_identity():
+    rho = kd.random_density(2, 2, seed=13)
+    pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=14))
+    povm = kd.random_povm(2, 3, seed=15)
+    makers = (
+        lambda: kd.random_density(2, 2, seed=13),
+        lambda: kd.rank_one_pvm(np.eye(2)),
+        lambda: kd.random_povm(2, 3, seed=15),
+        lambda: kd.kd_table(rho, povm, pvm),
+        lambda: kd.johansen_components(rho, pvm, pvm),
+        lambda: kd.weak_values(rho, povm, pvm),
+    )
+    for make in makers:
+        first, second = make(), make()
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert hash(first) != hash(second)
+    first, second = (kd.decompose(rho, povm, kd.Flavor.NCL) for _ in range(2))
+    assert first == first
+    assert first != second  # their attaining bases are distinct objects
+
+
+def test_rank_one_pvm_builds_its_read_only_stack_on_first_read():
+    u = kd.haar_random_unitary(3, seed=16)
+    for pvm in (kd.rank_one_pvm(u), _pvm_unchecked(u.copy()), kd.sup_over_pvm(u).best_basis):
+        assert not pvm.basis_unitary.flags.writeable
+        assert "stack" not in vars(pvm)
+        assert pvm.stack is pvm.stack
+        assert pvm.n_outcomes == pvm.dim == 3 and pvm.labels == ("0", "1", "2")
+
+
+def test_rank_one_pvm_reads_as_its_projector_povm():
+    # every function that takes a POVM gives the same bits for a rank-1 PVM and for
+    # the validated POVM of its projector stack; .17g JSON round-trips each float exactly
+    for d in range(1, 9):
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=2600 + d))
+        povm = kd.validate_povm(pvm.stack)
+        other = kd.random_povm(d, 3, seed=2650 + d)
+        blocks = [b for b in (tuple(range(0, d, 2)), tuple(range(1, d, 2))) if b]
+        for rank in sorted({1, d}):
+            rho = kd.random_density(d, rank, seed=2700 + 10 * d + rank)
+
+            def outputs(m):
+                out = [
+                    serialize.povm_to_json(m),
+                    serialize.povm_to_json(kd.coarse_grain(m, blocks)),
+                    kd.outcome_probs(rho, m),
+                    kd.quantum_nonreality(rho, m),
+                    serialize.supremum_to_json(kd.quantum_nonclassicality(rho, m)),
+                    serialize.witness_report_to_json(kd.contextuality_witness(rho, m)),
+                ]
+                for flavor in kd.Flavor:
+                    out.append(kd.total_uncertainty(rho, m, flavor))
+                    out.append(serialize.decomposition_to_json(kd.decompose(rho, m, flavor)))
+                for first, second in ((m, other), (other, m), (m, m)):
+                    out.append(serialize.kdtable_to_json(kd.kd_table(rho, first, second)))
+                return serialize.dumps(out)
+
+            assert outputs(pvm) == outputs(povm), (d, rank)
+
+
 def test_rank_one_pvm_projectors_are_one_stack():
     u = kd.haar_random_unitary(3, seed=12)
-    projs = kd.rank_one_pvm(u).projectors()
+    projs = kd.rank_one_pvm(u).stack
     assert isinstance(projs, np.ndarray) and projs.shape == (3, 3, 3)
     for b in range(3):
         assert np.array_equal(projs[b], np.outer(u[:, b], u[:, b].conj()))

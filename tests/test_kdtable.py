@@ -7,15 +7,15 @@ from oracles import johansen_loop, kd_table_loop
 
 
 def _x_pvm():
-    return kd.rank_one_pvm(HADAMARD).as_povm()
+    return kd.rank_one_pvm(HADAMARD)
 
 
 def _y_pvm():
-    return kd.rank_one_pvm(Y_BASIS).as_povm()
+    return kd.rank_one_pvm(Y_BASIS)
 
 
 def _z_pvm():
-    return kd.rank_one_pvm(np.eye(2)).as_povm()
+    return kd.rank_one_pvm(np.eye(2))
 
 
 def test_kd_table_maximally_mixed_z_z():
@@ -41,7 +41,7 @@ def test_kd_table_commuting_first_is_real_nonnegative():
         lam = rng.random(d) + 0.1
         lam /= lam.sum()
         rho = kd.validate_density((u * lam) @ u.conj().T)
-        first = kd.rank_one_pvm(u).as_povm()
+        first = kd.rank_one_pvm(u)
         second = kd.random_povm(d, d, seed=600 + i)
         t = kd.kd_table(rho, first, second)
         assert np.abs(t.values.imag).max() < 1e-10
@@ -76,7 +76,7 @@ def test_diagonal_state_table_equals_eigenvalues():
     u = kd.haar_random_unitary(4, seed=77)
     lam = np.array([0.4, 0.3, 0.2, 0.1])
     rho = kd.validate_density((u * lam) @ u.conj().T)
-    pvm = kd.rank_one_pvm(u).as_povm()
+    pvm = kd.rank_one_pvm(u)
     t = kd.kd_table(rho, pvm, pvm)
     assert np.abs(np.diag(t.values) - lam).max() < 1e-10
     assert np.abs(t.values - np.diag(np.diag(t.values))).max() < 1e-10
@@ -125,7 +125,7 @@ def test_kd_table_matches_loop_reference_bitwise():
         povm = kd.random_povm(d, 3, seed=1500 + d)
         u = kd.haar_random_unitary(d, seed=1600 + d)
         pvm = kd.rank_one_pvm(u)
-        measurements = [(povm, list(povm.effects)), (pvm, _projector_list(u)), (pvm.as_povm(), _projector_list(u))]
+        measurements = [(povm, list(povm.effects)), (pvm, _projector_list(u)), (kd.validate_povm(pvm.stack), _projector_list(u))]
         for rank in sorted({1, d}):
             rho = kd.random_density(d, rank, seed=1700 + 10 * d + rank)
             for first, first_effects in measurements:

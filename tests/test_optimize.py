@@ -14,7 +14,7 @@ from oracles import attaining_bases_stacked
 
 
 def _z_povm():
-    return kd.rank_one_pvm(np.eye(2)).as_povm()
+    return kd.rank_one_pvm(np.eye(2))
 
 
 def test_quantum_nonreality_commuting_vanishes():
@@ -24,7 +24,7 @@ def test_quantum_nonreality_commuting_vanishes():
         lam = np.linspace(1, 2, d)
         lam /= lam.sum()
         rho = kd.validate_density((u * lam) @ u.conj().T)
-        povm = kd.rank_one_pvm(u).as_povm()
+        povm = kd.rank_one_pvm(u)
         assert kd.quantum_nonreality(rho, povm) < 1e-10
 
 
@@ -40,7 +40,7 @@ def test_quantum_nonreality_pure_state_stddev_identity():
     for i in range(10):
         d = 2 + i % 3
         psi = kd.random_density(d, 1, seed=50 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=60 + i)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=60 + i))
         probs = kd.outcome_probs(psi, pvm)
         assert abs(kd.quantum_nonreality(psi, pvm) - kd.s_entropy(probs)) < 1e-9
 
@@ -54,7 +54,7 @@ def _variational_nonreality(rho, povm):
 def test_variational_nonreality_commuting():
     u = kd.haar_random_unitary(2, seed=90)
     rho = kd.validate_density((u * np.array([0.7, 0.3])) @ u.conj().T)
-    povm = kd.rank_one_pvm(u).as_povm()
+    povm = kd.rank_one_pvm(u)
     assert _variational_nonreality(rho, povm) < 1e-8
 
 
@@ -69,7 +69,7 @@ def test_quantum_nonclassicality_commuting_is_zero():
     u = kd.haar_random_unitary(3, seed=91)
     lam = np.array([0.5, 0.3, 0.2])
     rho = kd.validate_density((u * lam) @ u.conj().T)
-    povm = kd.rank_one_pvm(u).as_povm()
+    povm = kd.rank_one_pvm(u)
     res = kd.quantum_nonclassicality(rho, povm)
     assert abs(res.value) < 1e-8
 
@@ -77,7 +77,7 @@ def test_quantum_nonclassicality_commuting_is_zero():
 def test_quantum_nonclassicality_pure_equals_sqrt_probs():
     for i in range(8):
         psi = kd.random_density(2, 1, seed=100 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=110 + i)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(2, seed=110 + i))
         probs = kd.outcome_probs(psi, pvm)
         expect = sum(np.sqrt(p) for p in probs) - 1.0
         res = kd.quantum_nonclassicality(psi, pvm)
@@ -157,7 +157,7 @@ def _ncl_instances():
         u = kd.haar_random_unitary(d, seed=600 + d)
         lam = np.linspace(1, 2, d)
         rho = kd.validate_density((u * (lam / lam.sum())) @ u.conj().T)
-        out.append((rho, kd.rank_one_pvm(u).as_povm()))
+        out.append((rho, kd.rank_one_pvm(u)))
     return out
 
 
@@ -220,7 +220,7 @@ def test_attaining_basis_matches_the_stacked_build_bit_for_bit():
         u = kd.haar_random_unitary(d, seed=1000 + d)
         lam = np.linspace(1, 2, d)
         rho = (u * (lam / lam.sum())) @ u.conj().T
-        ks += [p @ rho for p in kd.rank_one_pvm(u).projectors()] + [np.zeros((d, d), dtype=complex)]
+        ks += [p @ rho for p in kd.rank_one_pvm(u).stack] + [np.zeros((d, d), dtype=complex)]
     for k in ks:
         assert optimize._attaining_basis(k).tobytes() == attaining_bases_stacked(k[None])[0].tobytes()
 
@@ -237,7 +237,7 @@ def test_ncl_upper_bounds_random_bases():
 
 
 def _haar_pvm(d, seed):
-    return kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed)).as_povm()
+    return kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed))
 
 
 def test_quantum_parts_bit_exact():

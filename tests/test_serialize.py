@@ -61,7 +61,7 @@ def test_decomposition_json_shape():
 
 def test_witness_report_json_shape():
     zero = kd.validate_density([[1, 0], [0, 0]])
-    x = kd.rank_one_pvm(np.array([[1, 1], [1, -1]]) / np.sqrt(2)).as_povm()
+    x = kd.rank_one_pvm(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     rep = kd.contextuality_witness(zero, x)
     obj = serialize.witness_report_to_json(rep)
     assert set(obj) == {"contextual", "nre", "ncl", "witness", "flavors_agree", "threshold"}
@@ -72,7 +72,7 @@ def test_witness_report_json_shape():
 def test_kdtable_json_is_a_major():
     rho = kd.validate_density([[1, 0], [0, 0]])
     povm = kd.random_povm(2, 3, seed=74)
-    basis = kd.rank_one_pvm(np.eye(2)).as_povm()
+    basis = kd.rank_one_pvm(np.eye(2))
     t = kd.kd_table(rho, povm, basis)
     obj = serialize.kdtable_to_json(t)
     assert obj["n_a"] == 3 and obj["n_b"] == 2

@@ -17,11 +17,11 @@ def _z():
 
 def test_outcome_probs_examples():
     zero = kd.validate_density([[1, 0], [0, 0]])
-    assert np.allclose(kd.outcome_probs(zero, _z().as_povm()), [1.0, 0.0])
+    assert np.allclose(kd.outcome_probs(zero, _z()), [1.0, 0.0])
     plus = kd.validate_density(np.full((2, 2), 0.5))
-    assert np.allclose(kd.outcome_probs(plus, _z().as_povm()), [0.5, 0.5])
+    assert np.allclose(kd.outcome_probs(plus, _z()), [0.5, 0.5])
     mixed = kd.validate_density(np.eye(4) / 4)
-    pvm = kd.rank_one_pvm(kd.haar_random_unitary(4, seed=8)).as_povm()
+    pvm = kd.rank_one_pvm(kd.haar_random_unitary(4, seed=8))
     assert np.allclose(kd.outcome_probs(mixed, pvm), [0.25] * 4)
     with pytest.raises(kd.DimMismatchError):
         kd.outcome_probs(zero, kd.random_povm(3, 2, seed=0))
@@ -31,7 +31,7 @@ def test_outcome_probs_match_loop_reference_bitwise():
     for d in range(1, 17):
         povm = kd.random_povm(d, 3, seed=2100 + d)
         u = kd.haar_random_unitary(d, seed=2200 + d)
-        pvm = kd.rank_one_pvm(u).as_povm()
+        pvm = kd.rank_one_pvm(u)
         projectors = [np.outer(u[:, b], u[:, b].conj()) for b in range(d)]
         for rank in sorted({1, d}):
             rho = kd.random_density(d, rank, seed=2300 + 10 * d + rank)
@@ -67,12 +67,12 @@ def test_t_entropy_is_half_tsallis():
 
 def test_total_uncertainty_examples():
     zero = kd.validate_density([[1, 0], [0, 0]])
-    assert kd.total_uncertainty(zero, _z().as_povm(), kd.Flavor.NRE) == 0.0
-    assert kd.total_uncertainty(zero, _z().as_povm(), kd.Flavor.NCL) == 0.0
+    assert kd.total_uncertainty(zero, _z(), kd.Flavor.NRE) == 0.0
+    assert kd.total_uncertainty(zero, _z(), kd.Flavor.NCL) == 0.0
 
     d = 3
     coherent = kd.validate_density(np.full((d, d), 1.0 / d))
-    comp = kd.rank_one_pvm(np.eye(d)).as_povm()
+    comp = kd.rank_one_pvm(np.eye(d))
     assert abs(kd.total_uncertainty(coherent, comp, kd.Flavor.NRE) - np.sqrt(2)) < 1e-12
 
     rho = kd.random_density(4, 2, seed=33)
@@ -82,7 +82,7 @@ def test_total_uncertainty_examples():
 
 def test_decompose_fixtures(derived):
     diag = kd.validate_density(np.diag([0.75, 0.25]))
-    dec = kd.decompose(diag, _z().as_povm(), kd.Flavor.NRE)
+    dec = kd.decompose(diag, _z(), kd.Flavor.NRE)
     fx = derived["decompose_diag34_z_nre"]
     assert abs(dec.total - fx["total"]) < 1e-9
     assert abs(dec.quantum - fx["quantum"]) < 1e-9
@@ -90,7 +90,7 @@ def test_decompose_fixtures(derived):
     assert dec.diagnostics is None
 
     mix = kd.validate_density(np.eye(2) / 2 + PAULI_X / 4)
-    dec = kd.decompose(mix, _z().as_povm(), kd.Flavor.NRE)
+    dec = kd.decompose(mix, _z(), kd.Flavor.NRE)
     fx = derived["decompose_halfmix_z_nre"]
     assert abs(dec.total - fx["total"]) < 1e-9
     assert abs(dec.quantum - fx["quantum"]) < 1e-9
@@ -101,7 +101,7 @@ def test_decompose_pure_rank1_classical_vanishes():
     for i in range(6):
         d = 2 + i % 3
         psi = kd.random_density(d, 1, seed=340 + i)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=350 + i)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=350 + i))
         for flavor in kd.Flavor:
             dec = kd.decompose(psi, pvm, flavor)
             assert abs(dec.classical) < 1e-6
@@ -140,7 +140,7 @@ def test_qubit_decompositions_match_bloch_closed_forms():
         theta, phi = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
         n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
         rho = kd.validate_density(0.5 * (np.eye(2) + np.einsum("k,kij->ij", r, sigma)))
-        povm = kd.rank_one_pvm(np.array(bloch_basis(theta, phi)).T).as_povm()
+        povm = kd.rank_one_pvm(np.array(bloch_basis(theta, phi)).T)
         ref = qubit_closed_forms(r, n)
         for flavor, key in ((kd.Flavor.NRE, "nre"), (kd.Flavor.NCL, "ncl")):
             dec = kd.decompose(rho, povm, flavor)
@@ -223,7 +223,7 @@ def test_bound_asymmetry_below_entropy():
         rho = kd.random_density(d, d, seed=370 + i)
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=380 + i))
         bound = kd.bound_asymmetry(rho, pvm)
-        ent = kd.s_entropy(kd.outcome_probs(rho, pvm.as_povm()))
+        ent = kd.s_entropy(kd.outcome_probs(rho, pvm))
         assert bound <= ent + 1e-6
 
 
@@ -231,8 +231,8 @@ def test_uncertainty_relation_fixture(derived):
     yplus = kd.validate_density(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
     bound = kd.uncertainty_relation_bound(yplus, _z(), kd.rank_one_pvm(HADAMARD))
     assert abs(bound - derived["relation_bound_yplus_z_x"]) < 1e-9
-    s_sum = kd.s_entropy(kd.outcome_probs(yplus, _z().as_povm())) + kd.s_entropy(
-        kd.outcome_probs(yplus, kd.rank_one_pvm(HADAMARD).as_povm())
+    s_sum = kd.s_entropy(kd.outcome_probs(yplus, _z())) + kd.s_entropy(
+        kd.outcome_probs(yplus, kd.rank_one_pvm(HADAMARD))
     )
     assert abs(bound - s_sum) < 1e-9
 
@@ -250,8 +250,8 @@ def test_uncertainty_relation_below_entropy_sum():
         pvm_a = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=400 + i))
         pvm_b = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=410 + i))
         bound = kd.uncertainty_relation_bound(rho, pvm_a, pvm_b)
-        total = kd.s_entropy(kd.outcome_probs(rho, pvm_a.as_povm())) + kd.s_entropy(
-            kd.outcome_probs(rho, pvm_b.as_povm())
+        total = kd.s_entropy(kd.outcome_probs(rho, pvm_a)) + kd.s_entropy(
+            kd.outcome_probs(rho, pvm_b)
         )
         assert bound <= total + 1e-6
 
@@ -304,7 +304,7 @@ def test_s_entropy_one_outcome_rounding_reads_zero():
     assert kd.s_entropy([1.0]) == 0.0
     for seed in range(8):
         rho = kd.random_density(1, 1, seed=900 + seed)
-        pvm = kd.rank_one_pvm(kd.haar_random_unitary(1, seed=910 + seed)).as_povm()
+        pvm = kd.rank_one_pvm(kd.haar_random_unitary(1, seed=910 + seed))
         dec = kd.decompose(rho, pvm, kd.Flavor.NRE)
         assert dec.total == 0.0 and dec.quantum == 0.0 and dec.classical == 0.0
 

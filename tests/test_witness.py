@@ -14,7 +14,7 @@ from oracles import first_strange_loop
 
 
 def _x_povm():
-    return kd.rank_one_pvm(HADAMARD).as_povm()
+    return kd.rank_one_pvm(HADAMARD)
 
 
 def test_weak_values_basis_state_preselection():
@@ -89,7 +89,7 @@ def test_quantum_via_weak_values_matches_table(derived):
         povm = kd.random_povm(d, 2, seed=560 + i)
         basis = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=570 + i))
         nre, ncl = kd.quantum_via_weak_values(rho, povm, basis)
-        t = kd.kd_table(rho, povm, basis.as_povm())
+        t = kd.kd_table(rho, povm, basis)
         assert abs(nre - kd.table_nonreality(t)) < 1e-9
         assert abs(ncl - kd.table_nonclassicality(t)) < 1e-9
 
@@ -98,7 +98,7 @@ def test_quantum_via_weak_values_commuting_zero():
     u = kd.haar_random_unitary(3, seed=58)
     lam = np.array([0.5, 0.3, 0.2])
     rho = kd.validate_density((u * lam) @ u.conj().T)
-    povm = kd.rank_one_pvm(u).as_povm()
+    povm = kd.rank_one_pvm(u)
     for seed in range(4):
         basis = kd.rank_one_pvm(kd.haar_random_unitary(3, seed=580 + seed))
         nre, ncl = kd.quantum_via_weak_values(rho, povm, basis)
@@ -123,7 +123,7 @@ def test_witness_fixture(derived):
 
 def test_witness_commuting_not_contextual():
     diag = kd.validate_density(np.diag([0.75, 0.25]))
-    z = kd.rank_one_pvm(np.eye(2)).as_povm()
+    z = kd.rank_one_pvm(np.eye(2))
     report = kd.contextuality_witness(diag, z)
     assert not report.contextual
     assert report.witness_entry is None
@@ -183,7 +183,7 @@ def test_witness_ncl_is_the_nonclassicality_value():
             instances.append((kd.random_density(d, rank, seed=700 + 10 * d + rank), kd.random_povm(d, 3, seed=710 + d)))
         u = kd.haar_random_unitary(d, seed=720 + d)
         lam = np.arange(d, 0, -1.0)
-        instances.append((kd.validate_density((u * (lam / lam.sum())) @ u.conj().T), kd.rank_one_pvm(u).as_povm()))
+        instances.append((kd.validate_density((u * (lam / lam.sum())) @ u.conj().T), kd.rank_one_pvm(u)))
     for state, povm in instances:
         report = kd.contextuality_witness(state, povm)
         assert report.ncl.hex() == kd.quantum_nonclassicality(state, povm).value.hex()
@@ -208,7 +208,7 @@ def test_witness_builds_candidates_only_when_reached(monkeypatch):
     log = _log_calls(monkeypatch, ("_weak_value_parts", "_margins"))
     for d in (2, 3):
         state = kd.random_density(d, d, seed=730 + d)
-        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d)).as_povm()
+        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d))
         report = kd.contextuality_witness(state, povm)
         # the first unbiased basis holds the entry, so no later candidate is built
         assert np.array_equal(report.witness_entry.basis.basis_unitary, kd.mub_bases(d)[0])
@@ -234,7 +234,7 @@ def test_first_strange_matches_table_loop_oracle_bitwise():
             povms = (
                 kd.random_povm(d, 2, seed=990 + d),
                 kd.random_povm(d, 3, seed=1000 + d),
-                kd.rank_one_pvm(kd.haar_random_unitary(d, seed=1010 + d)).as_povm(),
+                kd.rank_one_pvm(kd.haar_random_unitary(d, seed=1010 + d)),
             )
             for povm in povms:
                 for t in (0.0, 1e-7, 0.05, 0.3):
@@ -309,6 +309,17 @@ def test_witness_not_found_is_a_certificate():
     assert 0.04 < _whitened_extremes(state, povm).max() <= threshold
 
 
+def test_library_errors_are_caught_as_builtin_bases():
+    # errors.py documents these bases, so a caller can catch them without importing kduncert
+    with pytest.raises(ValueError):
+        kd.validate_density([[0.5, 0.6], [0.6, 0.5]])
+    with pytest.raises(ValueError):
+        kd.decompose(kd.random_density(2, 2, seed=0), kd.random_povm(3, 2, seed=1), kd.Flavor.NRE)
+    state, povm, threshold = _search_case("d2-search-not-found")
+    with pytest.raises(RuntimeError):
+        kd.contextuality_witness(state, povm, threshold=threshold)
+
+
 def test_witness_positive_margin_without_scannable_entry(monkeypatch):
     # with the probability floor above 1 no entry can be scanned, although a margin is positive
     monkeypatch.setattr(witness_mod, "_SCAN_PROB_MIN", 2.0)
@@ -337,7 +348,7 @@ def test_witness_margin_sweep():
                     seed = 10000 + 1000 * d + 100 * rank + int(t * 100) + k
                     state = kd.random_density(d, rank, seed=seed)
                     if k % 2:
-                        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1)).as_povm()
+                        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1))
                     else:
                         povm = kd.random_povm(d, 3, seed=seed + 1)
                     try:
@@ -379,7 +390,7 @@ def test_margins_cover_the_lifted_unbiased_bases():
                 seed = 40_000 + 1000 * d + 100 * round(10 * t) + k
                 state = kd.random_density(d, 1 + k % d, seed=seed)
                 v = kd.haar_random_unitary(d, seed=seed + 1)
-                povm = kd.rank_one_pvm(v).as_povm()
+                povm = kd.rank_one_pvm(v)
                 if any(_holds_strange_entry(state, povm, u, t) for u in _mubs(d)):
                     continue
                 if not any(_holds_strange_entry(state, povm, v @ u, t) for u in _mubs(d)):
@@ -408,7 +419,7 @@ def _commuting_pair(d, rank, seed, rank_one):
     lam[:rank] = rng.random(rank) + 0.1
     state = kd.validate_density((u * (lam / lam.sum())) @ u.conj().T)
     if rank_one:
-        return state, kd.rank_one_pvm(u).as_povm()
+        return state, kd.rank_one_pvm(u)
     weights = rng.random((3, d)) + 0.1
     return state, kd.validate_povm([(u * w) @ u.conj().T for w in weights / weights.sum(axis=0)])
 
@@ -426,7 +437,7 @@ def test_zero_threshold_margin_is_positive_iff_the_pair_does_not_commute():
                 seed = 30_000 + 100 * d + 10 * rank + k
                 state = kd.random_density(d, rank, seed=seed)
                 if k % 2:
-                    povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1)).as_povm()
+                    povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1))
                 else:
                     povm = kd.random_povm(d, 3, seed=seed + 1)
                 lowest = min(lowest, _largest_margin_at_zero(state, povm))
