@@ -6,16 +6,15 @@ argparse's own usage errors, such as an unknown flag, and a MemoryError
 from a subcommand also exit 2. Exit 4's message states the witness's
 largest margin, and a margin <= 0 certifies that no postselection basis
 holds a weak value strange at the threshold.
-Only random and selftest take a seed: the default is 0, KDUNCERT_SEED
-overrides it and an explicit --seed flag wins over both. A negative seed is
-a validation error.
+Only random and selftest take a seed, --seed, whose default is 0; a
+negative seed is a validation error. No environment variable is read, so
+stdout depends only on the argv and the input files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serialize
@@ -72,19 +71,10 @@ def _write_output(obj, path):
 
 
 def _seed(args) -> int:
-    """--seed, else KDUNCERT_SEED, else 0; a negative seed raises ValidationError."""
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        env = os.environ.get("KDUNCERT_SEED", "0")
-        source = "KDUNCERT_SEED"
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"KDUNCERT_SEED must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise ValidationError(f"{source} must be >= 0, got {seed}")
-    return seed
+    """--seed; a negative seed raises ValidationError."""
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
 def _load_measurement(path: str):
@@ -220,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=None, help="seed >= 0 (default KDUNCERT_SEED or 0)")
+        p.add_argument("--seed", type=int, default=0, help="seed >= 0 (default 0)")
 
     p = sub.add_parser("kd-table", help="quasiprobability table and its quantumness functionals")
     p.add_argument("state")

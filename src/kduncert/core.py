@@ -24,10 +24,12 @@ COMPLETENESS_ATOL = 1e-9  # POVM and projector completeness
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
+    """Coerce input to a non-empty square complex matrix with finite entries, else ValidationError."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValidationError("matrix has non-finite entries")
     return a

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, commutator
+from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, as_operator, commutator
 from .errors import DimMismatchError, ValidationError
 from .kdtable import _clamp_nonclassicality
 
@@ -113,13 +113,10 @@ def sup_over_pvm(k_op) -> SupremumResult:
     """Maximize sum_b |<b|K|b>| over rank-1 PVM bases {|b>} of K's dimension.
 
     The supremum is the trace norm of K, attained by the basis in
-    best_basis (see _attaining_basis).
+    best_basis (see _attaining_basis). K passes core.as_operator, so an
+    empty, non-square or non-finite K is a ValidationError.
     """
-    k = np.asarray(k_op, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 1:
-        raise ValidationError(f"K must be a non-empty square matrix, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise ValidationError("K has non-finite entries")
+    k = as_operator(k_op)
     return SupremumResult(float(_trace_norms(k[None])[0]), _pvm_unchecked(_attaining_basis(k)))
 
 

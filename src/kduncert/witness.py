@@ -29,7 +29,6 @@ commutator closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +186,9 @@ def contextuality_witness(
     together, so flavors_agree checks that nre and ncl fall on the same side
     of the roundoff scale DEFAULT_THRESHOLD, whatever the threshold: ncl runs
     well below nre, so comparing both with a raised threshold would flag
-    ordinary inputs. A disagreement is warned about as an internal
-    inconsistency rather than trusted. When contextual, the entry is the
+    ordinary inputs. flavors_agree is reported, never warned about: it is
+    also false on weakly coherent inputs, where ncl ~ eps^2 falls below that
+    scale while nre ~ eps stays above it. When contextual, the entry is the
     first strange one in the canonical unbiased bases, then in the
     eigenbases of the positive margins, and it re-verifies as strange by
     direct recomputation; when no basis holds one, WitnessNotFoundError
@@ -202,12 +202,6 @@ def contextuality_witness(
     nre, ncl = _quantum_parts(state, povm)
     contextual = nre > threshold
     agree = (nre > DEFAULT_THRESHOLD) == (ncl > DEFAULT_THRESHOLD)
-    if not agree:
-        warnings.warn(
-            f"nonreality ({nre:.3e}) and nonclassicality ({ncl:.3e}) disagree "
-            f"at threshold {DEFAULT_THRESHOLD:.1e}; treating nonreality as authoritative",
-            RuntimeWarning,
-        )
     entry = None
     if contextual:
         entry = _first_strange(state, povm, _mubs(state.dim), threshold)

@@ -131,6 +131,9 @@ def _inputs(tmp) -> dict:
     write("malformed_deep", None, text="[" * 100000 + "]" * 100000 + "\n")
     write("malformed_overflow", None, text='{"d": 1, "re_im": [[1' + "0" * 400 + ", 0]]}\n")
     write("malformed_long_d", None, text='{"d": 1' + "0" * 2200 + ', "re_im": [[1, 0]]}\n')
+    # a weakly coherent state: nre ~ 2e-7 is above the witness's roundoff scale, ncl ~ 2e-14 below it
+    write("weak_state", _matrix([[0.6, 1e-7], [1e-7, 0.4]]))
+    write("weak_zpvm", _povm(_projectors(np.eye(2))))
     return paths
 
 
@@ -218,6 +221,8 @@ def _argvs(p) -> list:
         ["bounds", p["pure2"], p["edge_basis_nan"]],
         ["witness", p["pure2"], p["edge_basis_nan"]],
         ["kd-table", p["pure2"], p["edge_basis_nan"], p["eye2"]],
+        ["witness", p["weak_state"], p["eye2"]],
+        ["witness", p["weak_state"], p["weak_zpvm"]],
     ]
     return argvs
 
@@ -241,7 +246,6 @@ def _run(argv):
 
 
 def sweep():
-    os.environ.pop("KDUNCERT_SEED", None)  # random and selftest default to seed 0, not the caller's
     with tempfile.TemporaryDirectory() as tmp:
         argvs = _argvs(_inputs(tmp))
         for argv in argvs:

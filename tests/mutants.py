@@ -82,6 +82,7 @@ MUTANTS = (
         "    g = rng.standard_normal((d, rank)) + 0j * rng.standard_normal((d, rank))",
     ),
     ("core.random_povm_adjoint_first", "core.py", "draws.append(g @ g.conj().T)", "draws.append(g.conj().T @ g)"),
+    ("core.empty_matrix_passes", "core.py", "    if a.size == 0:", "    if a.size < 0:"),
     ("core.density_psd_nan_passes", "core.py", "    if not w0 >= -HERM_ATOL:", "    if w0 < -HERM_ATOL:"),
     ("core.povm_completeness_loose", "core.py", "    if dev > COMPLETENESS_ATOL:", "    if dev > 1e-3:"),
     ("core.pvm_unitarity_nan_passes", "core.py", "    if not dev <= HERM_ATOL:", "    if dev > HERM_ATOL:"),
@@ -231,7 +232,7 @@ MUTANTS = (
     ),
     # cli.py
     ("cli.kd_table_swapped", "cli.py", "kd_table(state, first, second)", "kd_table(state, second, first)"),
-    ("cli.seed_default_1", "cli.py", 'os.environ.get("KDUNCERT_SEED", "0")', 'os.environ.get("KDUNCERT_SEED", "1")'),
+    ("cli.seed_default_1", "cli.py", '"--seed", type=int, default=0,', '"--seed", type=int, default=1,'),
     # selftest.py
     (
         "st.convexity_nre_only",

@@ -64,6 +64,23 @@ def test_rank_one_pvm_projectors_complete():
             assert np.abs(projs[a] @ projs[b] - expect).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        kd.validate_density,
+        lambda m: kd.validate_povm([m]),
+        kd.rank_one_pvm,
+        kd.trace_norm,
+        lambda m: kd.partial_trace(m, (0, 5), 1),
+        kd.sup_over_pvm,
+    ],
+    ids=["validate_density", "validate_povm", "rank_one_pvm", "trace_norm", "partial_trace", "sup_over_pvm"],
+)
+def test_empty_matrix_is_a_validation_error(fn):
+    with pytest.raises(kd.ValidationError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        fn(np.zeros((0, 0)))
+
+
 def test_trace_norm_examples(derived):
     assert kd.trace_norm(np.zeros((2, 2))) == 0.0
     assert abs(kd.trace_norm(1j * PAULI_Y) - 2.0) < 1e-12

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_witness_commuting_not_contextual():
     assert report.witness_entry is None
     pure = kd.validate_density(np.diag([1.0, 0.0]))
     assert not kd.contextuality_witness(pure, z).contextual
+
+
+def test_weak_coherence_disagrees_in_the_report_without_a_warning():
+    # nre ~ 2 eps is above DEFAULT_THRESHOLD while ncl ~ eps^2 is far below it
+    rho = kd.validate_density([[0.6, 1e-7], [1e-7, 0.4]])
+    z = kd.rank_one_pvm(np.eye(2))
+    for meas in (z, kd.validate_povm(z.stack)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = kd.contextuality_witness(rho, meas)
+        assert report.nre > witness_mod.DEFAULT_THRESHOLD > 1e-12 > report.ncl
+        assert report.contextual and not report.flavors_agree
 
 
 def test_witness_huge_threshold_never_contextual():
