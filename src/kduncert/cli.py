@@ -18,16 +18,11 @@ import json
 import sys
 
 from . import serialize
-from .core import RankOnePvm, _povm_basis, haar_random_unitary, random_density, random_povm, rank_one_pvm
+from .core import RankOnePvm, _povm_basis, _pvm_unchecked, haar_random_unitary, random_density, random_povm
 from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from .kdtable import kd_table, table_nonclassicality, table_nonreality
 from .uncertainty import (
-    bound_asymmetry,
-    decompose,
-    infimum_total,
-    outcome_probs,
-    s_entropy,
-    uncertainty_relation_bound,
+    Flavor, bound_asymmetry, decompose, infimum_total, total_uncertainty, uncertainty_relation_bound,
 )
 from .witness import DEFAULT_THRESHOLD, contextuality_witness
 
@@ -82,6 +77,7 @@ def _load_measurement(path: str):
 
 
 def _as_pvm(measurement, which: str) -> RankOnePvm:
+    """The measurement as a RankOnePvm; a POVM's basis is taken as _povm_basis certifies it, within 1e-8."""
     if isinstance(measurement, RankOnePvm):
         return measurement
     u = _povm_basis(measurement)
@@ -91,7 +87,7 @@ def _as_pvm(measurement, which: str) -> RankOnePvm:
             f"{which}: expected a rank-1 PVM, got {measurement.n_outcomes} effects in dim {d} "
             f"that are not {d} orthogonal rank-1 projectors"
         )
-    return rank_one_pvm(u)
+    return _pvm_unchecked(u)
 
 
 def cmd_kd_table(args) -> int:
@@ -135,7 +131,7 @@ def cmd_infimum(args) -> int:
 def cmd_bounds(args) -> int:
     state = serialize.density_from_json(_read_json(args.state))
     pvm = _as_pvm(_load_measurement(args.pvm), "pvm")
-    ent = s_entropy(outcome_probs(state, pvm))
+    ent = total_uncertainty(state, pvm, Flavor.NRE)
     bound = bound_asymmetry(state, pvm)
     out = {
         "asymmetry_bound": bound,
@@ -147,7 +143,7 @@ def cmd_bounds(args) -> int:
     if args.pvm2 is not None:
         pvm2 = _as_pvm(_load_measurement(args.pvm2), "pvm2")
         rel = uncertainty_relation_bound(state, pvm, pvm2)
-        s_sum = ent + s_entropy(outcome_probs(state, pvm2))
+        s_sum = ent + total_uncertainty(state, pvm2, Flavor.NRE)
         if rel > s_sum + 1e-6:
             raise KdUncertError(f"relation bound {rel!r} exceeds entropy sum {s_sum!r}")
         out["relation_bound"] = rel

@@ -1,8 +1,8 @@
 """Validated quantum objects and the dense complex linear algebra they need.
 
-Operators are plain complex numpy arrays; the dataclasses below wrap them
-with validated invariants (Hermiticity, positivity, completeness, unitarity)
-and are immutable after construction. A POVM is one read-only stack of its
+Operators are plain complex numpy arrays; the dataclasses below wrap them,
+immutable, and only the validators check their invariants (Hermiticity,
+positivity, completeness, unitarity). A POVM is one read-only stack of its
 effects, shape (n_outcomes, d, d), and every computation over its effects
 runs on that stack; only the draws in random_povm loop over effects, to
 keep the seeded order. A rank-1 PVM reads as a POVM, so every function
@@ -60,15 +60,29 @@ class Povm:
     (n_outcomes, d, d), frozen at construction. effects is the tuple of its
     rows, read-only views that share its memory. Two Povm objects compare
     equal only when they are the same object.
+
+    labels, read as strings, name one effect each, no two alike; they
+    default to "0" ... "n-1". Construction checks only the labels.
     """
 
     stack: np.ndarray
-    labels: tuple
+    labels: tuple = None
     effects: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = _frozen(self.stack)
+        n = stack.shape[0]
+        if self.labels is None:
+            labels = tuple(str(i) for i in range(n))
+        else:
+            labels = tuple(str(x) for x in self.labels)
+            if len(labels) != n:
+                raise ValidationError(f"{len(labels)} labels for {n} effects")
+            if len(set(labels)) != n:
+                repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise ValidationError(f"label {repeated!r} names more than one effect")
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "effects", tuple(stack))
 
     @property
@@ -149,7 +163,7 @@ def validate_povm(effects, labels=None) -> Povm:
 
     The first failing effect names the error, Hermiticity before PSD, and an
     effect of another dimension fails only if every effect before it passes.
-    Labels are read as strings and must be distinct.
+    The labels are checked last, by Povm.
     """
     if len(effects) == 0:
         raise ValidationError("a POVM needs at least one effect")
@@ -169,15 +183,6 @@ def validate_povm(effects, labels=None) -> Povm:
     dev = float(np.abs(stack.sum(axis=0) - np.eye(d)).max())
     if dev > COMPLETENESS_ATOL:
         raise ValidationError(f"effects do not resolve identity: max |sum - I| = {dev:.3e}")
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(ops)))
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != len(ops):
-            raise ValidationError(f"{len(labels)} labels for {len(ops)} effects")
-        if len(set(labels)) != len(labels):
-            repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
-            raise ValidationError(f"label {repeated!r} names more than one effect")
     return Povm(stack=stack, labels=labels)
 
 

@@ -39,8 +39,6 @@ from .uncertainty import (
     coarse_grain,
     decompose,
     infimum_total,
-    outcome_probs,
-    s_entropy,
     t_entropy,
     total_uncertainty,
     uncertainty_relation_bound,
@@ -548,7 +546,7 @@ def prop_asymmetry_bound(dims, samples, seed):
             refused += 1
             continue
         bound = bound_asymmetry(rho, pvm)
-        ent = s_entropy(outcome_probs(rho, pvm))
+        ent = total_uncertainty(rho, pvm, Flavor.NRE)
         worst = max(worst, bound - ent)
     _require(worst <= 1e-6, f"asymmetry bound exceeded entropy by {worst:.2e}")
     return f"worst bound-entropy slack {worst:.2e}, {refused} draws refused above d = {CORNER_SCAN_MAX_DIM}"
@@ -566,9 +564,7 @@ def prop_entropic_relation(dims, samples, seed):
             refused += 1
             continue
         bound = uncertainty_relation_bound(rho, pvm_a, pvm_b)
-        total = s_entropy(outcome_probs(rho, pvm_a)) + s_entropy(
-            outcome_probs(rho, pvm_b)
-        )
+        total = total_uncertainty(rho, pvm_a, Flavor.NRE) + total_uncertainty(rho, pvm_b, Flavor.NRE)
         worst = max(worst, bound - total)
     _require(worst <= 1e-6, f"relation bound exceeded entropy sum by {worst:.2e}")
     return f"worst bound-sum slack {worst:.2e}, {refused} draws refused above d = {CORNER_SCAN_MAX_DIM}"

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    Povm,
-    RankOnePvm,
-    rank_one_pvm,
-    validate_povm,
-)
+from .core import DensityMatrix, Povm, RankOnePvm, rank_one_pvm
 from .errors import DimMismatchError, KdUncertError, ValidationError
 from .optimize import (
     SupremumResult,
@@ -62,10 +56,10 @@ class Decomposition:
 
 
 def outcome_probs(state: DensityMatrix, povm: Povm) -> list:
-    """Born probabilities p_a = Tr{M^a rho}, range- and sum-checked by _check_probs, clamped to [0, 1]."""
+    """Born probabilities p_a = Tr{M^a rho}, clamped to [0, 1]; within validation's slack, not checked again."""
     if state.dim != povm.dim:
         raise DimMismatchError(f"state dim {state.dim} != POVM dim {povm.dim}")
-    return _check_probs(np.trace(povm.stack @ state.matrix, axis1=1, axis2=2).real.tolist())
+    return [min(max(x, 0.0), 1.0) for x in np.trace(povm.stack @ state.matrix, axis1=1, axis2=2).real.tolist()]
 
 
 def _check_probs(probs):
@@ -78,27 +72,31 @@ def _check_probs(probs):
     return [min(max(x, 0.0), 1.0) for x in p]
 
 
-def s_entropy(probs) -> float:
-    """sum_a sqrt(p_a (1 - p_a)); zero iff deterministic, maximal at uniform.
+def _entropy(p: list, flavor: Flavor) -> float:
+    """The flavor's entropy of probabilities in [0, 1].
 
-    Each 1 - p_a is taken as the sum of the other outcomes' probabilities:
+    NRe takes each 1 - p_a as the sum of the other outcomes' probabilities:
     equal in exact arithmetic for a complete distribution, and exactly 0
     for a single outcome whose probability rounded below 1.
     """
-    p = _check_probs(probs)
-    return float(sum(math.sqrt(x * sum(p[:a] + p[a + 1:])) for a, x in enumerate(p)))
+    if flavor is Flavor.NRE:
+        return float(sum(math.sqrt(x * sum(p[:a] + p[a + 1:])) for a, x in enumerate(p)))
+    return float(sum(math.sqrt(x) for x in p) - 1.0)
+
+
+def s_entropy(probs) -> float:
+    """sum_a sqrt(p_a (1 - p_a)) of a checked distribution; zero iff deterministic, maximal at uniform."""
+    return _entropy(_check_probs(probs), Flavor.NRE)
 
 
 def t_entropy(probs) -> float:
-    """sum_a sqrt(p_a) - 1; equals half of the order-1/2 Tsallis entropy."""
-    p = _check_probs(probs)
-    return float(sum(math.sqrt(x) for x in p) - 1.0)
+    """sum_a sqrt(p_a) - 1 of a checked distribution; equals half of the order-1/2 Tsallis entropy."""
+    return _entropy(_check_probs(probs), Flavor.NCL)
 
 
 def total_uncertainty(state: DensityMatrix, povm: Povm, flavor: Flavor) -> float:
     """Entropy of the outcome distribution, per the requested flavor."""
-    probs = outcome_probs(state, povm)
-    return s_entropy(probs) if flavor is Flavor.NRE else t_entropy(probs)
+    return _entropy(outcome_probs(state, povm), flavor)
 
 
 def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor) -> Decomposition:
@@ -110,15 +108,12 @@ def decompose(state: DensityMatrix, povm: Povm, flavor: Flavor) -> Decomposition
     attaining the largest of them, the only basis it builds.
     """
     probs = outcome_probs(state, povm)
+    total = _entropy(probs, flavor)
     if flavor is Flavor.NRE:
-        total = s_entropy(probs)
-        quantum = quantum_nonreality(state, povm)
-        diagnostics = None
+        quantum, diagnostics = quantum_nonreality(state, povm), None
     else:
-        total = t_entropy(probs)
-        result = quantum_nonclassicality(state, povm)
-        quantum = result.value
-        diagnostics = result
+        diagnostics = quantum_nonclassicality(state, povm)
+        quantum = diagnostics.value
     return Decomposition(
         flavor=flavor,
         total=total,
@@ -178,7 +173,10 @@ def infimum_total(state: DensityMatrix, flavor: Flavor):
 
 
 def coarse_grain(povm: Povm, partition) -> Povm:
-    """Merge effects over a disjoint partition of the outcome indices; every block must be non-empty."""
+    """Merge effects over a disjoint partition of the outcome indices; every block must be non-empty.
+
+    The sums are not validated again, so a merged effect may carry its block's summed validation slack.
+    """
     blocks = [tuple(int(i) for i in block) for block in partition]
     seen = sorted(i for block in blocks for i in block)
     if seen != list(range(povm.n_outcomes)):
@@ -190,7 +188,7 @@ def coarse_grain(povm: Povm, partition) -> Povm:
     effects = povm.stack[[block[0] for block in blocks]]  # then the rest of each block, left to right
     owners = [k for k, block in enumerate(blocks) for _ in block[1:]]
     np.add.at(effects, owners, povm.stack[[i for block in blocks for i in block[1:]]])
-    return validate_povm(effects, ["+".join(povm.labels[i] for i in block) for block in blocks])
+    return Povm(stack=effects, labels=["+".join(povm.labels[i] for i in block) for block in blocks])
 
 
 def _sign_corners(d: int) -> np.ndarray:

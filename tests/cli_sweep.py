@@ -134,6 +134,15 @@ def _inputs(tmp) -> dict:
     # a weakly coherent state: nre ~ 2e-7 is above the witness's roundoff scale, ncl ~ 2e-14 below it
     write("weak_state", _matrix([[0.6, 1e-7], [1e-7, 0.4]]))
     write("weak_zpvm", _povm(_projectors(np.eye(2))))
+    # inside validation's slack, eps = 0.9e-10: a Born probability below 0, probabilities summing above 1,
+    # and projectors whose eigenvectors are orthonormal within 1e-8 but not within 1e-10
+    eps = 0.9e-10
+    write("slack_state", _matrix(np.diag([1 + eps, -eps])))
+    write("slack_povm", _povm([np.diag([-eps, 1.0]), np.diag([1 + eps, 0.0])]))
+    write("slack_plus", _matrix(np.full((2, 2), 0.5)))
+    write("slack_sum_povm", _povm([np.diag([1.0, 0.0]) + 0.9e-9 * np.ones((2, 2)), np.diag([0.0, 1.0])]))
+    rng = np.random.default_rng(2)
+    write("slack_pvm3", _povm(_projectors(_unitary(rng, 3) + 1e-10 * _ginibre(rng, 3, 3))))
     return paths
 
 
@@ -223,6 +232,10 @@ def _argvs(p) -> list:
         ["kd-table", p["pure2"], p["edge_basis_nan"], p["eye2"]],
         ["witness", p["weak_state"], p["eye2"]],
         ["witness", p["weak_state"], p["weak_zpvm"]],
+        ["decompose", p["slack_state"], p["slack_povm"]],
+        ["decompose", p["slack_plus"], p["slack_sum_povm"]],
+        ["decompose", p["slack_plus"], p["slack_sum_povm"], "--flavor", "NCl"],
+        ["bounds", p["full3"], p["slack_pvm3"]],
     ]
     return argvs
 

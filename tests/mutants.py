@@ -117,6 +117,7 @@ MUTANTS = (
         "np.kron(np.asarray(b, dtype=complex), np.asarray(a, dtype=complex))",
     ),
     ("core.qubit_mub_conjugated", "core.py", "np.diag([1.0, 1.0j]) @ f", "np.diag([1.0, -1.0j]) @ f"),
+    ("core.povm_repeated_labels_pass", "core.py", "            if len(set(labels)) != n:", "            if len(set(labels)) > n:"),
     # kdtable.py
     (
         "kd.einsum_table",
@@ -177,6 +178,12 @@ MUTANTS = (
         "uncertainty.py",
         "owners = [k for k, block in enumerate(blocks) for _ in block[1:]]",
         "owners = [0 for k, block in enumerate(blocks) for _ in block[1:]]",
+    ),
+    (
+        "unc.outcome_probs_unclamped",
+        "uncertainty.py",
+        "    return [min(max(x, 0.0), 1.0) for x in np.trace(povm.stack @ state.matrix, axis1=1, axis2=2).real.tolist()]",
+        "    return np.trace(povm.stack @ state.matrix, axis1=1, axis2=2).real.tolist()",
     ),
     ("unc.decompose_classical_minus_2q", "uncertainty.py", "classical=total - quantum,", "classical=total - 2.0 * quantum,"),
     ("unc.s_entropy_one_minus_p", "uncertainty.py", "math.sqrt(x * sum(p[:a] + p[a + 1:]))", "math.sqrt(x * (1.0 - x))"),

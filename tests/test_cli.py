@@ -343,6 +343,28 @@ def test_bounds_reads_a_pvm_given_as_effects(capsys, tmp_path):
         assert abs(from_effects[key] - value) < 1e-12, key
 
 
+def test_bounds_takes_projectors_that_validation_accepts(capsys, tmp_path):
+    # the projectors of a Haar basis perturbed by 1e-10 pass validation, and the rank-1 PVM recognizer
+    # certifies their eigenvectors orthonormal within 1e-8; here those deviate by 2.2e-10 > HERM_ATOL
+    u = kd.haar_random_unitary(3, seed=2)
+    rng = np.random.default_rng(2)
+    v = u + 1e-10 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    paths = {
+        "state": serialize.matrix_to_json(kd.random_density(3, 3, seed=2).matrix),
+        "effects": serialize.povm_to_json(kd.validate_povm([np.outer(v[:, b], v[:, b].conj()) for b in range(3)])),
+        "basis": serialize.matrix_to_json(u),
+    }
+    for name, obj in paths.items():
+        (tmp_path / name).write_text(serialize.dumps(obj) + "\n")
+        paths[name] = str(tmp_path / name)
+    code, perturbed = _run(capsys, ["bounds", paths["state"], paths["effects"], paths["effects"]])
+    assert code == 0
+    code, exact = _run(capsys, ["bounds", paths["state"], paths["basis"], paths["basis"]])
+    assert code == 0
+    for key, value in exact.items():
+        assert abs(perturbed[key] - value) < 1e-8, key
+
+
 def test_random_cli_deterministic(capsys):
     code, a = _run(capsys, ["random", "state", "--d", "3", "--rank", "2", "--seed", "5"])
     assert code == 0

@@ -5,7 +5,9 @@ import pytest
 
 import kduncert as kd
 from conftest import HADAMARD, PAULI_X
-from kduncert import selftest
+from kduncert import selftest, serialize
+from kduncert.cli import main
+from kduncert.core import COMPLETENESS_ATOL, HERM_ATOL
 from kduncert.selftest import run_selftest
 from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
 from oracles import bloch_basis, corner_bound_asymmetry, corner_relation_bound, outcome_probs_loop, qubit_closed_forms
@@ -201,6 +203,106 @@ def test_coarse_grain_matches_per_block_sums_bitwise():
     for empty in ([(), (0, 1, 2, 3, 4, 5)], [(0, 1, 2), (), (3, 4, 5)], [(0, 1, 2, 3, 4, 5), ()]):
         with pytest.raises(kd.ValidationError, match="has an empty block$"):
             kd.coarse_grain(povm, empty)
+
+
+EPS = 0.9e-10  # just inside HERM_ATOL: validation accepts every input built with it
+
+
+def test_decompose_takes_probabilities_within_validation_slack():
+    # validation allows an eigenvalue down to -HERM_ATOL and a completeness deviation up to
+    # COMPLETENESS_ATOL per entry: here a Born probability falls below 0, then their sum rises above 1
+    cases = [
+        (np.diag([1 + EPS, -EPS]), [np.diag([-EPS, 1.0]), np.diag([1 + EPS, 0.0])], {"NRe": 0.0, "NCl": 0.0}),
+        (
+            np.full((2, 2), 0.5),
+            [np.diag([1.0, 0.0]) + 0.9e-9 * np.ones((2, 2)), np.diag([0.0, 1.0])],
+            {"NRe": 1.0, "NCl": math.sqrt(2) - 1},
+        ),
+    ]
+    for state, effects, totals in cases:
+        rho, povm = kd.validate_density(state), kd.validate_povm(effects)
+        probs = kd.outcome_probs(rho, povm)
+        assert all(0.0 <= p <= 1.0 for p in probs)
+        for flavor in kd.Flavor:
+            dec = kd.decompose(rho, povm, flavor)
+            assert dec.probs == tuple(probs)
+            assert dec.total == kd.total_uncertainty(rho, povm, flavor)
+            assert abs(dec.total - totals[flavor.value]) < 1e-8
+
+
+def test_coarse_grain_merges_effects_within_validation_slack():
+    # each effect passes validation, but a merged one carries two effects' slack, 2 EPS > HERM_ATOL
+    a = np.array([[0.25, EPS], [0.0, 0.25]])
+    not_hermitian = [a, a, np.array([[0.5, -EPS], [-EPS, 0.5]])]
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    b = 0.5 * (np.eye(2) - minus) - EPS * minus
+    not_psd = [b, b, (1 + 2 * EPS) * minus]
+    for effects in (not_hermitian, not_psd):
+        merged = kd.coarse_grain(kd.validate_povm(effects), [(0, 1), (2,)])
+        assert merged.labels == ("0+1", "2")
+        assert np.array_equal(merged.effects[0], effects[0] + effects[1])
+        assert np.array_equal(merged.effects[1], effects[2])
+
+
+def _skew(rng, d):
+    """An anti-Hermitian matrix with zero diagonal whose max |m - m^dag| is 0.9 HERM_ATOL."""
+    g = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1)
+    g -= g.conj().T
+    return g * (0.45 * HERM_ATOL / np.abs(g).max())
+
+
+def _edge_state(rng, d):
+    """(m, its Hermitian part): m has an eigenvalue of -0.9 HERM_ATOL, unit trace and the anti-Hermitian part _skew."""
+    w = rng.random(d - 1) + 0.1
+    w = np.concatenate([[-0.9 * HERM_ATOL], w * (1 + 0.9 * HERM_ATOL) / w.sum()])
+    v = kd.haar_random_unitary(d, rng)
+    hermitian = (v * w) @ v.conj().T
+    return hermitian + _skew(rng, d), hermitian
+
+
+def _edge_effects(rng, effects, state):
+    """The effects moved to validate_povm's edges.
+
+    Effect 0 hands weight to effect 1 until its least eigenvalue is -0.9 HERM_ATOL. Both take the
+    anti-Hermitian part _skew, so a block merging them holds twice that. The last effect takes
+    0.9 COMPLETENESS_ATOL along the state, which raises the probability sum; with the two _skew
+    terms, max |sum - I| stays below 0.99 COMPLETENESS_ATOL.
+    """
+    m = [np.array(e, dtype=complex) for e in effects]
+    w, v = np.linalg.eigh(m[0])
+    shift = (w[0] + 0.9 * HERM_ATOL) * np.outer(v[:, 0], v[:, 0].conj())
+    skew = _skew(rng, len(m[0]))
+    m[0] += skew - shift
+    m[1] += skew + shift
+    m[-1] += 0.9 * COMPLETENESS_ATOL * state / np.abs(state).max()
+    return m
+
+
+def test_inputs_at_the_validation_edges_raise_nothing(capsys, tmp_path):
+    # validation is the one gate: whatever it accepts, every path downstream takes
+    for d in range(2, 7):
+        for seed in range(3):
+            rng = np.random.default_rng(3100 + 10 * d + seed)
+            m, hermitian = _edge_state(rng, d)
+            rho = kd.validate_density(m)
+            u = kd.haar_random_unitary(d, rng)
+            projectors = [np.outer(u[:, b], u[:, b].conj()) for b in range(d)]
+            for effects in (kd.random_povm(d, 3, rng).effects, projectors):
+                povm = kd.validate_povm(_edge_effects(rng, effects, hermitian))
+                n = povm.n_outcomes
+                coarse = kd.coarse_grain(povm, [(0, 1), tuple(range(2, n))] if n > 2 else [(0, 1)])
+                for flavor in kd.Flavor:
+                    for meas in (povm, coarse):
+                        kd.decompose(rho, meas, flavor)
+                        kd.total_uncertainty(rho, meas, flavor)
+                kd.kd_table(rho, povm, povm)
+                kd.contextuality_witness(rho, povm)
+                if effects is projectors:
+                    paths = [tmp_path / "state.json", tmp_path / "pvm.json"]
+                    paths[0].write_text(serialize.dumps(serialize.matrix_to_json(m)))
+                    paths[1].write_text(serialize.dumps(serialize.povm_to_json(povm)))
+                    assert main(["bounds", str(paths[0]), str(paths[1]), str(paths[1])]) == 0
+                    assert capsys.readouterr().err == ""
 
 
 def test_bound_asymmetry_fixture(derived):
