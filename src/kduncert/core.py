@@ -221,10 +221,21 @@ def _povm_basis(povm: Povm):
     return u
 
 
+def _same_dim(state: DensityMatrix, *measurements):
+    """Raise DimMismatchError for the first measurement, in argument order, whose dim is not the state's."""
+    for m in measurements:
+        if m.dim != state.dim:
+            raise DimMismatchError(f"state dim {state.dim} != measurement dim {m.dim}")
+
+
+def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
+    """||K_i||_1 of each matrix of a stack K of shape (n, d, d), from singular values alone."""
+    return np.linalg.svd(k_ops, compute_uv=False).sum(axis=-1)
+
+
 def trace_norm(m) -> float:
     """Schatten 1-norm: the sum of singular values."""
-    a = as_operator(m)
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(_trace_norms(as_operator(m)[None])[0])
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

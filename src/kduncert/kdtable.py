@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, RankOnePvm
-from .errors import DimMismatchError
+from .core import DensityMatrix, RankOnePvm, _same_dim
 
 NONCLASSICALITY_CLAMP = 1e-9
 
@@ -63,9 +62,7 @@ class JohansenComponents:
 
 def kd_table(state: DensityMatrix, first, second) -> KdTable:
     """Quasiprobability table values(a, b) = Tr{M^b M^a rho}, each M^a rho taken once."""
-    d = state.dim
-    if first.dim != d or second.dim != d:
-        raise DimMismatchError(f"state dim {d} vs measurements {first.dim}, {second.dim}")
+    _same_dim(state, first, second)
     ma_rho = first.stack @ state.matrix
     values = np.trace(second.stack @ ma_rho[:, None], axis1=-2, axis2=-1)
     return KdTable(values=values)
@@ -104,9 +101,7 @@ def johansen_components(state: DensityMatrix, first: RankOnePvm, second: RankOne
     conj(O) M = Tr{Pi^b Pi^a rho}, which fixes the rotation's direction. Two
     d x d overlap products make this O(d^3) work.
     """
-    d = state.dim
-    if first.dim != d or second.dim != d:
-        raise DimMismatchError(f"state dim {d} vs bases {first.dim}, {second.dim}")
+    _same_dim(state, first, second)
     a_dag = first.basis_unitary.conj().T
     a_dag_rho = a_dag @ state.matrix
     overlap = a_dag @ second.basis_unitary

@@ -8,8 +8,9 @@ trace norm ||K||_1:
 - with the polar form K = W |K|, the unitary W^dag is diagonal in some
   orthonormal basis {|b>} with phases v_b, and there
   sum_b |<b|K|b>| >= Re sum_b v_b <b|K|b> = Re tr(K W^dag) = ||K||_1.
-So no path optimizes. _trace_norms takes a stack K of shape (n, d, d) and
-runs one svd on the whole stack, from singular values alone (svd with
+So no path optimizes. The trace norms come from one kernel,
+core._trace_norms, which takes a stack K of shape (n, d, d) and runs one
+svd on the whole stack, from singular values alone (svd with
 compute_uv=False, whose values can differ in the last bit from those of a
 full svd). _attaining_basis takes one (d, d) matrix and gives a basis
 attaining its supremum. The nonreality part reads the trace norms of the
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, as_operator, commutator
-from .errors import DimMismatchError, ValidationError
+from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, _same_dim, _trace_norms, as_operator, commutator
+from .errors import ValidationError
 from .kdtable import _clamp_nonclassicality
 
 
@@ -82,11 +83,6 @@ class SupremumResult:
         return 1
 
 
-def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
-    """||K_i||_1 of each matrix of a stack K of shape (n, d, d), from singular values alone."""
-    return np.linalg.svd(k_ops, compute_uv=False).sum(axis=-1)
-
-
 def _attaining_basis(k: np.ndarray) -> np.ndarray:
     """For one (d, d) K, an orthonormal basis {|b>} with sum_b |<b|K|b>| = ||K||_1, as columns.
 
@@ -120,11 +116,6 @@ def sup_over_pvm(k_op) -> SupremumResult:
     return SupremumResult(float(_trace_norms(k[None])[0]), _pvm_unchecked(_attaining_basis(k)))
 
 
-def _check_dims(state: DensityMatrix, povm: Povm):
-    if state.dim != povm.dim:
-        raise DimMismatchError(f"state dim {state.dim} != POVM dim {povm.dim}")
-
-
 def quantum_nonreality(state: DensityMatrix, povm: Povm) -> float:
     """Nonreality quantumness of the state relative to the POVM, in closed form.
 
@@ -133,7 +124,7 @@ def quantum_nonreality(state: DensityMatrix, povm: Povm) -> float:
     commutator is normal and the trace norm has a variational expression
     over rank-1 PVMs. No optimization is involved.
     """
-    _check_dims(state, povm)
+    _same_dim(state, povm)
     return sum(0.5 * t for t in _trace_norms(commutator(povm.stack, state.matrix)).tolist())
 
 
@@ -145,7 +136,7 @@ def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:
     sup_over_pvm(M^a rho) gives any effect's basis with the same bits. A
     total within NONCLASSICALITY_CLAMP below zero is reported as 0.
     """
-    _check_dims(state, povm)
+    _same_dim(state, povm)
     k_ops = povm.stack @ state.matrix
     values = tuple(_trace_norms(k_ops).tolist())
     best = _pvm_unchecked(_attaining_basis(k_ops[int(np.argmax(values))]))
@@ -159,7 +150,7 @@ def _ncl_total(norms) -> float:
 
 def _quantum_parts(state: DensityMatrix, povm: Povm) -> tuple:
     """(quantum_nonreality, quantum_nonclassicality(...).value) from one svd, without attaining bases."""
-    _check_dims(state, povm)
+    _same_dim(state, povm)
     rho, m = state.matrix, povm.stack
     m_rho = m @ rho
     norms = _trace_norms(np.concatenate([m_rho - rho @ m, m_rho])).tolist()

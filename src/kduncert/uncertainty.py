@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, rank_one_pvm
-from .errors import DimMismatchError, KdUncertError, ValidationError
-from .optimize import (
-    SupremumResult,
-    _trace_norms,
-    quantum_nonclassicality,
-    quantum_nonreality,
-)
+from .core import DensityMatrix, Povm, RankOnePvm, _same_dim, _trace_norms, rank_one_pvm
+from .errors import KdUncertError, ValidationError
+from .optimize import SupremumResult, quantum_nonclassicality, quantum_nonreality
 
 PROB_ATOL = 1e-9
 # Both commutator bounds scan all 2^(d-1) sign corners; at d = 14 the
@@ -57,8 +52,7 @@ class Decomposition:
 
 def outcome_probs(state: DensityMatrix, povm: Povm) -> list:
     """Born probabilities p_a = Tr{M^a rho}, clamped to [0, 1]; within validation's slack, not checked again."""
-    if state.dim != povm.dim:
-        raise DimMismatchError(f"state dim {state.dim} != POVM dim {povm.dim}")
+    _same_dim(state, povm)
     return [min(max(x, 0.0), 1.0) for x in np.trace(povm.stack @ state.matrix, axis1=1, axis2=2).real.tolist()]
 
 
@@ -221,9 +215,8 @@ def bound_asymmetry(state: DensityMatrix, pvm: RankOnePvm) -> float:
     each take one LAPACK call. Dimensions above CORNER_SCAN_MAX_DIM raise
     ValidationError.
     """
+    _same_dim(state, pvm)
     d = state.dim
-    if pvm.dim != d:
-        raise DimMismatchError(f"state dim {d} != PVM dim {pvm.dim}")
     _check_corner_dim("bound_asymmetry", d)
     u = pvm.basis_unitary
     r = u.conj().T @ state.matrix @ u
@@ -248,9 +241,8 @@ def uncertainty_relation_bound(state: DensityMatrix, pvm_a: RankOnePvm, pvm_b: R
     matrix product. Dimensions above CORNER_SCAN_MAX_DIM raise
     ValidationError.
     """
+    _same_dim(state, pvm_a, pvm_b)
     d = state.dim
-    if pvm_a.dim != d or pvm_b.dim != d:
-        raise DimMismatchError(f"state dim {d} vs bases {pvm_a.dim}, {pvm_b.dim}")
     _check_corner_dim("uncertainty_relation_bound", d)
     ua = pvm_a.basis_unitary
     ub = pvm_b.basis_unitary

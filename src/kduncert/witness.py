@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, _mubs, _pvm_unchecked, trace_norm
-from .errors import DimMismatchError, ValidationError, WitnessNotFoundError
+from .core import DensityMatrix, Povm, RankOnePvm, _mubs, _pvm_unchecked, _same_dim, trace_norm
+from .errors import ValidationError, WitnessNotFoundError
 from .optimize import _quantum_parts
 
 UNDEFINED_PROB = 1e-12
@@ -89,13 +89,11 @@ def _weak_value_parts(rho: np.ndarray, stack: np.ndarray, u: np.ndarray):
 
 def weak_values(state: DensityMatrix, povm: Povm, basis: RankOnePvm) -> WeakValueTable:
     """Weak-value table of the POVM with preselection rho and postselection basis."""
-    d = state.dim
-    if povm.dim != d or basis.dim != d:
-        raise DimMismatchError(f"state dim {d} vs POVM {povm.dim}, basis {basis.dim}")
+    _same_dim(state, povm, basis)
     probs, numer = _weak_value_parts(state.matrix, povm.stack, basis.basis_unitary)
     probs = np.clip(probs, 0.0, None)
     mask = probs <= UNDEFINED_PROB
-    values = np.zeros((povm.n_outcomes, d), dtype=complex)
+    values = np.zeros((povm.n_outcomes, state.dim), dtype=complex)
     np.divide(numer, probs, out=values, where=~mask)
     return WeakValueTable(values=values, postselect_probs=probs, undefined_mask=mask)
 
@@ -231,8 +229,7 @@ def disturbance_nonreality(state: DensityMatrix, pvm: RankOnePvm) -> float:
     the Lueders channel rather than commutators, so the two routes
     cross-validate each other.
     """
-    if pvm.dim != state.dim:
-        raise DimMismatchError(f"state dim {state.dim} != PVM dim {pvm.dim}")
+    _same_dim(state, pvm)
     rho = state.matrix
     total = 0.0
     for pa in pvm.stack:

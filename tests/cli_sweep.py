@@ -236,6 +236,12 @@ def _argvs(p) -> list:
         ["decompose", p["slack_plus"], p["slack_sum_povm"]],
         ["decompose", p["slack_plus"], p["slack_sum_povm"], "--flavor", "NCl"],
         ["bounds", p["full3"], p["slack_pvm3"]],
+        # a 2-dim state against a 3-dim measurement in each slot that the kd-table argv above leaves out
+        ["kd-table", p["full2"], p["povm2"], p["basis3"]],
+        ["decompose", p["full2"], p["povm3"]],
+        ["witness", p["full2"], p["povm3"]],
+        ["bounds", p["full2"], p["basis3"]],
+        ["bounds", p["full2"], p["basis2"], p["basis3"]],
     ]
     return argvs
 

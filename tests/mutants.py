@@ -118,6 +118,8 @@ MUTANTS = (
     ),
     ("core.qubit_mub_conjugated", "core.py", "np.diag([1.0, 1.0j]) @ f", "np.diag([1.0, -1.0j]) @ f"),
     ("core.povm_repeated_labels_pass", "core.py", "            if len(set(labels)) != n:", "            if len(set(labels)) > n:"),
+    ("core.same_dim_first_only", "core.py", "    for m in measurements:", "    for m in measurements[:1]:"),
+    ("core.same_dim_gt", "core.py", "        if m.dim != state.dim:", "        if m.dim > state.dim:"),
     # kdtable.py
     (
         "kd.einsum_table",

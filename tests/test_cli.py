@@ -114,8 +114,24 @@ def test_malformed_json_is_a_validation_error(capsys, fixtures, tmp_path, kind, 
 
 
 def test_dim_mismatch_exit_code(capsys, fixtures):
-    code, _ = _run(capsys, ["kd-table", fixtures["zero"], fixtures["povm3"], fixtures["ybasis"]])
-    assert code == 3
+    # a 2-dim state against a 3-dim measurement in every measurement slot of every subcommand
+    basis3 = fixtures["dir"] / "basis3.json"
+    basis3.write_text(serialize.dumps(serialize.matrix_to_json(np.eye(3))) + "\n")
+    zero, povm3, basis3 = fixtures["zero"], fixtures["povm3"], str(basis3)
+    for argv in (
+        ["kd-table", zero, povm3, fixtures["ybasis"]],
+        ["kd-table", zero, fixtures["xpovm"], basis3],
+        ["decompose", zero, povm3],
+        ["decompose", zero, povm3, "--flavor", "NCl"],
+        ["witness", zero, povm3],
+        ["bounds", zero, basis3],
+        ["bounds", zero, fixtures["zbasis"], basis3],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == "", argv
+        assert captured.err == "error: state dim 2 != measurement dim 3\n", argv
 
 
 def test_povm_labels_must_be_a_list_of_strings_or_integers(capsys, fixtures, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 import kduncert as kd
 from kduncert import serialize
 from kduncert.core import _mubs, _pvm_unchecked
+from kduncert.optimize import _quantum_parts
 from conftest import PAULI_X, PAULI_Y
 
 
@@ -163,6 +164,44 @@ def test_partial_trace():
     with pytest.raises(kd.DimMismatchError):
         kd.partial_trace(np.eye(4), (2, 3), 0)
 
+
+
+# every function that pairs a state with measurements, and the kinds of its measurement slots
+_DIM_GATED = (
+    ("kd_table", kd.kd_table, ("povm", "povm")),
+    ("johansen_components", kd.johansen_components, ("pvm", "pvm")),
+    ("outcome_probs", kd.outcome_probs, ("povm",)),
+    ("bound_asymmetry", kd.bound_asymmetry, ("pvm",)),
+    ("uncertainty_relation_bound", kd.uncertainty_relation_bound, ("pvm", "pvm")),
+    ("weak_values", kd.weak_values, ("povm", "pvm")),
+    ("disturbance_nonreality", kd.disturbance_nonreality, ("pvm",)),
+    ("quantum_nonreality", kd.quantum_nonreality, ("povm",)),
+    ("quantum_nonclassicality", kd.quantum_nonclassicality, ("povm",)),
+    ("_quantum_parts", _quantum_parts, ("povm",)),
+    ("decompose_NRe", lambda s, m: kd.decompose(s, m, kd.Flavor.NRE), ("povm",)),
+    ("decompose_NCl", lambda s, m: kd.decompose(s, m, kd.Flavor.NCL), ("povm",)),
+    ("total_uncertainty", lambda s, m: kd.total_uncertainty(s, m, kd.Flavor.NRE), ("povm",)),
+    ("quantum_via_weak_values", kd.quantum_via_weak_values, ("povm", "pvm")),
+    ("contextuality_witness", kd.contextuality_witness, ("povm",)),
+)
+
+
+@pytest.mark.parametrize(
+    "fn, kinds, slot",
+    [pytest.param(fn, kinds, slot, id=f"{name}-{slot}") for name, fn, kinds in _DIM_GATED for slot in range(len(kinds))],
+)
+def test_dimension_gate_names_the_mismatched_measurement(fn, kinds, slot):
+    # the other slots match the state; the odd one out is smaller, then larger, than the state
+    def measurement(kind, d, seed):
+        if kind == "pvm":
+            return kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed))
+        return kd.random_povm(d, 3, seed=seed)
+
+    for d, other in ((3, 2), (2, 3)):
+        state = kd.random_density(d, d, seed=d)
+        args = [measurement(kind, other if i == slot else d, seed=i) for i, kind in enumerate(kinds)]
+        with pytest.raises(kd.DimMismatchError, match=rf"^state dim {d} != measurement dim {other}$"):
+            fn(state, *args)
 
 def test_mub_bases_unbiased():
     for d in (2, 3, 5, 7):

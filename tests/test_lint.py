@@ -77,6 +77,40 @@ def test_dead_definition_check_catches_a_leftover():
     assert _dead_definitions(sources) == [("a", "Spare"), ("a", "leftover")]
 
 
+def _sources() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+
+
+def test_dimension_mismatch_is_raised_only_in_core():
+    # core._same_dim is the one gate between a state and its measurements; the other two
+    # raises, validate_povm's per-effect check and partial_trace's, test other facts in core
+    raisers = {
+        module
+        for module, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "DimMismatchError"
+    }
+    assert raisers == {"core"}
+
+
+def test_one_trace_norm_kernel():
+    # every trace norm is a sum of singular values from core._trace_norms
+    calls = [
+        (module, node.lineno)
+        for module, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and any(
+            k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in node.keywords
+        )
+    ]
+    assert [module for module, _ in calls] == ["core"], calls
+
+
 def _traced_spans() -> tuple:
     """The SPANS tuple of perfbench/tracing.py, read from its source without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
