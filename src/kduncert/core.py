@@ -3,17 +3,18 @@
 Operators are plain complex numpy arrays; the dataclasses below wrap them,
 immutable, and only the validators check their invariants (Hermiticity,
 positivity, completeness, unitarity). A POVM is one read-only stack of its
-effects, shape (n_outcomes, d, d), and every computation over its effects
-runs on that stack; only the draws in random_povm loop over effects, to
-keep the seeded order. A rank-1 PVM reads as a POVM, so every function
-that takes one takes the other. Objects holding an array compare equal only
+effects, shape (n_outcomes, d, d), and stack is its only read surface:
+every computation over its effects indexes or iterates that stack; only
+the draws in random_povm loop over effects, to keep the seeded order. A
+rank-1 PVM reads as a POVM through the same stack, so every function that
+takes one takes the other. Objects holding an array compare equal only
 to themselves. All randomness is driven by explicit seeds, never shared state.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +57,10 @@ class DensityMatrix:
 class Povm:
     """Finite set of PSD effects resolving the identity, held as one stack.
 
-    stack is the only representation: one read-only array of shape
-    (n_outcomes, d, d), frozen at construction. effects is the tuple of its
-    rows, read-only views that share its memory. Two Povm objects compare
-    equal only when they are the same object.
+    stack is the only representation and the only read surface: one
+    read-only array of shape (n_outcomes, d, d), frozen at construction, so
+    stack[a] is effect a, a read-only view that shares its memory. Two Povm
+    objects compare equal only when they are the same object.
 
     labels, read as strings, name one effect each, no two alike; they
     default to "0" ... "n-1". Construction checks only the labels.
@@ -67,7 +68,6 @@ class Povm:
 
     stack: np.ndarray
     labels: tuple = None
-    effects: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = _frozen(self.stack)
@@ -83,7 +83,6 @@ class Povm:
                 raise ValidationError(f"label {repeated!r} names more than one effect")
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "effects", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -98,8 +97,9 @@ class Povm:
 class RankOnePvm:
     """Orthonormal rank-1 projector basis, stored as the read-only unitary of its columns.
 
-    It reads as the Povm of its projectors |b><b|, labelled "0" ... "d-1";
-    stack, element b first, is built on first read and cached, read-only.
+    It reads as the Povm of its projectors |b><b|, labelled "0" ... "d-1",
+    through stack alone: the (d, d, d) array of the projectors, element b
+    first, built on first read and cached, read-only.
     """
 
     basis_unitary: np.ndarray
@@ -118,10 +118,6 @@ class RankOnePvm:
     def stack(self) -> np.ndarray:
         u = self.basis_unitary.T
         return _frozen(u[:, :, None] * u.conj()[:, None, :])
-
-    @functools.cached_property
-    def effects(self) -> tuple:
-        return tuple(self.stack)
 
 
 def _hermitian_psd(stack: np.ndarray, name: str):
@@ -236,10 +232,6 @@ def _trace_norms(k_ops: np.ndarray) -> np.ndarray:
 def trace_norm(m) -> float:
     """Schatten 1-norm: the sum of singular values."""
     return float(_trace_norms(as_operator(m)[None])[0])
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def _haar(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, _same_dim, _trace_norms, as_operator, commutator
+from .core import DensityMatrix, Povm, RankOnePvm, _pvm_unchecked, _same_dim, _trace_norms, as_operator
 from .errors import ValidationError
 from .kdtable import _clamp_nonclassicality
 
@@ -125,7 +125,8 @@ def quantum_nonreality(state: DensityMatrix, povm: Povm) -> float:
     over rank-1 PVMs. No optimization is involved.
     """
     _same_dim(state, povm)
-    return sum(0.5 * t for t in _trace_norms(commutator(povm.stack, state.matrix)).tolist())
+    m, rho = povm.stack, state.matrix
+    return sum(0.5 * t for t in _trace_norms(m @ rho - rho @ m).tolist())
 
 
 def quantum_nonclassicality(state: DensityMatrix, povm: Povm) -> SupremumResult:

@@ -117,7 +117,7 @@ def density_from_json(obj) -> DensityMatrix:
 def povm_to_json(povm: Povm) -> dict:
     return {
         "d": povm.dim,
-        "effects": [matrix_to_json(e) for e in povm.effects],
+        "effects": [matrix_to_json(e) for e in povm.stack],
         "labels": list(povm.labels),
     }
 

@@ -143,6 +143,12 @@ def _inputs(tmp) -> dict:
     write("slack_sum_povm", _povm([np.diag([1.0, 0.0]) + 0.9e-9 * np.ones((2, 2)), np.diag([0.0, 1.0])]))
     rng = np.random.default_rng(2)
     write("slack_pvm3", _povm(_projectors(_unitary(rng, 3) + 1e-10 * _ginibre(rng, 3, 3))))
+    # fields of the wrong JSON type
+    entries = _matrix(np.eye(2) / 2)["re_im"]
+    write("typed_d_str", {"d": "2", "re_im": entries})
+    write("typed_d_bool", {"d": True, "re_im": entries})
+    write("typed_re_im_dict", {"d": 2, "re_im": {}})
+    write("typed_effects_dict", {"d": 2, "effects": {}})
     return paths
 
 
@@ -242,6 +248,11 @@ def _argvs(p) -> list:
         ["witness", p["full2"], p["povm3"]],
         ["bounds", p["full2"], p["basis3"]],
         ["bounds", p["full2"], p["basis2"], p["basis3"]],
+        ["infimum", p["typed_d_str"]],
+        ["infimum", p["typed_d_bool"]],
+        ["infimum", p["typed_re_im_dict"]],
+        ["witness", p["full2"], p["typed_effects_dict"]],
+        ["random", "povm", "--d", "2", "--outcomes", "0"],
     ]
     return argvs
 

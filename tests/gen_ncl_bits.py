@@ -57,7 +57,7 @@ def build(case):
 def variational_nonreality(state, povm):
     """Per-effect sup_over_pvm of K = [M, rho] / 2i, summed in effect order; (SupremumResult, per-effect bases)."""
     m = state.matrix
-    per_effect = [kd.sup_over_pvm((e @ m - m @ e) / 2j) for e in povm.effects]
+    per_effect = [kd.sup_over_pvm((e @ m - m @ e) / 2j) for e in povm.stack]
     values = tuple(r.value for r in per_effect)
     res = kd.SupremumResult(sum(values), per_effect[int(np.argmax(values))].best_basis, values)
     return res, [r.best_basis for r in per_effect]
@@ -65,7 +65,7 @@ def variational_nonreality(state, povm):
 
 def nonclassicality(state, povm):
     """(quantum_nonclassicality, each effect's attaining basis from sup_over_pvm(M^a rho))."""
-    bases = [kd.sup_over_pvm(e @ state.matrix).best_basis for e in povm.effects]
+    bases = [kd.sup_over_pvm(e @ state.matrix).best_basis for e in povm.stack]
     return kd.quantum_nonclassicality(state, povm), bases
 
 

@@ -158,8 +158,8 @@ MUTANTS = (
     (
         "opt.nre_public_fsum",
         "optimize.py",
-        "    return sum(0.5 * t for t in _trace_norms(commutator(povm.stack, state.matrix)).tolist())",
-        "    return math.fsum(0.5 * t for t in _trace_norms(commutator(povm.stack, state.matrix)).tolist())",
+        "    return sum(0.5 * t for t in _trace_norms(m @ rho - rho @ m).tolist())",
+        "    return math.fsum(0.5 * t for t in _trace_norms(m @ rho - rho @ m).tolist())",
     ),
     ("opt.ncl_basis_of_smallest_effect", "optimize.py", "k_ops[int(np.argmax(values))]", "k_ops[int(np.argmin(values))]"),
     (
@@ -238,6 +238,12 @@ MUTANTS = (
         "serialize.py",
         "for x in t.values.reshape(-1)]",
         "for x in t.values.T.reshape(-1)]",
+    ),
+    (
+        "ser.povm_effects_reversed",
+        "serialize.py",
+        "[matrix_to_json(e) for e in povm.stack]",
+        "[matrix_to_json(e) for e in povm.stack[::-1]]",
     ),
     # cli.py
     ("cli.kd_table_swapped", "cli.py", "kd_table(state, first, second)", "kd_table(state, second, first)"),

@@ -292,7 +292,7 @@ def test_criterion_9_worked_example_regression(derived):
         rho = kd.random_density(d, d, seed=36_000 + i)
         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=37_000 + i))
         m = rho.matrix
-        variational = sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.effects)
+        variational = sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.stack)
         worst_var = max(worst_var, abs(variational - kd.quantum_nonreality(rho, povm)))
     errs["variational_vs_closed"] = worst_var if worst_var > 1e-6 else 0.0
 

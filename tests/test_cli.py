@@ -405,6 +405,31 @@ def test_random_bad_dimension_exit_code(capsys):
             assert captured.err == f"error: dimension must be >= 1, got {d}\n"
 
 
+def test_random_povm_without_outcomes_exit_code(capsys):
+    code = main(["random", "povm", "--d", "2", "--outcomes", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: n_outcomes must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "slot, obj, message",
+    [
+        ("state", {"d": "1", "re_im": [[1.0, 0.0]]}, "state: field 'd' must be an integer"),
+        ("state", {"d": True, "re_im": [[1.0, 0.0]]}, "state: field 'd' must be an integer"),
+        ("state", {"d": 2, "re_im": {}}, "state: field 're_im' must be list"),
+        ("povm", {"d": 2, "effects": {}}, "povm: field 'effects' must be list"),
+    ],
+    ids=["d_str", "d_bool", "re_im_dict", "effects_dict"],
+)
+def test_json_field_of_the_wrong_type_exit_code(capsys, fixtures, slot, obj, message):
+    path = fixtures["dir"] / "typed.json"
+    path.write_text(json.dumps(obj) + "\n")
+    argv = ["infimum", str(path)] if slot == "state" else ["witness", fixtures["zero"], str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_seed_defaults_to_zero(capsys):
     for argv in (
         ["random", "state", "--d", "3"],

@@ -120,13 +120,15 @@ def test_random_density():
 
 def test_random_povm():
     single = kd.random_povm(3, 1, seed=0)
-    assert np.abs(single.effects[0] - np.eye(3)).max() < 1e-9
+    assert np.abs(single.stack[0] - np.eye(3)).max() < 1e-9
     povm = kd.random_povm(2, 3, seed=4)
     assert povm.n_outcomes == 3
-    assert np.abs(np.sum(povm.effects, axis=0) - np.eye(2)).max() < 1e-9
+    assert np.abs(np.sum(povm.stack, axis=0) - np.eye(2)).max() < 1e-9
     again = kd.random_povm(2, 3, seed=4)
-    for a, b in zip(povm.effects, again.effects):
+    for a, b in zip(povm.stack, again.stack):
         assert np.array_equal(a, b)
+    with pytest.raises(kd.ValidationError, match=r"^n_outcomes must be >= 1, got 0$"):
+        kd.random_povm(2, 0, seed=0)
 
 
 def test_random_generators_validate_at_scale():
@@ -163,6 +165,8 @@ def test_partial_trace():
 
     with pytest.raises(kd.DimMismatchError):
         kd.partial_trace(np.eye(4), (2, 3), 0)
+    with pytest.raises(kd.ValidationError, match=r"^keep must be 0 or 1, got 2$"):
+        kd.partial_trace(np.eye(4), (2, 2), 2)
 
 
 
@@ -230,7 +234,6 @@ def test_povm_stack_is_read_only_effect_stack():
     ]
     for povm in povms:
         assert povm.stack.shape == (povm.n_outcomes, povm.dim, povm.dim)
-        assert np.array_equal(povm.stack, np.stack(povm.effects))
         assert not povm.stack.flags.writeable
         with pytest.raises(ValueError):
             povm.stack[0, 0, 0] = 2.0
@@ -251,14 +254,17 @@ def test_validate_povm_names_the_first_failing_effect():
 
 
 def test_povm_effects_are_read_only_views_of_the_stack():
+    # stack is the one read surface: indexing or iterating it yields effect views, never copies
     for povm in (kd.random_povm(3, 4, seed=8), kd.rank_one_pvm(kd.haar_random_unitary(3, seed=9))):
-        assert len(povm.effects) == povm.n_outcomes
-        for i, e in enumerate(povm.effects):
-            assert np.shares_memory(e, povm.stack)
-            assert np.array_equal(e, povm.stack[i])
-            assert not e.flags.writeable
-            with pytest.raises(ValueError):
-                e[0, 0] = 2.0
+        assert len(povm.stack) == povm.n_outcomes
+        rows = np.array(povm.stack)
+        for i, row in enumerate(povm.stack):
+            for e in (row, povm.stack[i]):
+                assert np.shares_memory(e, povm.stack)
+                assert np.array_equal(e, rows[i])
+                assert not e.flags.writeable
+                with pytest.raises(ValueError):
+                    e[0, 0] = 2.0
 
 
 def test_povms_with_equal_labels_and_different_effects_differ():

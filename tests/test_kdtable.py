@@ -125,7 +125,7 @@ def test_kd_table_matches_loop_reference_bitwise():
         povm = kd.random_povm(d, 3, seed=1500 + d)
         u = kd.haar_random_unitary(d, seed=1600 + d)
         pvm = kd.rank_one_pvm(u)
-        measurements = [(povm, list(povm.effects)), (pvm, _projector_list(u)), (kd.validate_povm(pvm.stack), _projector_list(u))]
+        measurements = [(povm, list(povm.stack)), (pvm, _projector_list(u)), (kd.validate_povm(pvm.stack), _projector_list(u))]
         for rank in sorted({1, d}):
             rho = kd.random_density(d, rank, seed=1700 + 10 * d + rank)
             for first, first_effects in measurements:

@@ -111,6 +111,17 @@ def test_one_trace_norm_kernel():
     assert [module for module, _ in calls] == ["core"], calls
 
 
+def test_measurements_are_read_through_their_stack():
+    # a POVM or rank-1 PVM has one read surface, its (n, d, d) stack; no module reads a second copy of its effects
+    reads = [
+        (module, node.lineno)
+        for module, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "effects"
+    ]
+    assert reads == []
+
+
 def _traced_spans() -> tuple:
     """The SPANS tuple of perfbench/tracing.py, read from its source without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())

@@ -48,7 +48,7 @@ def test_quantum_nonreality_pure_state_stddev_identity():
 def _variational_nonreality(rho, povm):
     """Sum over effects of the |diag| supremum of K = [M, rho] / 2i."""
     m = rho.matrix
-    return sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.effects)
+    return sum(kd.sup_over_pvm((e @ m - m @ e) / 2j).value for e in povm.stack)
 
 
 def test_variational_nonreality_commuting():
@@ -169,7 +169,7 @@ def test_ncl_closed_form_attained():
     cases = []  # (K, value, attaining basis)
     for rho, povm in _ncl_instances():
         res = kd.quantum_nonclassicality(rho, povm)
-        for m, v in zip(povm.effects, res.per_effect_values):
+        for m, v in zip(povm.stack, res.per_effect_values):
             k_op = m @ rho.matrix
             cases.append((k_op, v, kd.sup_over_pvm(k_op).best_basis))
     for d in range(1, 9):
@@ -200,7 +200,7 @@ def test_ncl_builds_only_the_largest_effects_basis(monkeypatch):
         res = kd.quantum_nonclassicality(rho, povm)
         assert shapes == [(rho.dim, rho.dim)]
         i = int(np.argmax(res.per_effect_values))
-        k_op = povm.effects[i] @ rho.matrix
+        k_op = povm.stack[i] @ rho.matrix
         u = res.best_basis.basis_unitary
         assert u.tobytes() == kd.sup_over_pvm(k_op).best_basis.basis_unitary.tobytes()
         v = max(res.per_effect_values)
@@ -215,7 +215,7 @@ def test_attaining_basis_matches_the_stacked_build_bit_for_bit():
         povm = kd.random_povm(d, d, seed=900 + d)
         for rank in sorted({1, d}):
             rho = kd.random_density(d, rank, seed=950 + 2 * d + rank).matrix
-            for m in povm.effects:
+            for m in povm.stack:
                 ks += [m @ rho, (m @ rho - rho @ m) / 2j]
         u = kd.haar_random_unitary(d, seed=1000 + d)
         lam = np.linspace(1, 2, d)
@@ -229,7 +229,7 @@ def test_ncl_upper_bounds_random_bases():
     seeds = iter(range(10_000, 10**6))
     for rho, povm in _ncl_instances():
         res = kd.quantum_nonclassicality(rho, povm)
-        for m, v in zip(povm.effects, res.per_effect_values):
+        for m, v in zip(povm.stack, res.per_effect_values):
             k_op = m @ rho.matrix
             for _ in range(500):
                 u = kd.haar_random_unitary(rho.dim, seed=next(seeds))

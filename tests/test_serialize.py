@@ -32,7 +32,7 @@ def test_povm_round_trip():
     povm = kd.random_povm(2, 3, seed=71)
     back = serialize.povm_from_json(serialize.povm_to_json(povm))
     assert back.labels == povm.labels
-    for a, b in zip(back.effects, povm.effects):
+    for a, b in zip(back.stack, povm.stack):
         assert np.abs(a - b).max() == 0.0
 
 

@@ -37,7 +37,7 @@ def test_outcome_probs_match_loop_reference_bitwise():
         projectors = [np.outer(u[:, b], u[:, b].conj()) for b in range(d)]
         for rank in sorted({1, d}):
             rho = kd.random_density(d, rank, seed=2300 + 10 * d + rank)
-            assert kd.outcome_probs(rho, povm) == outcome_probs_loop(rho.matrix, list(povm.effects))
+            assert kd.outcome_probs(rho, povm) == outcome_probs_loop(rho.matrix, list(povm.stack))
             assert kd.outcome_probs(rho, pvm) == outcome_probs_loop(rho.matrix, projectors)
 
 
@@ -176,10 +176,10 @@ def test_infimum_total():
 def test_coarse_grain():
     povm = kd.random_povm(2, 4, seed=40)
     same = kd.coarse_grain(povm, [(0,), (1,), (2,), (3,)])
-    for a, b in zip(same.effects, povm.effects):
+    for a, b in zip(same.stack, povm.stack):
         assert np.abs(a - b).max() < 1e-12
     merged = kd.coarse_grain(povm, [(0, 1, 2, 3)])
-    assert np.abs(merged.effects[0] - np.eye(2)).max() < 1e-9
+    assert np.abs(merged.stack[0] - np.eye(2)).max() < 1e-9
     assert merged.labels == ("0+1+2+3",)
     cover = r" does not cover indices 0\.\.3 exactly once$"
     with pytest.raises(kd.ValidationError, match=r"^partition \[\(0, 1\), \(1, 2, 3\)\]" + cover):
@@ -197,8 +197,8 @@ def test_coarse_grain_matches_per_block_sums_bitwise():
     povm = kd.random_povm(3, 6, seed=41)
     partition = [(4, 0, 2), (5,), (1, 3)]
     merged = kd.coarse_grain(povm, partition)
-    for effect, block in zip(merged.effects, partition):
-        assert np.array_equal(effect.view(float), np.sum([povm.effects[i] for i in block], axis=0).view(float))
+    for effect, block in zip(merged.stack, partition):
+        assert np.array_equal(effect.view(float), np.sum([povm.stack[i] for i in block], axis=0).view(float))
     assert merged.labels == ("4+0+2", "5", "1+3")
     for empty in ([(), (0, 1, 2, 3, 4, 5)], [(0, 1, 2), (), (3, 4, 5)], [(0, 1, 2, 3, 4, 5), ()]):
         with pytest.raises(kd.ValidationError, match="has an empty block$"):
@@ -240,8 +240,8 @@ def test_coarse_grain_merges_effects_within_validation_slack():
     for effects in (not_hermitian, not_psd):
         merged = kd.coarse_grain(kd.validate_povm(effects), [(0, 1), (2,)])
         assert merged.labels == ("0+1", "2")
-        assert np.array_equal(merged.effects[0], effects[0] + effects[1])
-        assert np.array_equal(merged.effects[1], effects[2])
+        assert np.array_equal(merged.stack[0], effects[0] + effects[1])
+        assert np.array_equal(merged.stack[1], effects[2])
 
 
 def _skew(rng, d):
@@ -287,7 +287,7 @@ def test_inputs_at_the_validation_edges_raise_nothing(capsys, tmp_path):
             rho = kd.validate_density(m)
             u = kd.haar_random_unitary(d, rng)
             projectors = [np.outer(u[:, b], u[:, b].conj()) for b in range(d)]
-            for effects in (kd.random_povm(d, 3, rng).effects, projectors):
+            for effects in (kd.random_povm(d, 3, rng).stack, projectors):
                 povm = kd.validate_povm(_edge_effects(rng, effects, hermitian))
                 n = povm.n_outcomes
                 coarse = kd.coarse_grain(povm, [(0, 1), tuple(range(2, n))] if n > 2 else [(0, 1)])

@@ -28,7 +28,7 @@ def test_weak_values_basis_state_preselection():
     w = table.values[:, 0]
     assert np.abs(w.imag).max() < 1e-10
     assert w.real.min() > -1e-10 and w.real.max() < 1 + 1e-10
-    expect = [np.vdot(b0, m @ b0).real for m in povm.effects]
+    expect = [np.vdot(b0, m @ b0).real for m in povm.stack]
     assert np.abs(w.real - expect).max() < 1e-10
 
 
@@ -38,7 +38,7 @@ def _weak_values_loop(state, povm, basis):
     rho_u = state.matrix @ u
     probs = np.clip(np.einsum("ib,ib->b", u.conj(), rho_u).real, 0.0, None)
     values = np.zeros((povm.n_outcomes, state.dim), dtype=complex)
-    for a, m in enumerate(povm.effects):
+    for a, m in enumerate(povm.stack):
         numer = np.einsum("ib,ij,jb->b", u.conj(), m, rho_u)
         for b in range(state.dim):
             if probs[b] > kd.witness.UNDEFINED_PROB:
@@ -287,7 +287,7 @@ def _whitened_extremes(state, povm):
     w, v = np.linalg.eigh(state.matrix)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     out = np.empty((3, povm.n_outcomes))
-    for a, m in enumerate(povm.effects):
+    for a, m in enumerate(povm.stack):
         k = (m @ state.matrix - state.matrix @ m) / 2j
         j = (m @ state.matrix + state.matrix @ m) / 2
         im = np.linalg.eigvalsh(inv_sqrt @ k @ inv_sqrt)
