@@ -159,6 +159,8 @@ def cmd_random(args) -> int:
         rank = args.rank if args.rank is not None else args.d
         obj = serialize.matrix_to_json(random_density(args.d, rank, seed).matrix)
     elif args.kind == "povm":
+        if args.outcomes < 1:
+            raise ValidationError(f"--outcomes must be >= 1, got {args.outcomes}")
         obj = serialize.povm_to_json(random_povm(args.d, args.outcomes, seed))
     else:
         obj = serialize.matrix_to_json(haar_random_unitary(args.d, seed))

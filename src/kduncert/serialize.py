@@ -1,8 +1,10 @@
 """JSON wire formats for every public object.
 
 Complex numbers are always [re, im] pairs and floats are emitted with 17
-significant digits, so serialized output round-trips exactly and identical
-inputs produce byte-identical files.
+significant digits, so identical inputs produce byte-identical files and
+every float reads back with its value, but not always with its type or
+sign: .17g writes 1.0 as `1` and -0.0 as `-0`, which json.loads reads as
+the integers 1 and 0, so a negative zero comes back as +0.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _require(obj, key, kind, where):
             raise ValidationError(f"{where}: field '{key}' must be an integer")
         return val
     if not isinstance(val, kind):
-        raise ValidationError(f"{where}: field '{key}' must be {kind.__name__}")
+        raise ValidationError(f"{where}: field '{key}' must be a {kind.__name__}")
     return val
 
 

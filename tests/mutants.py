@@ -23,8 +23,9 @@ labelled so. A selftest property kills it when it fails or raises. Every
 property kill is also a kill by criterion 6, which runs the whole selftest,
 so the properties tell which check inside criterion 6 fired. The report
 lists the killers of each mutant, the mutants that only one tier-1 test
-kills, the surviving mutants and the kill rate. Nothing in the checkout is
-written. Each mutant costs one tier-1 run, 12-25 s on 2 vCPUs.
+kills, the selftest properties that no mutant kills, the surviving mutants
+and the kill rate. Nothing in the checkout is written. Each mutant costs
+one tier-1 run, 12-25 s on 2 vCPUs.
 Not collected by pytest; tests/test_lint.py checks that every mutant
 still applies to the current source.
 """
@@ -64,6 +65,11 @@ except Exception as exc:
             failed.append(f"{name} (raised {type(e).__name__})")
     failed = failed or [f"run_selftest (raised {type(exc).__name__})"]
 print(json.dumps(failed))
+"""
+PROPERTY_NAMES = """
+import json
+from kduncert import selftest
+print(json.dumps([name for name, _ in selftest.PROPERTIES]))
 """
 
 MUTANTS = (
@@ -120,6 +126,12 @@ MUTANTS = (
     ("core.povm_repeated_labels_pass", "core.py", "            if len(set(labels)) != n:", "            if len(set(labels)) > n:"),
     ("core.same_dim_first_only", "core.py", "    for m in measurements:", "    for m in measurements[:1]:"),
     ("core.same_dim_gt", "core.py", "        if m.dim != state.dim:", "        if m.dim > state.dim:"),
+    (
+        "core.trace_norm_real_part",
+        "core.py",
+        "    return float(_trace_norms(as_operator(m)[None])[0])",
+        "    return float(_trace_norms(as_operator(m).real[None])[0])",
+    ),
     # kdtable.py
     (
         "kd.einsum_table",
@@ -356,6 +368,7 @@ def main() -> int:
             else:
                 shutil.copy2(src, snapshot / name)
 
+        properties = json.loads(_run([sys.executable, "-c", PROPERTY_NAMES], snapshot).stdout)
         base_tier1, base_selftest, summary = _kills(snapshot, work, None)
         print(f"unmutated copy: tier-1 {summary}; selftest failures: {sorted(base_selftest) or 'none'}")
         if base_tier1:
@@ -388,6 +401,10 @@ def main() -> int:
         print(f"  {name}: {node}" + (f" (selftest: {', '.join(props)})" if props else ""))
     if not sole:
         print("  none")
+
+    killers = {prop.split(" ")[0] for _, _, props in results for prop in props}
+    idle = [name for name in properties if name not in killers]
+    print(f"\nselftest properties that no mutant kills: {', '.join(idle) or 'none'}")
 
     survivors = [m[0] for m, tier1, props in results if not tier1 and not props]
     killed = len(results) - len(survivors)

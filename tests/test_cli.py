@@ -408,7 +408,7 @@ def test_random_bad_dimension_exit_code(capsys):
 def test_random_povm_without_outcomes_exit_code(capsys):
     code = main(["random", "povm", "--d", "2", "--outcomes", "0"])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", "error: n_outcomes must be >= 1, got 0\n")
+    assert (code, captured.out, captured.err) == (2, "", "error: --outcomes must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize(
@@ -416,8 +416,8 @@ def test_random_povm_without_outcomes_exit_code(capsys):
     [
         ("state", {"d": "1", "re_im": [[1.0, 0.0]]}, "state: field 'd' must be an integer"),
         ("state", {"d": True, "re_im": [[1.0, 0.0]]}, "state: field 'd' must be an integer"),
-        ("state", {"d": 2, "re_im": {}}, "state: field 're_im' must be list"),
-        ("povm", {"d": 2, "effects": {}}, "povm: field 'effects' must be list"),
+        ("state", {"d": 2, "re_im": {}}, "state: field 're_im' must be a list"),
+        ("povm", {"d": 2, "effects": {}}, "povm: field 'effects' must be a list"),
     ],
     ids=["d_str", "d_bool", "re_im_dict", "effects_dict"],
 )
@@ -618,7 +618,36 @@ def test_selftest_smoke_and_injection(capsys, monkeypatch):
     assert code == 0
     out = json.loads(err.out)
     assert out["passed"] is True
-    assert len(out["results"]) >= 30
+    assert {r["name"] for r in out["results"]} == {
+        "core.partial_trace_tensor",
+        "kd.marginals",
+        "kd.commuting_real",
+        "kd.nonclassicality_nonneg",
+        "kd.diagonal_eigenvalues",
+        "kd.johansen_reconstruction",
+        "opt.variational_trace_norm",
+        "opt.mixing_convexity",
+        "opt.nre_variational_agreement",
+        "opt.partial_access_monotone",
+        "opt.coarsegrain_monotone",
+        "opt.ncl_attaining_basis",
+        "unc.quantum_bounded_by_total",
+        "unc.commuting_entirely_classical",
+        "unc.classical_concavity",
+        "unc.permutation_invariance",
+        "unc.decomposition_covariance",
+        "unc.maximal_trichotomy",
+        "unc.coherence_faithfulness",
+        "unc.infimum_impurity",
+        "unc.tsallis_relation",
+        "unc.asymmetry_bound",
+        "unc.entropic_relation",
+        "wit.factorization",
+        "wit.weak_value_integrands",
+        "wit.contextuality_consistency",
+        "wit.disturbance_identity",
+    }
+    assert len(out["results"]) == 27
 
     def broken(dims, samples, seed):
         raise selftest.PropertyFailure("injected failure")

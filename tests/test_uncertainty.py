@@ -447,6 +447,26 @@ def test_mixing_convexity_reports_its_signed_slack():
     assert float(detail.rsplit("lhs-rhs ", 1)[1]) < 0.0
 
 
+def test_variational_trace_norm_checks_trace_norm_at_1e9(monkeypatch):
+    # the svd kernel behind trace_norm is checked against sum |eig| here and nowhere else in the suite
+    norm = selftest.trace_norm
+    monkeypatch.setattr(selftest, "trace_norm", lambda m: norm(m) + 1e-8)
+    with pytest.raises(selftest.PropertyFailure, match="trace norm or supremum off"):
+        selftest.prop_variational_trace_norm((2, 3, 4), 2, 0)
+
+
+def test_decomposition_covariance_checks_the_quantum_parts_at_1e9(monkeypatch):
+    # a 1e-6 drift in NRe that follows rho[0, 0] is far inside the decomposition's 1e-6 gate
+    parts = selftest._quantum_parts
+    monkeypatch.setattr(
+        selftest,
+        "_quantum_parts",
+        lambda rho, povm: (parts(rho, povm)[0] + 1e-6 * rho.matrix[0, 0].real, parts(rho, povm)[1]),
+    )
+    with pytest.raises(selftest.PropertyFailure, match="covariance of the quantum parts"):
+        selftest.prop_decomposition_covariance((2, 3, 4), 2, 0)
+
+
 def test_selftest_above_corner_cap_checks_the_refusal():
     passed, results = run_selftest(dims=(15, 16), samples=2)
     assert passed, [(r.name, r.detail) for r in results if not r.ok]
