@@ -5,7 +5,6 @@ from .core import (
     Povm,
     RankOnePvm,
     haar_random_unitary,
-    mub_bases,
     partial_trace,
     random_density,
     random_povm,

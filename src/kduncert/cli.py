@@ -155,8 +155,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_random(args) -> int:
     seed = _seed(args)
+    if args.d < 1:
+        raise ValidationError(f"--d must be >= 1, got {args.d}")
     if args.kind == "state":
         rank = args.rank if args.rank is not None else args.d
+        if not 1 <= rank <= args.d:
+            raise ValidationError(f"--rank must be in [1, {args.d}], got {rank}")
         obj = serialize.matrix_to_json(random_density(args.d, rank, seed).matrix)
     elif args.kind == "povm":
         if args.outcomes < 1:

@@ -321,35 +321,14 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
     return np.trace(t, axis1=0, axis2=2)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+@functools.lru_cache(maxsize=16)  # bounded: one d x d array per dimension
+def _fourier(d: int) -> np.ndarray:
+    """The discrete Fourier unitary exp(2 pi i jk / d) / sqrt(d), read-only, built once per dimension.
 
-
-def mub_bases(d: int) -> list:
-    """Bases mutually unbiased to the computational basis (and to each other for prime d).
-
-    The first is the discrete Fourier unitary. For prime d this is the
-    standard quadratic-phase Fourier family; for composite d only the plain
-    Fourier basis is returned. Each call builds fresh writable arrays; the
-    witness reads them, frozen, from the per-dimension cache _mubs instead.
+    Its columns are unbiased to the computational basis. The witness scans
+    it before the margins' eigenbases; no further unbiased basis is needed,
+    since the margins' eigenbases hold a strange entry whenever any basis
+    does.
     """
     m = np.arange(d)
-    f = np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d)
-    if d == 2:
-        return [f, np.diag([1.0, 1.0j]) @ f]
-    if not _is_prime(d):
-        return [f]
-    return [np.diag(np.exp(2j * np.pi * k * m * m / d)) @ f for k in range(d)]
-
-
-@functools.lru_cache(maxsize=16)  # bounded: a prime d holds d bases of size d x d
-def _mubs(d: int) -> tuple:
-    """mub_bases(d) as a tuple of read-only arrays, built once per dimension."""
-    return tuple(_frozen(u) for u in mub_bases(d))
+    return _frozen(np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d))

@@ -2,16 +2,16 @@
 
 A weak value with nonzero imaginary part or negative real part ("strange")
 certifies that the estimation statistics admit no noncontextual hidden
-variable model. The witness first scans the canonical unbiased bases, read
-from a per-dimension cache, so a verdict whose entry sits in one of them
-builds no other candidate. The scan builds no WeakValueTable: per basis it
-takes the probabilities and numerators from _weak_value_parts, divides once,
-and walks the quotients as plain Python numbers; only the basis of the hit
-becomes a RankOnePvm.
+variable model. The witness runs in two stages. It first scans the
+discrete Fourier basis, read from a per-dimension cache, so a verdict whose
+entry sits there builds no other candidate. The scan builds no
+WeakValueTable: per basis it takes the probabilities and numerators from
+_weak_value_parts, divides once, and walks the quotients as plain Python
+numbers; only the basis of the hit becomes a RankOnePvm.
 
-When those hold no strange entry the rest is a closed form. For a unit
-postselection vector b with Pr(b) = <b|rho|b> > 0 the weak value of M^a has
-Im w = <b|K_a|b> / Pr(b) and Re w = <b|J_a|b> / Pr(b), with
+When the Fourier basis holds no strange entry the rest is a closed form.
+For a unit postselection vector b with Pr(b) = <b|rho|b> > 0 the weak value
+of M^a has Im w = <b|K_a|b> / Pr(b) and Re w = <b|J_a|b> / Pr(b), with
 K_a = [M^a, rho] / 2i and J_a = {M^a, rho} / 2. So Im w > t, Im w < -t and
 Re w < -t hold exactly when <b|X - t rho|b> > 0 for X = K_a, -K_a and -J_a
 (when Pr(b) = 0, rho b = 0 and all three forms vanish). Some basis holds an
@@ -19,7 +19,9 @@ entry strange at threshold t if and only if one of these 3n "margin"
 matrices has a positive top eigenvalue, and then the matrix's eigenbasis
 holds one in its top column. One eigh on the stack of margins gives the
 candidates; when no margin is positive, WitnessNotFoundError states the
-largest one, which certifies that no basis holds a strange entry.
+largest one, which certifies that no basis holds a strange entry. So the
+second stage is complete, and any further catalog of unbiased bases would
+only find entries that the margins' eigenbases also hold.
 
 disturbance_nonreality reaches the nonreality part through the Lueders
 update of each projector, one at a time, as a check independent of the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, RankOnePvm, _mubs, _pvm_unchecked, _same_dim, trace_norm
+from .core import DensityMatrix, Povm, RankOnePvm, _fourier, _pvm_unchecked, _same_dim, trace_norm
 from .errors import ValidationError, WitnessNotFoundError
 from .optimize import _quantum_parts
 
@@ -187,13 +189,13 @@ def contextuality_witness(
     ordinary inputs. flavors_agree is reported, never warned about: it is
     also false on weakly coherent inputs, where ncl ~ eps^2 falls below that
     scale while nre ~ eps stays above it. When contextual, the entry is the
-    first strange one in the canonical unbiased bases, then in the
-    eigenbases of the positive margins, and it re-verifies as strange by
-    direct recomputation; when no basis holds one, WitnessNotFoundError
-    states the largest margin (see the module docstring). The threshold must
-    be finite and non-negative. cfg is accepted and not read, so callers
-    that pass an OptimizerConfig keep working; no part of the witness
-    searches.
+    first strange one in the Fourier basis, then in the eigenbases of the
+    positive margins, which hold one whenever any basis does, and it
+    re-verifies as strange by direct recomputation; when no basis holds one,
+    WitnessNotFoundError states the largest margin (see the module
+    docstring). The threshold must be finite and non-negative. cfg is
+    accepted and not read, so callers that pass an OptimizerConfig keep
+    working; no part of the witness searches.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
@@ -202,7 +204,7 @@ def contextuality_witness(
     agree = (nre > DEFAULT_THRESHOLD) == (ncl > DEFAULT_THRESHOLD)
     entry = None
     if contextual:
-        entry = _first_strange(state, povm, _mubs(state.dim), threshold)
+        entry = _first_strange(state, povm, (_fourier(state.dim),), threshold)
         if entry is None:
             entry = _margin_entry(state, povm, threshold, nre)
     return WitnessReport(
@@ -213,12 +215,6 @@ def contextuality_witness(
         threshold=threshold,
         flavors_agree=agree,
     )
-
-
-def lueders_state(rho: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """State after the nonselective binary measurement {P, I - P} (raw matrix)."""
-    comp = np.eye(rho.shape[0]) - projector
-    return projector @ rho @ projector + comp @ rho @ comp
 
 
 def disturbance_nonreality(state: DensityMatrix, pvm: RankOnePvm) -> float:
@@ -233,6 +229,7 @@ def disturbance_nonreality(state: DensityMatrix, pvm: RankOnePvm) -> float:
     rho = state.matrix
     total = 0.0
     for pa in pvm.stack:
-        delta = rho - lueders_state(rho, pa)
+        comp = np.eye(rho.shape[0]) - pa
+        delta = rho - (pa @ rho @ pa + comp @ rho @ comp)  # the Lueders update of {P, I - P}
         total += 0.5 * trace_norm(delta)
     return total

@@ -149,6 +149,11 @@ def _inputs(tmp) -> dict:
     write("typed_d_bool", {"d": True, "re_im": entries})
     write("typed_re_im_dict", {"d": 2, "re_im": {}})
     write("typed_effects_dict", {"d": 2, "effects": {}})
+    # |0> under the Fourier PVM: the Fourier basis holds no strange entry, so the witness scans the margins
+    for d in (2, 3, 4):
+        m = np.arange(d)
+        write(f"zero{d}", _matrix(np.diag(np.eye(d)[0])))
+        write(f"fourier{d}", _matrix(np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d)))
     return paths
 
 
@@ -253,6 +258,9 @@ def _argvs(p) -> list:
         ["infimum", p["typed_re_im_dict"]],
         ["witness", p["full2"], p["typed_effects_dict"]],
         ["random", "povm", "--d", "2", "--outcomes", "0"],
+        ["witness", p["zero2"], p["fourier2"]],
+        ["witness", p["zero3"], p["fourier3"]],
+        ["witness", p["zero4"], p["fourier4"]],
     ]
     return argvs
 

@@ -8,12 +8,13 @@ basis bytes) or the WitnessNotFoundError message, so a rewrite of the
 witness that claims to change only speed can be checked for identical
 output. The cases cover contextual mixed, pure and rank-deficient states
 under POVMs and rank-1 PVMs, commuting pairs, and search instances at a
-raised threshold whose canonical unbiased bases hold no strange entry, so
-the scan goes on to the eigenbases of the positive margins, or no margin
-is positive and the witness raises. Regenerate it only together with a
+raised threshold whose Fourier basis holds no strange entry, so the scan
+goes on to the eigenbases of the positive margins, or no margin is
+positive and the witness raises. Regenerate it only together with a
 deliberate change of the results, and say so in the change log. The
-script refuses to write when a case whose entry sits in an unbiased basis,
-or a case with no verdict, changes its bits against the committed file.
+script refuses to write when a case whose entry sits in the Fourier basis
+(end "mub"), or a case with no verdict, changes its bits against the
+committed file.
 
 The bits hold for one numpy build and one BLAS kernel: the committed file
 was written with numpy 2.4.6 and its bundled OpenBLAS on the SkylakeX
@@ -32,12 +33,12 @@ import numpy as np
 
 import kduncert as kd
 from kduncert import witness
-from kduncert.core import _mubs
+from kduncert.core import _fourier
 
 # (name, d, state rank, POVM outcomes | "pvm" | "commuting", state seed, POVM seed, threshold)
 # A "commuting" state is diagonal in the PVM basis with spectrum rank, rank-1, ..., 1 (then zeros).
 # The seeds of the *-search-* cases were found by scanning seeds for a scan that passes the
-# unbiased bases; the generator asserts where each one ends.
+# Fourier basis; the generator asserts where each one ends.
 CASES = (
     ("d2-mixed-povm2", 2, 2, 2, 31, 32, 1e-7),
     ("d3-mixed-povm3", 3, 3, 3, 33, 34, 1e-7),
@@ -125,14 +126,14 @@ def compute() -> dict:
 
 
 def search_end(case, fx) -> str:
-    """Which candidate group holds the entry of a case: mub, margin, none or no verdict."""
+    """Which candidate group holds the entry of a case: mub (the Fourier basis), margin, none or no verdict."""
     if "not_found" in fx:
         return "none"
     if not fx["contextual"]:
         return "no verdict"
     state, povm, threshold = build(case)
     sha = fx["entry"]["basis_sha256"]
-    if any(_basis_sha256(u) == sha for u in _mubs(state.dim)):
+    if _basis_sha256(_fourier(state.dim)) == sha:
         return "mub"
     if any(_basis_sha256(u) == sha for u in np.linalg.eigh(witness._margins(state, povm, threshold))[1]):
         return "margin"

@@ -122,7 +122,12 @@ MUTANTS = (
         "np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))",
         "np.kron(np.asarray(b, dtype=complex), np.asarray(a, dtype=complex))",
     ),
-    ("core.qubit_mub_conjugated", "core.py", "np.diag([1.0, 1.0j]) @ f", "np.diag([1.0, -1.0j]) @ f"),
+    (
+        "core.fourier_unnormalized",
+        "core.py",
+        "np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d)",
+        "np.exp(2j * np.pi * np.outer(m, m) / d)",
+    ),
     ("core.povm_repeated_labels_pass", "core.py", "            if len(set(labels)) != n:", "            if len(set(labels)) > n:"),
     ("core.same_dim_first_only", "core.py", "    for m in measurements:", "    for m in measurements[:1]:"),
     ("core.same_dim_gt", "core.py", "        if m.dim != state.dim:", "        if m.dim > state.dim:"),
@@ -233,8 +238,8 @@ MUTANTS = (
     (
         "wit.lueders_one_sided",
         "witness.py",
-        "projector @ rho @ projector + comp @ rho @ comp",
-        "projector @ rho @ projector + comp @ rho",
+        "pa @ rho @ pa + comp @ rho @ comp",
+        "pa @ rho @ pa + comp @ rho",
     ),
     ("wit.disturbance_skips_first", "witness.py", "for pa in pvm.stack:", "for pa in pvm.stack[1:]:"),
     (

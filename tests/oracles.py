@@ -17,7 +17,9 @@ table-and-loop form, a full weak-value table per basis read one entry at a
 time, so the table-free scan can be pinned to it bit for bit.
 attaining_bases_stacked keeps the NCl attaining-basis build's former form,
 each step run once on a stack of matrices, so the one-matrix build can be
-pinned to its rows bit for bit.
+pinned to its rows bit for bit. unbiased_bases keeps the witness's former
+catalog of unbiased bases at prime d, so the tests can check that the
+margins' eigenbases find every entry it held beyond the Fourier basis.
 """
 
 import cmath
@@ -315,3 +317,22 @@ def attaining_bases_stacked(k_ops):
     eye = np.eye(d)
     h = 1j * np.linalg.solve(eye + y, eye - y)
     return np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))[1]
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def unbiased_bases(d):
+    """The bases mutually unbiased to the computational basis and to each other, at a prime d in PRIMES.
+
+    First the Fourier unitary F with F[j, k] = exp(2 pi i jk / d) / sqrt(d);
+    then, for d = 2, diag(1, i) F, and for odd d the quadratic-phase family
+    diag(exp(2 pi i k m^2 / d)) F for k = 1 ... d - 1.
+    """
+    if d not in PRIMES:
+        raise ValueError(f"d = {d} is not in {PRIMES}")
+    m = np.arange(d)
+    f = np.exp(2j * np.pi * np.outer(m, m) / d) / np.sqrt(d)
+    if d == 2:
+        return [f, np.diag([1.0, 1.0j]) @ f]
+    return [np.diag(np.exp(2j * np.pi * k * m * m / d)) @ f for k in range(d)]

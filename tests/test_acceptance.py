@@ -207,12 +207,16 @@ def test_criterion_8_witness():
             strange = abs(w.imag) > report.threshold or w.real < -report.threshold
             reverified = reverified and abs(w - entry.weak_value) <= 1e-9 and strange
 
+    # |0> under the X PVM: the Fourier basis at d = 2 is the X basis, where the weak values are real,
+    # so the entry comes from the margin eigenbasis, whose weak value 1/2 - i (sqrt(t^2 + 1/4) - t)
+    # is the fixture's (1 - i) / 2 at |y+> when t = 0 (see test_witness.py::test_witness_fixture)
     zero = kd.validate_density([[1, 0], [0, 0]])
     x_povm = kd.rank_one_pvm(HADAMARD)
     fixture = kd.contextuality_witness(zero, x_povm, kd.OptimizerConfig(n_restarts=2, seed=0))
+    t = fixture.threshold
     fixture_ok = (
         fixture.contextual
-        and abs(fixture.witness_entry.weak_value - complex(0.5, -0.5)) <= 1e-9
+        and abs(fixture.witness_entry.weak_value - complex(0.5, t - np.sqrt(t * t + 0.25))) <= 1e-9
     )
     ok = agree and reverified and fixture_ok
     _report(

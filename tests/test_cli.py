@@ -245,9 +245,16 @@ def test_witness_cli(capsys, fixtures, derived):
     code, out = _run(capsys, ["witness", fixtures["zero"], fixtures["xpovm"]])
     assert code == 0
     assert out["contextual"] is True
+    # the entry sits in a margin eigenbasis: the fixture's (1 - i) / 2 at |y+> tilted by the threshold t,
+    # 1/2 - i (sqrt(t^2 + 1/4) - t) (see test_witness.py::test_witness_fixture)
     fx = derived["weak_value_zero_xplus_yplus"]
+    t = out["threshold"]
     assert abs(out["witness"]["weak_value"][0] - fx[0]) < 1e-9
-    assert abs(out["witness"]["weak_value"][1] - fx[1]) < 1e-9
+    assert abs(out["witness"]["weak_value"][1] - (t - np.sqrt(t * t + 0.25))) < 1e-9
+    # the postselection vector is (i/4, (t - s) / 2) up to phase, with s = sqrt(t^2 + 1/4)
+    col = serialize.matrix_from_json(out["witness"]["basis"])[:, out["witness"]["b"]]
+    v = np.array([0.25j, 0.5 * (t - np.sqrt(t * t + 0.25))])
+    assert abs(abs(np.vdot(v / np.linalg.norm(v), col)) - 1.0) < 1e-9
 
     code, out = _run(capsys, ["witness", fixtures["diag34"], fixtures["zbasis"]])
     assert code == 0
@@ -402,13 +409,25 @@ def test_random_bad_dimension_exit_code(capsys):
             captured = capsys.readouterr()
             assert code == 2, (kind, d)
             assert captured.out == ""
-            assert captured.err == f"error: dimension must be >= 1, got {d}\n"
+            assert captured.err == f"error: --d must be >= 1, got {d}\n"
 
 
-def test_random_povm_without_outcomes_exit_code(capsys):
-    code = main(["random", "povm", "--d", "2", "--outcomes", "0"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["random", "povm", "--d", "2", "--outcomes", "0"], "--outcomes must be >= 1, got 0"),
+        (["random", "state", "--d", "3", "--rank", "4"], "--rank must be in [1, 3], got 4"),
+        (["random", "state", "--d", "3", "--rank", "0"], "--rank must be in [1, 3], got 0"),
+        (["random", "state", "--d", "0", "--rank", "1"], "--d must be >= 1, got 0"),
+        (["random", "povm", "--d", "0", "--outcomes", "0"], "--d must be >= 1, got 0"),
+    ],
+    ids=["outcomes_0", "rank_above_d", "rank_0", "d_0_before_rank", "d_0_before_outcomes"],
+)
+def test_random_povm_without_outcomes_exit_code(capsys, argv, message):
+    # each flag is named as the user wrote it; the library keeps its own parameter names
+    code = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", "error: --outcomes must be >= 1, got 0\n")
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

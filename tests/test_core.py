@@ -3,7 +3,7 @@ import pytest
 
 import kduncert as kd
 from kduncert import serialize
-from kduncert.core import _mubs, _pvm_unchecked
+from kduncert.core import _fourier, _pvm_unchecked
 from kduncert.optimize import _quantum_parts
 from conftest import PAULI_X, PAULI_Y
 
@@ -207,16 +207,15 @@ def test_dimension_gate_names_the_mismatched_measurement(fn, kinds, slot):
         with pytest.raises(kd.DimMismatchError, match=rf"^state dim {d} != measurement dim {other}$"):
             fn(state, *args)
 
-def test_mub_bases_unbiased():
-    for d in (2, 3, 5, 7):
-        bases = [np.eye(d)] + kd.mub_bases(d)
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                overlap = np.abs(bases[i].conj().T @ bases[j])
-                assert np.abs(overlap - 1 / np.sqrt(d)).max() < 1e-10
-    # composite d still yields a basis unbiased to the computational one
-    (f4,) = kd.mub_bases(4)
-    assert np.abs(np.abs(f4) - 0.5).max() < 1e-12
+def test_fourier_basis_is_cached_read_only_unitary_and_unbiased():
+    for d in range(1, 9):
+        f = _fourier(d)
+        assert _fourier(d) is f
+        assert not f.flags.writeable
+        assert f.shape == (d, d)
+        assert np.abs(f.conj().T @ f - np.eye(d)).max() < 1e-12
+        # unbiased to the computational basis: every entry has modulus 1 / sqrt(d)
+        assert np.abs(np.abs(f) - 1 / np.sqrt(d)).max() < 1e-12
 
 
 def test_immutability():
@@ -342,17 +341,3 @@ def test_rank_one_pvm_projectors_are_one_stack():
     assert isinstance(projs, np.ndarray) and projs.shape == (3, 3, 3)
     for b in range(3):
         assert np.array_equal(projs[b], np.outer(u[:, b], u[:, b].conj()))
-
-
-def test_mub_cache_is_read_only_and_public_bases_are_copies():
-    for d in (1, 2, 3, 4, 5):
-        cached = _mubs(d)
-        assert _mubs(d) is cached
-        assert all(not u.flags.writeable for u in cached)
-        public = kd.mub_bases(d)
-        assert len(public) == len(cached)
-        for u, c in zip(public, cached):
-            assert u.flags.writeable and u is not c
-            assert np.array_equal(u, c)
-            u[0, 0] = 7.0
-        assert all(np.array_equal(u, c) for u, c in zip(kd.mub_bases(d), cached))

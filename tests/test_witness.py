@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -9,9 +10,9 @@ import pytest
 import gen_witness_bits
 import kduncert as kd
 import kduncert.witness as witness_mod
-from kduncert.core import _mubs
+from kduncert.core import _fourier
 from conftest import HADAMARD, Y_BASIS
-from oracles import first_strange_loop
+from oracles import first_strange_loop, unbiased_bases
 
 
 def _x_povm():
@@ -108,18 +109,25 @@ def test_quantum_via_weak_values_commuting_zero():
 
 
 def test_witness_fixture(derived):
+    # At d = 2 the Fourier basis is the X basis, where these weak values are real, so the entry
+    # comes from the margin K_0 - t rho = [[-t, i/4], [-i/4, 0]] of effect 0. Its lower eigenvector
+    # v = (i/4, (t - s) / 2), with s = sqrt(t^2 + 1/4), holds w = 1/2 - i (s - t); at t = 0 that
+    # is |y+> and the fixture's weak value.
     zero = kd.validate_density([[1, 0], [0, 0]])
     report = kd.contextuality_witness(zero, _x_povm())
     assert report.contextual
     assert report.flavors_agree
     entry = report.witness_entry
+    t = report.threshold
+    s = math.sqrt(t * t + 0.25)
     fx = complex(*derived["weak_value_zero_xplus_yplus"])
-    assert entry.a == "0"
-    assert abs(entry.weak_value - fx) < 1e-9
-    # the reported postselection vector is |y+> up to phase
+    assert abs(fx - complex(0.5, -0.5)) < 1e-12
+    assert (entry.a, entry.b) == ("0", 0)
+    assert abs(entry.weak_value - complex(0.5, t - s)) < 1e-9
+    # the reported postselection vector is v up to phase
     col = entry.basis.basis_unitary[:, entry.b]
-    yplus = np.array([1.0, 1.0j]) / np.sqrt(2)
-    assert abs(abs(np.vdot(yplus, col)) - 1.0) < 1e-9
+    v = np.array([0.25j, 0.5 * (t - s)])
+    assert abs(abs(np.vdot(v / np.linalg.norm(v), col)) - 1.0) < 1e-9
 
 
 def test_witness_commuting_not_contextual():
@@ -216,19 +224,19 @@ def _log_calls(monkeypatch, names):
 
 
 def test_witness_builds_candidates_only_when_reached(monkeypatch):
-    # the scan reads no measurement basis: its catalog is the unbiased bases, then the margins
+    # the scan reads no measurement basis: its catalog is the Fourier basis, then the margins
     assert not hasattr(witness_mod, "_povm_basis")
     log = _log_calls(monkeypatch, ("_weak_value_parts", "_margins"))
     for d in (2, 3):
         state = kd.random_density(d, d, seed=730 + d)
         povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d))
         report = kd.contextuality_witness(state, povm)
-        # the first unbiased basis holds the entry, so no later candidate is built
-        assert np.array_equal(report.witness_entry.basis.basis_unitary, kd.mub_bases(d)[0])
+        # the Fourier basis holds the entry, so no later candidate is built
+        assert np.array_equal(report.witness_entry.basis.basis_unitary, _fourier(d))
         assert log == ["_weak_value_parts"]
         log.clear()
-    # the margin stack is built once, after every unbiased basis was scanned
-    for name, n_unbiased in (("d2-search-margin-povm3", 2), ("d2-search-margin-pvm", 2)):
+    # the margin stack is built once, after the Fourier basis was scanned
+    for name, n_unbiased in (("d2-search-margin-povm3", 1), ("d2-search-margin-pvm", 1)):
         state, povm, threshold = _search_case(name)
         kd.contextuality_witness(state, povm, threshold=threshold)
         at = log.index("_margins")
@@ -239,7 +247,7 @@ def test_witness_builds_candidates_only_when_reached(monkeypatch):
 
 
 def test_first_strange_matches_table_loop_oracle_bitwise():
-    # per basis and over each whole catalog: the unbiased bases, then the margins' eigenbases
+    # per basis and over each whole catalog: the Fourier basis, then the margins' eigenbases
     ends = {"hit": 0, "none": 0, "skipped": 0}
     for d in range(1, 9):
         for rank in sorted({1, d}):
@@ -252,7 +260,7 @@ def test_first_strange_matches_table_loop_oracle_bitwise():
             for povm in povms:
                 for t in (0.0, 1e-7, 0.05, 0.3):
                     margin_bases = list(np.linalg.eigh(witness_mod._margins(state, povm, t))[1])
-                    for catalog in (list(_mubs(d)), margin_bases):
+                    for catalog in ([_fourier(d)], margin_bases):
                         for unitaries in [catalog] + [[u] for u in catalog]:
                             got = witness_mod._first_strange(state, povm, unitaries, t)
                             want = first_strange_loop(
@@ -380,8 +388,8 @@ def test_witness_margin_sweep():
                     assert again == entry.weak_value
                     assert abs(again.imag) > t or again.real < -t
                     assert table.postselect_probs[entry.b] >= witness_mod._SCAN_PROB_MIN
-                    in_unbiased = any(np.array_equal(entry.basis.basis_unitary, u) for u in _mubs(d))
-                    ends["mub" if in_unbiased else "margin"] += 1
+                    in_fourier = np.array_equal(entry.basis.basis_unitary, _fourier(d))
+                    ends["mub" if in_fourier else "margin"] += 1
     # every end of the scan occurs in the sweep
     assert min(ends.values()) > 0, ends
 
@@ -393,9 +401,22 @@ def _holds_strange_entry(state, povm, u, threshold):
     return bool((np.abs(w.imag) > threshold).any() or (w.real < -threshold).any())
 
 
+def _assert_margin_entry(state, povm, report):
+    """The report's entry sits in an eigenbasis of the margins and re-verifies through weak_values."""
+    t = report.threshold
+    entry = report.witness_entry
+    margin_bases = np.linalg.eigh(witness_mod._margins(state, povm, t))[1]
+    assert any(np.array_equal(entry.basis.basis_unitary, u) for u in margin_bases)
+    table = kd.weak_values(state, povm, entry.basis)
+    again = complex(table.values[povm.labels.index(entry.a), entry.b])
+    assert again == entry.weak_value
+    assert abs(again.imag) > t or again.real < -t
+    assert table.postselect_probs[entry.b] >= witness_mod._SCAN_PROB_MIN
+
+
 def test_margins_cover_the_lifted_unbiased_bases():
-    # For a rank-1 PVM with basis V, the lifted bases V U (U unbiased) can hold a strange entry
-    # that the unbiased bases miss; the eigenbases of the positive margins then hold one too.
+    # For a rank-1 PVM with basis V, the lifted basis V F (F the Fourier basis) can hold a strange
+    # entry that F misses; the eigenbases of the positive margins then hold one too.
     lifted = 0
     for d in (2, 3, 4, 5):
         for t in (0.1, 0.3, 0.5):
@@ -404,24 +425,59 @@ def test_margins_cover_the_lifted_unbiased_bases():
                 state = kd.random_density(d, 1 + k % d, seed=seed)
                 v = kd.haar_random_unitary(d, seed=seed + 1)
                 povm = kd.rank_one_pvm(v)
-                if any(_holds_strange_entry(state, povm, u, t) for u in _mubs(d)):
+                if _holds_strange_entry(state, povm, _fourier(d), t):
                     continue
-                if not any(_holds_strange_entry(state, povm, v @ u, t) for u in _mubs(d)):
+                if not _holds_strange_entry(state, povm, v @ _fourier(d), t):
                     continue
                 # a lift holds a strange entry, so no certificate may deny one
                 report = kd.contextuality_witness(state, povm, threshold=t)
                 if not report.contextual:
                     continue
                 lifted += 1
-                entry = report.witness_entry
-                margin_bases = np.linalg.eigh(witness_mod._margins(state, povm, t))[1]
-                assert any(np.array_equal(entry.basis.basis_unitary, u) for u in margin_bases)
-                table = kd.weak_values(state, povm, entry.basis)
-                again = complex(table.values[povm.labels.index(entry.a), entry.b])
-                assert again == entry.weak_value
-                assert abs(again.imag) > t or again.real < -t
-                assert table.postselect_probs[entry.b] >= witness_mod._SCAN_PROB_MIN
+                _assert_margin_entry(state, povm, report)
     assert lifted >= 10, lifted
+
+
+def test_margins_cover_the_unbiased_bases_beyond_fourier():
+    # The unbiased bases that the witness no longer scans hold no entry the margins miss:
+    # whenever one holds a strange entry that the Fourier basis misses, the witness finds one
+    # in a margin eigenbasis.
+    beyond = 0
+    for d in (2, 3, 5, 7):
+        catalog = unbiased_bases(d)
+        assert np.array_equal(catalog[0], _fourier(d))
+        for t in (0.05, 0.1, 0.3):
+            for k in range(24):
+                seed = 50_000 + 1000 * d + 100 * round(20 * t) + k
+                state = kd.random_density(d, 1 + k % d, seed=seed)
+                if k % 2:
+                    povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=seed + 1))
+                else:
+                    povm = kd.random_povm(d, 3, seed=seed + 1)
+                if _holds_strange_entry(state, povm, catalog[0], t):
+                    continue
+                if not any(_holds_strange_entry(state, povm, u, t) for u in catalog[1:]):
+                    continue
+                report = kd.contextuality_witness(state, povm, threshold=t)
+                if not report.contextual:
+                    continue
+                beyond += 1
+                _assert_margin_entry(state, povm, report)
+    assert beyond >= 10, beyond
+
+
+def test_zero_state_under_the_fourier_pvm_ends_in_a_margin_eigenbasis():
+    # |0> postselected on a Fourier column gives real, non-negative weak values of the Fourier
+    # projectors, so the Fourier basis holds no strange entry and the margins must supply one.
+    for d in range(2, 9):
+        zero = np.zeros((d, d))
+        zero[0, 0] = 1.0
+        state = kd.validate_density(zero)
+        povm = kd.rank_one_pvm(_fourier(d))
+        assert not _holds_strange_entry(state, povm, _fourier(d), witness_mod.DEFAULT_THRESHOLD)
+        report = kd.contextuality_witness(state, povm)
+        assert report.contextual, d
+        _assert_margin_entry(state, povm, report)
 
 
 def _commuting_pair(d, rank, seed, rank_one):
