@@ -207,15 +207,30 @@ def test_dimension_gate_names_the_mismatched_measurement(fn, kinds, slot):
         with pytest.raises(kd.DimMismatchError, match=rf"^state dim {d} != measurement dim {other}$"):
             fn(state, *args)
 
-def test_fourier_basis_is_cached_read_only_unitary_and_unbiased():
+def test_mub_bases_unbiased():
+    # the Fourier basis and the computational basis are a pair of mutually unbiased bases
+    for d in range(1, 9):
+        f = _fourier(d)
+        assert f.shape == (d, d)
+        assert np.abs(f.conj().T @ f - np.eye(d)).max() < 1e-12
+        # every entry has modulus 1 / sqrt(d)
+        assert np.abs(np.abs(f) - 1 / np.sqrt(d)).max() < 1e-12
+
+
+def test_mub_cache_is_read_only_and_public_bases_are_copies():
     for d in range(1, 9):
         f = _fourier(d)
         assert _fourier(d) is f
         assert not f.flags.writeable
-        assert f.shape == (d, d)
-        assert np.abs(f.conj().T @ f - np.eye(d)).max() < 1e-12
-        # unbiased to the computational basis: every entry has modulus 1 / sqrt(d)
-        assert np.abs(np.abs(f) - 1 / np.sqrt(d)).max() < 1e-12
+        with pytest.raises(ValueError):
+            f[0, 0] = 7.0
+    # the basis a witness entry carries holds the cached bits and is read-only too
+    for d in (2, 3):
+        state = kd.random_density(d, d, seed=730 + d)
+        povm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=740 + d))
+        u = kd.contextuality_witness(state, povm).witness_entry.basis.basis_unitary
+        assert np.array_equal(u, _fourier(d))
+        assert not u.flags.writeable
 
 
 def test_immutability():
