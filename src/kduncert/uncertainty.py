@@ -22,7 +22,7 @@ from .optimize import SupremumResult, quantum_nonclassicality, quantum_nonrealit
 
 PROB_ATOL = 1e-9
 # Both commutator bounds scan all 2^(d-1) sign corners; at d = 14 the
-# asymmetry stack takes about 0.3 s, and each step up doubles it.
+# asymmetry stack takes about 0.2 s (the relation bound 1 ms), and each step up doubles it.
 CORNER_SCAN_MAX_DIM = 14
 _CORNER_CHUNK = 1024
 

@@ -9,8 +9,9 @@ src/kduncert/<file>, whose old_text occurs there exactly once. The script
 copies src/, tests/, perfbench/ and pyproject.toml of this checkout into a
 temporary directory once. pyproject.toml makes pytest import the copy's own
 src, and tests/test_lint.py reads perfbench/. For the unmutated copy and
-then for each mutant it makes a fresh copy of that snapshot, applies the
-substitution, and runs inside it, each with a timeout of TIMEOUT_S:
+then for each mutant it makes a fresh copy of that snapshot in a directory
+of its own, applies the substitution, and runs inside it, each with a
+timeout of TIMEOUT_S:
 - the tier-1 command, python -m pytest -q --continue-on-collection-errors,
   with the copy's src on PYTHONPATH, less GUARD: that test checks this
   list against the source, so it would fail on every mutant;
@@ -19,13 +20,18 @@ substitution, and runs inside it, each with a timeout of TIMEOUT_S:
 
 A tier-1 test kills a mutant when it fails on the mutant and passes on the
 unmutated copy; a collection error or a timeout counts as a kill and is
-labelled so. A selftest property kills it when it fails or raises. Every
-property kill is also a kill by criterion 6, which runs the whole selftest,
-so the properties tell which check inside criterion 6 fired. The report
-lists the killers of each mutant, the mutants that only one tier-1 test
-kills, the selftest properties that no mutant kills, the surviving mutants
-and the kill rate. Nothing in the checkout is written. Each mutant costs
-one tier-1 run, 12-25 s on 2 vCPUs.
+labelled so. A selftest property kills it when it fails; run_selftest
+reports a property that raises as failed, and the report labels it
+"(raised <Type>)". Every property kill is also a kill by criterion 6,
+which runs the whole selftest, so the properties tell which check inside
+criterion 6 fired. The report lists the killers of each mutant, the
+mutants that only one tier-1 test kills, the selftest properties that no
+mutant kills, the surviving mutants and the kill rate. Nothing in the
+checkout is written.
+
+The copies run in parallel, one worker per CPU in os.sched_getaffinity(0),
+each child with one BLAS and OpenMP thread; the report keeps the order of
+MUTANTS. Each mutant costs one tier-1 run, about 13 s of one CPU.
 Not collected by pytest; tests/test_lint.py checks that every mutant
 still applies to the current source.
 """
@@ -38,11 +44,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src") / "kduncert"
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 TIMEOUT_S = 300
+WORKERS = len(os.sched_getaffinity(0))
+ONE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 GUARD = "tests/test_lint.py::test_every_mutant_applies"
 TIER1 = (
     "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--tb=no", "-rfE",
@@ -51,19 +60,11 @@ TIER1 = (
 SELFTEST = """
 import json
 from kduncert import selftest
-args = dict(dims=(2, 3, 4), samples=10, seed=0)
-try:
-    failed = [r.name for r in selftest.run_selftest(**args)[1] if not r.ok]
-except Exception as exc:
-    failed = []
-    for name, fn in selftest.PROPERTIES:
-        try:
-            fn(args["dims"], args["samples"], args["seed"])
-        except selftest.PropertyFailure:
-            failed.append(name)
-        except Exception as e:
-            failed.append(f"{name} (raised {type(e).__name__})")
-    failed = failed or [f"run_selftest (raised {type(exc).__name__})"]
+failed = []
+for r in selftest.run_selftest(dims=(2, 3, 4), samples=10, seed=0)[1]:
+    if not r.ok:
+        raised = r.detail.startswith("raised ")
+        failed.append(f"{r.name} (raised {r.detail[7:].split(':', 1)[0]})" if raised else r.name)
 print(json.dumps(failed))
 """
 PROPERTY_NAMES = """
@@ -152,12 +153,15 @@ MUTANTS = (
         "return 0.0 if -NONCLASSICALITY_CLAMP <= v < 0.0 else v",
         "return 0.0 if abs(v) <= NONCLASSICALITY_CLAMP else v",
     ),
+    # kd.johansen_pb_pa_rho_pa is retired: the loop oracle's own form of the projected term, it moves only roundoff
+    # kd.commuting_real, folded into unc.commuting_entirely_classical: rho^T for rho^dag
+    ("kd.table_rho_transposed", "kdtable.py", "ma_rho = first.stack @ state.matrix", "ma_rho = first.stack @ state.matrix.T"),
+    # kd.nonclassicality_nonneg, folded into kd.marginals: the mean modulus for the sum, a total below zero
     (
-        "kd.johansen_pb_pa_rho_pa",
+        "kd.nonclassicality_mean",
         "kdtable.py",
-        "    projected = np.abs(overlap) ** 2 * r[:, None]",
-        "    projected = np.array([[np.trace(pb @ (pa @ state.matrix @ pa)).real for pb in second.stack]"
-        " for pa in first.stack])",
+        "float(np.abs(t.values).sum()) - 1.0",
+        "float(np.abs(t.values).mean()) - 1.0",
     ),
     # optimize.py
     (
@@ -191,6 +195,32 @@ MUTANTS = (
         "    return sum(0.5 * t for t in norms[:n]), _ncl_total(norms[n:])",
         "    return math.fsum(0.5 * t for t in norms[:n]), _ncl_total(norms[n:])",
     ),
+    # opt.nre_variational_agreement, folded into opt.variational_trace_norm: the Cayley step without its
+    # rotation, singular when X has -1 in its spectrum, as for K = -I
+    (
+        "opt.cayley_no_rotation",
+        "optimize.py",
+        "y = x * np.exp(1j * (math.pi - phases[i] - 0.5 * gaps[i]))",
+        "y = x",
+    ),
+    # opt.mixing_convexity: the NCl part's operands swapped, so the part is concave
+    (
+        "opt.ncl_one_minus_sum",
+        "optimize.py",
+        "_clamp_nonclassicality(sum(norms) - 1.0)",
+        "_clamp_nonclassicality(1.0 - sum(norms))",
+    ),
+    # unc.quantum_bounded_by_total: the 1/2 of [M^a, rho] / 2i dropped
+    (
+        "opt.nre_unhalved",
+        "optimize.py",
+        "return sum(0.5 * t for t in _trace_norms(m @ rho - rho @ m).tolist())",
+        "return sum(t for t in _trace_norms(m @ rho - rho @ m).tolist())",
+    ),
+    # unc.commuting_entirely_classical: a conjugation slip in the commutator
+    ("opt.nre_commutator_conj", "optimize.py", "_trace_norms(m @ rho - rho @ m)", "_trace_norms(m @ rho - rho.conj() @ m)"),
+    # unc.decomposition_covariance: (M^a rho)^dag taken as the transpose, covariant under real unitaries only
+    ("opt.parts_adjoint_as_transpose", "optimize.py", "m_rho - rho @ m", "m_rho - m_rho.transpose(0, 2, 1)"),
     # uncertainty.py
     (
         "unc.coarse_grain_all_into_block0",
@@ -206,6 +236,31 @@ MUTANTS = (
     ),
     ("unc.decompose_classical_minus_2q", "uncertainty.py", "classical=total - quantum,", "classical=total - 2.0 * quantum,"),
     ("unc.s_entropy_one_minus_p", "uncertainty.py", "math.sqrt(x * sum(p[:a] + p[a + 1:]))", "math.sqrt(x * (1.0 - x))"),
+    # opt.coarsegrain_monotone: each block's first effect added again in place of the rest of the block
+    (
+        "unc.coarse_grain_first_again",
+        "uncertainty.py",
+        "povm.stack[[i for block in blocks for i in block[1:]]]",
+        "povm.stack[[i for block in blocks for i in block[:1]]]",
+    ),
+    # unc.classical_concavity: the classical part's sign slip
+    ("unc.decompose_classical_plus_q", "uncertainty.py", "classical=total - quantum,", "classical=total + quantum,"),
+    # unc.permutation_invariance: 1 - p_a summed without the next outcome, a total that follows the effect order
+    ("unc.s_entropy_skips_next", "uncertainty.py", "sum(p[:a] + p[a + 1:])", "sum(p[:a] + p[a + 2:])"),
+    # unc.maximal_trichotomy: sqrt(p_a) (1 - p_a) for sqrt(p_a (1 - p_a))
+    (
+        "unc.s_entropy_sqrt_misplaced",
+        "uncertainty.py",
+        "math.sqrt(x * sum(p[:a] + p[a + 1:]))",
+        "math.sqrt(x) * sum(p[:a] + p[a + 1:])",
+    ),
+    # unc.tsallis_relation, folded into unc.maximal_trichotomy: t_entropy takes the NRe flavor
+    (
+        "unc.t_entropy_nre_flavor",
+        "uncertainty.py",
+        "return _entropy(_check_probs(probs), Flavor.NCL)",
+        "return _entropy(_check_probs(probs), Flavor.NRE)",
+    ),
     ("unc.infimum_check_off", "uncertainty.py", "    if quant > 1e-9:", "    if quant > 1e9:"),
     ("unc.asymmetry_unhalved", "uncertainty.py", "    return 0.5 * best", "    return best"),
     (
@@ -242,6 +297,13 @@ MUTANTS = (
         "pa @ rho @ pa + comp @ rho",
     ),
     ("wit.disturbance_skips_first", "witness.py", "for pa in pvm.stack:", "for pa in pvm.stack[1:]:"),
+    # wit.contextuality_consistency: the scan reports the numerator <b|M^a rho|b> as the weak value
+    (
+        "wit.scan_undivided",
+        "witness.py",
+        "rows = (numer / np.maximum(probs, _SCAN_PROB_MIN)).tolist()",
+        "rows = numer.tolist()",
+    ),
     (
         "wit.agree_at_threshold",
         "witness.py",
@@ -305,7 +367,7 @@ def check_mutants() -> list:
 
 def _run(argv, cwd):
     """The finished process, or None on timeout; the copy's src goes first on PYTHONPATH."""
-    env = dict(os.environ)
+    env = dict(os.environ, **ONE_THREAD)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(cwd / "src"), os.environ.get("PYTHONPATH")) if p)
     try:
         return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
@@ -340,9 +402,10 @@ def _selftest(copy) -> set:
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
-def _kills(snapshot, work, mutant) -> tuple:
-    """(tier-1 failures, selftest failures, pytest summary) of a fresh copy of snapshot with mutant applied (None: unmutated)."""
-    copy = work / "run"
+def _kills(snapshot, work, index, mutant) -> tuple:
+    """(tier-1 failures, selftest failures, pytest summary, seconds) of a fresh copy of snapshot, run-<index>, with mutant applied (None: unmutated)."""
+    t0 = time.time()
+    copy = work / f"run-{index}"
     shutil.copytree(snapshot, copy)
     try:
         if mutant is not None:
@@ -350,7 +413,7 @@ def _kills(snapshot, work, mutant) -> tuple:
             path = copy / PACKAGE / file
             path.write_text(path.read_text().replace(old, new, 1))
         tier1, summary = _tier1(copy)
-        return tier1, _selftest(copy), summary
+        return tier1, _selftest(copy), summary, time.time() - t0
     finally:
         shutil.rmtree(copy)
 
@@ -374,25 +437,26 @@ def main() -> int:
                 shutil.copy2(src, snapshot / name)
 
         properties = json.loads(_run([sys.executable, "-c", PROPERTY_NAMES], snapshot).stdout)
-        base_tier1, base_selftest, summary = _kills(snapshot, work, None)
-        print(f"unmutated copy: tier-1 {summary}; selftest failures: {sorted(base_selftest) or 'none'}")
-        if base_tier1:
-            print("tier-1 checks failing without a mutant, left out of every kill set:")
-            for node in sorted(base_tier1):
-                print(f"  {node}")
+        with ThreadPoolExecutor(WORKERS) as pool:
+            # map runs the copies in parallel and yields them in MUTANTS order, the unmutated copy first
+            runs = pool.map(lambda job: _kills(snapshot, work, *job), enumerate((None, *MUTANTS)))
+            base_tier1, base_selftest, summary, _ = next(runs)
+            print(f"unmutated copy: tier-1 {summary}; selftest failures: {sorted(base_selftest) or 'none'}")
+            if base_tier1:
+                print("tier-1 checks failing without a mutant, left out of every kill set:")
+                for node in sorted(base_tier1):
+                    print(f"  {node}")
 
-        results = []
-        for i, mutant in enumerate(MUTANTS, 1):
-            t0 = time.time()
-            tier1, props, _ = _kills(snapshot, work, mutant)
-            tier1 -= base_tier1
-            props -= base_selftest
-            results.append((mutant, sorted(tier1), sorted(props)))
-            print(
-                f"[{i:2d}/{len(MUTANTS)}] {mutant[0]:34s} {len(tier1):3d} tier-1, {len(props):2d} selftest"
-                f"  ({time.time() - t0:.0f} s)",
-                flush=True,
-            )
+            results = []
+            for i, (mutant, (tier1, props, _, seconds)) in enumerate(zip(MUTANTS, runs), 1):
+                tier1 -= base_tier1
+                props -= base_selftest
+                results.append((mutant, sorted(tier1), sorted(props)))
+                print(
+                    f"[{i:2d}/{len(MUTANTS)}] {mutant[0]:34s} {len(tier1):3d} tier-1, {len(props):2d} selftest"
+                    f"  ({seconds:.0f} s)",
+                    flush=True,
+                )
 
     print("\nkill table (mutant, file: tier-1 killers | selftest properties)")
     for (name, file, _, _), tier1, props in results:

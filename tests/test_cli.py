@@ -640,13 +640,10 @@ def test_selftest_smoke_and_injection(capsys, monkeypatch):
     assert {r["name"] for r in out["results"]} == {
         "core.partial_trace_tensor",
         "kd.marginals",
-        "kd.commuting_real",
-        "kd.nonclassicality_nonneg",
         "kd.diagonal_eigenvalues",
         "kd.johansen_reconstruction",
         "opt.variational_trace_norm",
         "opt.mixing_convexity",
-        "opt.nre_variational_agreement",
         "opt.partial_access_monotone",
         "opt.coarsegrain_monotone",
         "opt.ncl_attaining_basis",
@@ -658,7 +655,6 @@ def test_selftest_smoke_and_injection(capsys, monkeypatch):
         "unc.maximal_trichotomy",
         "unc.coherence_faithfulness",
         "unc.infimum_impurity",
-        "unc.tsallis_relation",
         "unc.asymmetry_bound",
         "unc.entropic_relation",
         "wit.factorization",
@@ -666,7 +662,7 @@ def test_selftest_smoke_and_injection(capsys, monkeypatch):
         "wit.contextuality_consistency",
         "wit.disturbance_identity",
     }
-    assert len(out["results"]) == 27
+    assert len(out["results"]) == 23
 
     def broken(dims, samples, seed):
         raise selftest.PropertyFailure("injected failure")
@@ -683,6 +679,34 @@ def test_selftest_smoke_and_injection(capsys, monkeypatch):
     assert out["passed"] is False
     assert "kd.marginals" in out["failed"]
     assert "FAIL kd.marginals" in captured.err
+
+
+def test_selftest_property_that_raises_is_a_fail_row(capsys, monkeypatch):
+    original = selftest.PROPERTIES
+
+    def with_raising(exc):
+        def prop(dims, samples, seed):
+            raise exc
+
+        return tuple((name, prop if name == "opt.variational_trace_norm" else fn) for name, fn in original)
+
+    monkeypatch.setattr(selftest, "PROPERTIES", with_raising(np.linalg.LinAlgError("SVD did not converge")))
+    code = main(["selftest", "--dims", "2", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    out = json.loads(captured.out)
+    assert "opt.variational_trace_norm" in out["failed"]
+    assert [r["name"] for r in out["results"]] == [name for name, _ in original]
+    assert "FAIL opt.variational_trace_norm: raised LinAlgError: SVD did not converge\n" in captured.err
+    assert captured.err.count("\n") == len(original)
+
+    # running out of memory is no property's failure: the run ends as every subcommand's does
+    monkeypatch.setattr(selftest, "PROPERTIES", with_raising(MemoryError("Unable to allocate 8.00 EiB")))
+    code = main(["selftest", "--dims", "2", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 8.00 EiB\n"
 
 
 def test_selftest_bad_dims_exit_code(capsys):

@@ -106,6 +106,15 @@ def test_haar_random_unitary():
     assert np.abs(np.linalg.norm(u, axis=0) - 1.0).max() < 1e-10
     again = kd.haar_random_unitary(4, seed=9)
     assert np.array_equal(u, again)
+    # U is the unique QR factor of the Ginibre draw Z: U^dag Z is upper triangular with a real, positive
+    # diagonal (plain QR leaves phases on that diagonal)
+    for d in range(2, 7):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            r = kd.haar_random_unitary(d, seed=seed).conj().T @ z
+            assert np.abs(np.tril(r, -1)).max() < 1e-12, (d, seed)
+            assert np.abs(np.diag(r).imag).max() < 1e-12 and np.diag(r).real.min() > 0.0, (d, seed)
 
 
 def test_random_density():

@@ -70,6 +70,9 @@ def test_nonclassicality_clamps_roundoff():
     rho = kd.validate_density(np.eye(2) / 2)
     t = kd.kd_table(rho, _z_pvm(), _z_pvm())
     assert kd.table_nonclassicality(t) >= 0.0
+    # only roundoff below zero is clamped: a table 5e-10 above a distribution reads 5e-10
+    above = kd.KdTable(values=np.array([[1.0 + 2.5e-10, -2.5e-10]]))
+    assert abs(kd.table_nonclassicality(above) - 5e-10) < 1e-15
 
 
 def test_diagonal_state_table_equals_eigenvalues():

@@ -249,5 +249,8 @@ def test_quantum_parts_bit_exact():
                 seed += 1
                 rho = kd.random_density(d, rank, seed=seed)
                 for povm in (kd.random_povm(d, n, seed=1000 + seed), _haar_pvm(d, 2000 + seed)):
-                    expected = (kd.quantum_nonreality(rho, povm), kd.quantum_nonclassicality(rho, povm).value)
-                    assert _quantum_parts(rho, povm) == expected, (d, rank, n)
+                    ncl = kd.quantum_nonclassicality(rho, povm)
+                    assert _quantum_parts(rho, povm) == (kd.quantum_nonreality(rho, povm), ncl.value), (d, rank, n)
+                    # the per-effect values summed in effect order, then the clamp of roundoff below zero
+                    total = sum(ncl.per_effect_values) - 1.0
+                    assert ncl.value == (0.0 if -1e-9 <= total < 0.0 else total), (d, rank, n)
