@@ -546,26 +546,37 @@ def prop_weak_value_integrands(dims, samples, seed):
     return f"worst integrand residual {worst:.2e}"
 
 
+def _off_fourier_state(d, rng) -> DensityMatrix:
+    """A random state orthogonal to the Fourier basis's column 0, the all-ones vector: Q sigma Q / Tr with Q = I - J/d."""
+    q = np.eye(d) - np.full((d, d), 1.0 / d)
+    m = q @ _rand_state(d, rng).matrix @ q
+    return validate_density(m / np.trace(m).real)
+
+
 def prop_witness_consistency(dims, samples, seed):
     checked = 0
     for i, d, rng in _draws(seed, 62, dims, samples):
         if i % 2 == 0:
-            rho, povm = _commuting_pair(d, rng)
+            pairs = [_commuting_pair(d, rng)]
         else:
-            rho, povm = _rand_state(d, rng), random_povm(d, 2, rng)
-        report = contextuality_witness(rho, povm)
-        _require(report.flavors_agree, "NRe and NCl channels disagreed")
-        if report.contextual:
-            entry = report.witness_entry
-            table = weak_values(rho, povm, entry.basis)
-            a_idx = povm.labels.index(entry.a)
-            again = complex(table.values[a_idx, entry.b])
-            _require(abs(again - entry.weak_value) <= 1e-9, "witness entry not reproducible")
-            _require(
-                abs(again.imag) > report.threshold or again.real < -report.threshold,
-                "witness entry not strange",
-            )
-        checked += 1
+            pairs = [(_rand_state(d, rng), random_povm(d, 2, rng))]
+        if d >= 3:
+            # Pr(column 0) = 0, so the scan's entry sits in a column that, unlike column 0, is complex
+            pairs.append((_off_fourier_state(d, rng), random_povm(d, 2, rng)))
+        for rho, povm in pairs:
+            report = contextuality_witness(rho, povm)
+            _require(report.flavors_agree, "NRe and NCl channels disagreed")
+            if report.contextual:
+                entry = report.witness_entry
+                table = weak_values(rho, povm, entry.basis)
+                a_idx = povm.labels.index(entry.a)
+                again = complex(table.values[a_idx, entry.b])
+                _require(abs(again - entry.weak_value) <= 1e-9, "witness entry not reproducible")
+                _require(
+                    abs(again.imag) > report.threshold or again.real < -report.threshold,
+                    "witness entry not strange",
+                )
+            checked += 1
     return f"{checked} instances, channels agree and witnesses re-verify"
 
 

@@ -1,10 +1,10 @@
 """JSON wire formats for every public object.
 
-Complex numbers are always [re, im] pairs and floats are emitted with 17
-significant digits, so identical inputs produce byte-identical files and
-every float reads back with its value, but not always with its type or
-sign: .17g writes 1.0 as `1` and -0.0 as `-0`, which json.loads reads as
-the integers 1 and 0, so a negative zero comes back as +0.
+Complex numbers are always [re, im] pairs. dumps is json.dumps, so every
+float is written as its repr, the shortest string that reads back to the
+same double: 1.0 as `1.0`, -0.0 as `-0.0` and 0.1 as `0.1`. json.loads
+reads each back with its value, its type and its sign, and identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,50 +21,23 @@ from .uncertainty import Decomposition, Flavor
 from .witness import WitnessReport
 
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValidationError(f"non-finite float {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+def _number(x):
+    """json.dumps's hook for what it cannot write: a numpy integer or floating scalar as its Python number."""
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    raise ValidationError(f"cannot serialize {type(x).__name__}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON emitter (insertion-ordered keys, .17g floats)."""
-    out = []
-    _emit(obj, out)
-    return "".join(out)
-
-
-def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    """json.dumps with insertion-ordered keys and shortest round-trip floats; a non-finite float is a ValidationError."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=_number)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:  # a key that is not a str or a number, or a non-finite float
+        raise ValidationError(f"cannot serialize: {exc}") from exc
 
 
 def _require(obj, key, kind, where):

@@ -1,8 +1,12 @@
 """Mutation harness: which tier-1 tests and selftest properties kill each of a fixed list of mutants.
 
-Run it with no arguments from any directory:
+Run it from any directory, with no arguments for every mutant, or with
+mutant names to run only those (and the unmutated copy):
 
     python tests/mutants.py
+    python tests/mutants.py ser.allow_nan wit.conjugate_basis
+
+An unknown name is an error (exit 2) and runs nothing.
 
 Each mutant is (name, file, old_text, new_text): one text substitution in
 src/kduncert/<file>, whose old_text occurs there exactly once. The script
@@ -26,8 +30,8 @@ reports a property that raises as failed, and the report labels it
 which runs the whole selftest, so the properties tell which check inside
 criterion 6 fired. The report lists the killers of each mutant, the
 mutants that only one tier-1 test kills, the selftest properties that no
-mutant kills, the surviving mutants and the kill rate. Nothing in the
-checkout is written.
+mutant kills (only when every mutant ran), the surviving mutants and the
+kill rate. Nothing in the checkout is written.
 
 The copies run in parallel, one worker per CPU in os.sched_getaffinity(0),
 each child with one BLAS and OpenMP thread; the report keeps the order of
@@ -304,6 +308,8 @@ MUTANTS = (
         "rows = (numer / np.maximum(probs, _SCAN_PROB_MIN)).tolist()",
         "rows = numer.tolist()",
     ),
+    # wit.contextuality_consistency: the entry's basis reported conjugated, which only a complex column shows
+    ("wit.conjugate_basis", "witness.py", "basis=_pvm_unchecked(u))", "basis=_pvm_unchecked(u.conj()))"),
     (
         "wit.agree_at_threshold",
         "witness.py",
@@ -311,7 +317,7 @@ MUTANTS = (
         "agree = (nre > threshold) == (ncl > threshold)",
     ),
     # serialize.py
-    ("ser.sixteen_digits", "serialize.py", 'format(float(x), ".17g")', 'format(float(x), ".16g")'),
+    ("ser.allow_nan", "serialize.py", "allow_nan=False", "allow_nan=True"),
     (
         "ser.kdtable_transposed",
         "serialize.py",
@@ -418,11 +424,16 @@ def _kills(snapshot, work, index, mutant) -> tuple:
         shutil.rmtree(copy)
 
 
-def main() -> int:
+def main(names) -> int:
     problems = check_mutants()
     if problems:
         print("mutants that do not apply:\n  " + "\n  ".join(problems))
         return 1
+    unknown = sorted(set(names) - {m[0] for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
     start = time.time()
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", "_work")
     with tempfile.TemporaryDirectory(prefix="kduncert-mutants-") as tmp:
@@ -439,7 +450,7 @@ def main() -> int:
         properties = json.loads(_run([sys.executable, "-c", PROPERTY_NAMES], snapshot).stdout)
         with ThreadPoolExecutor(WORKERS) as pool:
             # map runs the copies in parallel and yields them in MUTANTS order, the unmutated copy first
-            runs = pool.map(lambda job: _kills(snapshot, work, *job), enumerate((None, *MUTANTS)))
+            runs = pool.map(lambda job: _kills(snapshot, work, *job), enumerate((None, *chosen)))
             base_tier1, base_selftest, summary, _ = next(runs)
             print(f"unmutated copy: tier-1 {summary}; selftest failures: {sorted(base_selftest) or 'none'}")
             if base_tier1:
@@ -448,12 +459,12 @@ def main() -> int:
                     print(f"  {node}")
 
             results = []
-            for i, (mutant, (tier1, props, _, seconds)) in enumerate(zip(MUTANTS, runs), 1):
+            for i, (mutant, (tier1, props, _, seconds)) in enumerate(zip(chosen, runs), 1):
                 tier1 -= base_tier1
                 props -= base_selftest
                 results.append((mutant, sorted(tier1), sorted(props)))
                 print(
-                    f"[{i:2d}/{len(MUTANTS)}] {mutant[0]:34s} {len(tier1):3d} tier-1, {len(props):2d} selftest"
+                    f"[{i:2d}/{len(chosen)}] {mutant[0]:34s} {len(tier1):3d} tier-1, {len(props):2d} selftest"
                     f"  ({seconds:.0f} s)",
                     flush=True,
                 )
@@ -471,9 +482,10 @@ def main() -> int:
     if not sole:
         print("  none")
 
-    killers = {prop.split(" ")[0] for _, _, props in results for prop in props}
-    idle = [name for name in properties if name not in killers]
-    print(f"\nselftest properties that no mutant kills: {', '.join(idle) or 'none'}")
+    if not names:  # a named subset leaves most properties unkilled, so the list would say nothing
+        killers = {prop.split(" ")[0] for _, _, props in results for prop in props}
+        idle = [name for name in properties if name not in killers]
+        print(f"\nselftest properties that no mutant kills: {', '.join(idle) or 'none'}")
 
     survivors = [m[0] for m, tier1, props in results if not tier1 and not props]
     killed = len(results) - len(survivors)
@@ -486,4 +498,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

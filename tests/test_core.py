@@ -331,7 +331,7 @@ def test_rank_one_pvm_builds_its_read_only_stack_on_first_read():
 
 def test_rank_one_pvm_reads_as_its_projector_povm():
     # every function that takes a POVM gives the same bits for a rank-1 PVM and for
-    # the validated POVM of its projector stack; .17g JSON round-trips each float exactly
+    # the validated POVM of its projector stack; the JSON's shortest round-trip floats keep every bit
     for d in range(1, 9):
         pvm = kd.rank_one_pvm(kd.haar_random_unitary(d, seed=2600 + d))
         povm = kd.validate_povm(pvm.stack)

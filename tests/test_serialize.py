@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,14 +19,30 @@ def test_matrix_round_trip():
 
 
 def test_float_formatting_round_trips():
-    values = [1 / 3, np.sqrt(2) - 1, 1e-17, 123456.789]
-    text = serialize.dumps(values)
-    assert json.loads(text) == values
+    values = [1 / 3, np.sqrt(2) - 1, 1e-17, 123456.789, 5e-324, 1e300, 1.0, -0.0]
+    back = json.loads(serialize.dumps(values))
+    assert back == values
+    assert all(type(x) is float for x in back)
+    assert math.copysign(1.0, back[-1]) == -1.0
+    assert serialize.dumps([0.1, 1.0, -0.0]) == "[0.1, 1.0, -0.0]"
+
+
+class _Half(float):
+    pass
 
 
 def test_dumps_rejects_non_finite():
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(kd.ValidationError):
+            serialize.dumps(x)
     with pytest.raises(kd.ValidationError):
-        serialize.dumps(float("nan"))
+        serialize.dumps({"a": [np.float64("inf")]})
+    # numpy scalars and float subclasses are numbers; an array is not
+    assert serialize.dumps([np.float32(0.5), np.int64(7), _Half(0.5), np.float64(0.1)]) == "[0.5, 7, 0.5, 0.1]"
+    with pytest.raises(kd.ValidationError, match="cannot serialize ndarray"):
+        serialize.dumps({"m": np.zeros(2)})
+    with pytest.raises(kd.ValidationError, match="keys must be"):
+        serialize.dumps({(0, 1): 1.0})
 
 
 def test_povm_round_trip():
