@@ -1,11 +1,12 @@
 """Command-line front end: JSON in, JSON out, deterministic under a fixed seed.
 
-Exit codes: 0 success, 1 selftest failure, 2 validation error, 3 dimension
-mismatch, 4 no witness, 5 internal check failure (any other KdUncertError);
-argparse's own usage errors, such as an unknown flag, and a MemoryError
-from a subcommand also exit 2. Exit 4's message states the witness's
-largest margin, and a margin <= 0 certifies that no postselection basis
-holds a weak value strange at the threshold.
+Exit codes: 0 success, 1 selftest failure, and for a KdUncertError its
+class's exit_code (kduncert.errors), after one "error: ..." line on stderr:
+2 validation error, 3 dimension mismatch, 4 no witness, 5 internal check
+failure. argparse's own usage errors, such as an unknown flag, and a
+MemoryError from a subcommand also exit 2. Exit 4's message states the
+witness's largest margin, and a margin <= 0 certifies that no
+postselection basis holds a weak value strange at the threshold.
 Only random and selftest take a seed, --seed, whose default is 0; a
 negative seed is a validation error. No environment variable is read, so
 stdout depends only on the argv and the input files.
@@ -19,7 +20,7 @@ import sys
 
 from . import serialize
 from .core import RankOnePvm, _povm_basis, _pvm_unchecked, haar_random_unitary, random_density, random_povm
-from .errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
+from .errors import KdUncertError, ValidationError
 from .kdtable import kd_table, table_nonclassicality, table_nonreality
 from .uncertainty import (
     Flavor, bound_asymmetry, decompose, infimum_total, total_uncertainty, uncertainty_relation_bound,
@@ -28,10 +29,6 @@ from .witness import DEFAULT_THRESHOLD, contextuality_witness
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
-EXIT_VALIDATION = 2
-EXIT_DIM_MISMATCH = 3
-EXIT_NO_WITNESS = 4
-EXIT_INTERNAL = 5
 
 
 def _read_json(path: str):
@@ -280,18 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except DimMismatchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DIM_MISMATCH
-    except WitnessNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_WITNESS
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
     except KdUncertError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INTERNAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

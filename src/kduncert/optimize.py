@@ -63,7 +63,8 @@ class SupremumResult:
     quantum_nonclassicality also fills per_effect_values in effect order;
     best_basis attains the largest. The suprema are closed forms, so the
     read-only per_restart_values is (value,), converged is True and
-    iterations_used is 1.
+    iterations_used is 1. No JSON carries these three; they stay only
+    because perfbench/tracing.py reads them.
     """
 
     value: float

@@ -126,16 +126,12 @@ def kdtable_to_json(t: KdTable) -> dict:
 
 
 def supremum_to_json(result: SupremumResult) -> dict:
-    out = {
+    """The NCl diagnostics of decompose: the value, its attaining basis and each effect's value."""
+    return {
         "value": result.value,
         "best_basis": matrix_to_json(result.best_basis.basis_unitary),
-        "per_restart_values": list(result.per_restart_values),
-        "converged": result.converged,
-        "iterations_used": result.iterations_used,
+        "per_effect_values": list(result.per_effect_values),
     }
-    if result.per_effect_values is not None:
-        out["per_effect_values"] = list(result.per_effect_values)
-    return out
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:

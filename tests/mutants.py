@@ -348,6 +348,7 @@ MUTANTS = (
         "class ValidationError(KdUncertError, ValueError):",
         "class ValidationError(KdUncertError):",
     ),
+    ("err.dim_mismatch_exits_2", "errors.py", "    exit_code = 3\n", "    exit_code = 2\n"),
     # __init__.py
     ("init.impurity_s_is_impurity_t", "__init__.py", "    impurity_s,\n", "    impurity_t as impurity_s,\n"),
 )

@@ -20,6 +20,8 @@ each step run once on a stack of matrices, so the one-matrix build can be
 pinned to its rows bit for bit. unbiased_bases keeps the witness's former
 catalog of unbiased bases at prime d, so the tests can check that the
 margins' eigenbases find every entry it held beyond the Fourier basis.
+pure_state_parts gives both quantum parts of a pure state |psi><psi| from
+vectors alone, with no svd: a second side of the trace-norm kernel.
 """
 
 import cmath
@@ -336,3 +338,20 @@ def unbiased_bases(d):
     if d == 2:
         return [f, np.diag([1.0, 1.0j]) @ f]
     return [np.diag(np.exp(2j * np.pi * k * m * m / d)) @ f for k in range(d)]
+
+
+def pure_state_parts(psi, effects):
+    """(NRe, NCl) quantum parts of rho = |psi><psi| for a unit vector psi, svd-free.
+
+    With r_a = M^a psi - <M^a> psi, [M^a, rho] = |r_a><psi| - |psi><r_a|, so
+    half its trace norm is ||r_a||; M^a rho = (M^a psi)<psi| has rank 1, so
+    its trace norm is ||M^a psi||. r_a is formed as a vector: the form
+    sqrt(<M^2> - <M>^2) cancels to about sqrt(eps).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    nre = ncl = 0.0
+    for m in effects:
+        m_psi = np.asarray(m, dtype=complex) @ psi
+        nre += float(np.linalg.norm(m_psi - np.vdot(psi, m_psi) * psi))
+        ncl += float(np.linalg.norm(m_psi))
+    return nre, ncl - 1.0

@@ -12,6 +12,7 @@ import cli_sweep
 import kduncert as kd
 from kduncert import selftest, serialize
 from kduncert.cli import main
+from kduncert.errors import DimMismatchError, KdUncertError, ValidationError, WitnessNotFoundError
 from kduncert.uncertainty import CORNER_SCAN_MAX_DIM
 from conftest import HADAMARD, Y_BASIS
 
@@ -187,10 +188,33 @@ def test_decompose_fixture_and_determinism(capsys, fixtures, derived):
 def test_decompose_ncl_is_the_trace_norm_sum(capsys, fixtures):
     code, out = _run(capsys, ["decompose", fixtures["plus"], fixtures["zbasis"], "--flavor", "NCl"])
     assert code == 0
-    assert out["diagnostics"]["converged"] is True
+    assert set(out["diagnostics"]) == {"value", "best_basis", "per_effect_values"}
     rho = np.full((2, 2), 0.5)
     expect = sum(np.linalg.svd(np.diag(e) @ rho, compute_uv=False).sum() for e in np.eye(2)) - 1.0
     assert abs(out["quantum"] - expect) < 1e-12
+
+
+def test_exit_code_lives_on_the_error_class(capsys, monkeypatch):
+    # main ends every library error with its class's exit_code; a subclass without one inherits 5
+    assert [c.exit_code for c in (KdUncertError, ValidationError, DimMismatchError, WitnessNotFoundError)] == [
+        5, 2, 3, 4,
+    ]
+    assert selftest.PropertyFailure.exit_code == 5
+
+    class Unmapped(KdUncertError):
+        pass
+
+    class OwnCode(KdUncertError):
+        exit_code = 7
+
+    for cls, code in ((Unmapped, 5), (OwnCode, 7)):
+        def raising(*args, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr("kduncert.cli.random_density", raising)
+        assert main(["random", "state", "--d", "2"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: injected\n")
 
 
 def test_removed_search_flags_exit_code(capsys, fixtures):

@@ -150,3 +150,24 @@ def test_johansen_matches_loop_reference():
             assert np.abs(comp.projected - projected).max() <= 1e-14
             assert np.abs(comp.real_shift - real_shift).max() <= 1e-14
             assert np.abs(comp.imag_part - imag_part).max() <= 1e-14
+
+
+def test_support_uncertainty_makes_a_pure_state_nonclassical():
+    # De Bievre, PRL 127, 190404 (2021): for bases A and B with no zero overlap, a pure state whose
+    # supports in them have sizes n_A + n_B > d + 1 is KD-nonclassical. A state spread over n_A >= 2
+    # vectors of a Haar basis A has n_B = d in a second Haar basis B; an eigenstate of A is classical
+    rng = np.random.default_rng(2100)
+    for d in range(2, 9):
+        for i in range(40):
+            ua = kd.haar_random_unitary(d, seed=2200 + 100 * d + i)
+            ub = kd.haar_random_unitary(d, seed=2250 + 100 * d + i)
+            n_a = 1 if i < 10 else 2 + i % (d - 1)
+            coeffs = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+            psi = ua[:, rng.choice(d, n_a, replace=False)] @ coeffs
+            psi /= np.linalg.norm(psi)
+            rho = kd.validate_density(np.outer(psi, psi.conj()))
+            value = kd.table_nonclassicality(kd.kd_table(rho, kd.rank_one_pvm(ua), kd.rank_one_pvm(ub)))
+            if n_a == 1:
+                assert value <= 1e-12, (d, i, value)
+            else:
+                assert value >= 1e-3, (d, i, n_a, value)

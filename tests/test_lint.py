@@ -178,9 +178,21 @@ def test_traced_ncl_field_check_catches_a_leftover():
     assert _missing_ncl_fields(source, _ncl_result()) == ["per_effect_bases"]
 
 
-def _exit_code_classes(errors_source: str, cli_source: str) -> tuple:
-    """(classes errors.py defines, classes cli.main's except clauses name)."""
-    defined = {node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)}
+def _exit_codes(errors_source: str, cli_source: str) -> tuple:
+    """({class errors.py defines: the exit_code its body assigns, or None}, classes cli.main's except clauses name)."""
+    codes = {}
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef):
+            codes[node.name] = next(
+                (
+                    stmt.value.value
+                    for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Constant)
+                    and any(isinstance(t, ast.Name) and t.id == "exit_code" for t in stmt.targets)
+                ),
+                None,
+            )
     main = next(
         node for node in ast.parse(cli_source).body if isinstance(node, ast.FunctionDef) and node.name == "main"
     )
@@ -189,24 +201,30 @@ def _exit_code_classes(errors_source: str, cli_source: str) -> tuple:
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             caught.update(t.id for t in types if isinstance(t, ast.Name))
-    return defined, caught
+    return codes, caught
 
 
 def test_one_exception_class_per_exit_code():
-    # a class that cli.main does not map adds no exit code, so nothing outside the message tells it apart
-    defined, caught = _exit_code_classes((SRC / "errors.py").read_text(), (SRC / "cli.py").read_text())
-    assert defined == caught == {"KdUncertError", "ValidationError", "DimMismatchError", "WitnessNotFoundError"}
+    # a class without an exit code of its own adds none, so nothing outside the message tells it apart;
+    # cli.main catches the base alone, so every class ends a call with its own code
+    codes, caught = _exit_codes((SRC / "errors.py").read_text(), (SRC / "cli.py").read_text())
+    assert set(codes) == {"KdUncertError", "ValidationError", "DimMismatchError", "WitnessNotFoundError"}
+    assert None not in codes.values() and len(set(codes.values())) == len(codes)
+    assert caught == {"KdUncertError"}
 
 
 def test_exit_code_class_check_catches_a_leftover():
-    errors = "class Base(Exception):\n    pass\n\nclass Bad(Base):\n    pass\n\nclass Spare(Bad):\n    pass\n"
+    errors = (
+        "class Base(Exception):\n    exit_code = 5\n\nclass Bad(Base):\n    exit_code = 2\n\n"
+        "class Spare(Bad):\n    pass\n"
+    )
     cli = (
         "def main():\n    try:\n        run()\n    except Bad:\n        return 2\n"
         "    except (Base, OSError):\n        return 5\n"
     )
-    defined, caught = _exit_code_classes(errors, cli)
-    assert defined - caught == {"Spare"}
-    assert caught - defined == {"OSError"}
+    codes, caught = _exit_codes(errors, cli)
+    assert codes == {"Base": 5, "Bad": 2, "Spare": None}
+    assert caught == {"Bad", "Base", "OSError"}
 
 
 def test_every_mutant_applies():

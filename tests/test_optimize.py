@@ -10,7 +10,7 @@ import kduncert as kd
 from kduncert import optimize
 from kduncert.optimize import _quantum_parts
 from conftest import PAULI_X
-from oracles import attaining_bases_stacked
+from oracles import attaining_bases_stacked, pure_state_parts
 
 
 def _z_povm():
@@ -254,3 +254,25 @@ def test_quantum_parts_bit_exact():
                     # the per-effect values summed in effect order, then the clamp of roundoff below zero
                     total = sum(ncl.per_effect_values) - 1.0
                     assert ncl.value == (0.0 if -1e-9 <= total < 0.0 else total), (d, rank, n)
+
+
+def test_pure_state_parts_match_the_svd_free_oracle():
+    # for rho = |psi><psi| both quantum parts are vector norms that share no code with the svd;
+    # measured by a rank-1 PVM, a pure state's whole uncertainty is quantum
+    rng = np.random.default_rng(3300)
+    for d in range(1, 17):
+        tol = 32 * d * np.finfo(float).eps
+        for i in range(10):
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            rho = kd.validate_density(np.outer(psi, psi.conj()))
+            povm = kd.random_povm(d, 2 + i % 3, seed=3400 + 10 * d + i)
+            for m in (povm, _haar_pvm(d, 3600 + 10 * d + i)):
+                nre, ncl = pure_state_parts(psi, m.stack)
+                got = _quantum_parts(rho, m)
+                assert abs(got[0] - nre) <= tol and abs(got[1] - ncl) <= tol, (d, i)
+                for flavor, want in ((kd.Flavor.NRE, nre), (kd.Flavor.NCL, ncl)):
+                    dec = kd.decompose(rho, m, flavor)
+                    assert abs(dec.quantum - want) <= tol, (d, i, flavor)
+                    if m is not povm:
+                        assert abs(dec.classical) <= tol, (d, i, flavor)
