@@ -16,6 +16,20 @@ shown, not only the first per location.
 Running it on two trees and diffing the outputs shows which argvs changed.
 Not collected by pytest; test_cli.py runs the same argvs through _run and
 checks that none ends in a traceback or a warning line.
+
+With --fuzz it runs a seeded mutation fuzzer instead (stdlib random, no
+other dependency):
+
+    PYTHONPATH=src python tests/cli_sweep.py --fuzz [SEED [COUNT]]
+
+Each of COUNT argvs (default 500, seed 0) is a sweep argv that exits 0 on
+valid input files, with one of them perturbed: an entry set to 1e308,
+1e-320 or 2**53 + 1, a key dropped, a field given a wrong type, re_im one
+pair too long or too short, or an off-diagonal shifted to just inside or
+just outside HERM_ATOL. The invariant: the exit code is 0, 2, 3 or 4, and
+stderr is empty or one "error:" line, so no warning is emitted. Each argv
+that breaks it is printed with its perturbation, and the exit status is 1
+if any did.
 """
 
 import contextlib
@@ -23,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 import warnings
@@ -30,8 +45,14 @@ import warnings
 import numpy as np
 
 from kduncert.cli import main
+from kduncert.core import HERM_ATOL
 
 DIMS = (1, 2, 3, 4, 8)
+# the fuzzer's inputs: every valid state, POVM and basis file of the sweep, and what it writes into them
+VALID = {f"{kind}{d}" for kind in ("pure", "full", "mixed", "povm", "basis", "basis2_", "pvm", "eye") for d in DIMS}
+EDGE_VALUES = (1e308, 1e-320, 2**53 + 1)
+WRONG_TYPES = ("1", [], {}, None, True, 1.5)
+PERTURBATIONS = ("edge", "drop", "type", "length", "hermitian")
 
 
 def _matrix(m) -> dict:
@@ -294,5 +315,67 @@ def sweep():
     print(f"# {len(argvs)} argvs", file=sys.stderr)
 
 
+def _perturb(rng, obj) -> str:
+    """Apply one random perturbation to a valid state, POVM or basis object, in place; describe it."""
+    m = rng.choice(obj["effects"]) if "effects" in obj else obj
+    pairs = m["re_im"]
+    kind = rng.choice(PERTURBATIONS if m["d"] > 1 else PERTURBATIONS[:-1])  # d = 1 has no off-diagonal
+    if kind == "edge":
+        i, part, value = rng.randrange(len(pairs)), rng.randrange(2), rng.choice(EDGE_VALUES)
+        pairs[i][part] = value
+        return f"re_im[{i}][{part}] = {value!r}"
+    if kind in ("drop", "type"):
+        target = rng.choice((obj, m))
+        key = rng.choice(sorted(target))
+        if kind == "drop":
+            del target[key]
+            return f"{key} dropped"
+        target[key] = rng.choice(WRONG_TYPES)
+        return f"{key} = {target[key]!r}"
+    if kind == "length":
+        if rng.random() < 0.5:
+            pairs.append([0.0, 0.0])
+        else:
+            pairs.pop()
+        return f"re_im has {len(pairs)} pairs"
+    d = m["d"]
+    i, j = rng.sample(range(d), 2)
+    part, scale = rng.randrange(2), rng.choice((0.9, 1.1))
+    pairs[i * d + j][part] += scale * HERM_ATOL
+    return f"re_im[{i * d + j}][{part}] += {scale} * HERM_ATOL"
+
+
+def fuzz(seed=0, count=500) -> int:
+    """Run count perturbed sweep argvs; print each that breaks the invariant; return how many did."""
+    rng = random.Random(seed)
+    broken = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _inputs(tmp)
+        names = {path: name for name, path in paths.items()}
+        valid = {paths[name] for name in VALID}
+        # argvs that exit 0 and read only valid files, at least one
+        argvs = [a for a in _argvs(paths) if any(x in valid for x in a) and all(x in valid for x in a if x in names)]
+        argvs = [a for a in argvs if _run(a)[0] == 0]
+        for k in range(count):
+            argv = list(rng.choice(argvs))
+            i = rng.choice([i for i, x in enumerate(argv) if x in valid])
+            with open(argv[i], "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            what = f"{names[argv[i]]}: {_perturb(rng, obj)}"
+            argv[i] = os.path.join(tmp, f"fuzz{k}")
+            with open(argv[i], "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(obj) + "\n")
+            code, _, err = _run(argv)
+            lines = err.splitlines()
+            if code not in (0, 2, 3, 4) or len(lines) > 1 or (lines and not lines[0].startswith("error: ")):
+                broken += 1
+                shown = " ".join(a.replace(tmp, "<tmp>") for a in argv)
+                print(f"{shown}  [{what}]  exit {code}, stderr {err.replace(tmp, '<tmp>')!r}")
+    print(f"# {count} fuzzed argvs, seed {seed}: {broken} broke the invariant", file=sys.stderr)
+    return broken
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--fuzz"]:
+        sys.exit(1 if fuzz(*map(int, sys.argv[2:])) else 0)
     sweep()

@@ -1,11 +1,9 @@
 import dataclasses
-import json
-import os
 
 import numpy as np
 import pytest
 
-import gen_ncl_bits
+import gen_bits
 import kduncert as kd
 from kduncert import optimize
 from kduncert.optimize import _quantum_parts
@@ -141,11 +139,9 @@ def test_optimizer_config_validation():
 
 
 def test_ncl_engine_bits_match_frozen_fixture():
-    # every bit of the closed form's output is pinned; see tests/gen_ncl_bits.py
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "ncl_bits.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        frozen = json.load(fh)
-    assert gen_ncl_bits.compute() == frozen
+    # every bit of the closed form's output is pinned; see tests/gen_bits.py
+    frozen = gen_bits.load("ncl")
+    assert gen_bits.compute("ncl") == frozen["cases"], f"frozen under {frozen['config']}, running under {gen_bits.machine()}"
 
 
 def _ncl_instances():

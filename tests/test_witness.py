@@ -1,13 +1,12 @@
-import json
+import copy
 import math
-import os
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-import gen_witness_bits
+import gen_bits
 import kduncert as kd
 import kduncert.witness as witness_mod
 from kduncert.core import _fourier
@@ -174,7 +173,7 @@ def test_witness_entries_reverify():
         report = kd.contextuality_witness(rho, povm)
         # the config is accepted and not read
         with_cfg = kd.contextuality_witness(rho, povm, kd.OptimizerConfig(n_restarts=1, seed=9))
-        assert gen_witness_bits.bits(with_cfg) == gen_witness_bits.bits(report)
+        assert gen_bits.report_bits(with_cfg) == gen_bits.report_bits(report)
         assert report.flavors_agree
         if report.contextual:
             entry = report.witness_entry
@@ -186,15 +185,51 @@ def test_witness_entries_reverify():
 
 
 def test_witness_bits_match_frozen_fixture():
-    # every report field is pinned; see tests/gen_witness_bits.py
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "witness_bits.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        frozen = json.load(fh)
-    assert gen_witness_bits.compute() == frozen
+    # every report field is pinned; see tests/gen_bits.py
+    frozen = gen_bits.load("witness")
+    assert gen_bits.compute("witness") == frozen["cases"], f"frozen under {frozen['config']}, running under {gen_bits.machine()}"
+
+
+def test_freezer_refuses_each_rule():
+    # the fixtures the freezer would write here, equal to the committed ones on the machine that froze
+    # them: the rule check derives the margins' basis bytes on the running BLAS core
+    fresh = {name: {"config": gen_bits.machine(), "cases": gen_bits.compute(name)} for name in gen_bits.TABLES}
+    for name, fx in fresh.items():
+        assert gen_bits.refusals(name, fx, fx) == []
+        assert gen_bits.refusals(name, {}, fx) == []
+
+    def refused(name, key, edit):
+        new = copy.deepcopy(fresh[name])
+        edit(new["cases"][key] if key else new)
+        return gen_bits.refusals(name, fresh[name], new)
+
+    def lower(fx):
+        fx["per_effect_values"][1] = (float.fromhex(fx["per_effect_values"][1]) - 1e-14).hex()
+
+    def move_one_ulp(fx):
+        fx["entry"]["weak_value"][0] = math.nextafter(float.fromhex(fx["entry"]["weak_value"][0]), 1.0).hex()
+
+    def to_fourier(fx):
+        fx["entry"]["basis_sha256"] = gen_bits._sha256(_fourier(2))
+
+    def other_numpy(fx):
+        fx["config"] = dict(fx["config"], numpy="0.0.0")
+
+    fourier_case = next(c for c in gen_bits.WITNESS_CASES if c[0] == "d2-mixed-povm2")
+    assert gen_bits.search_end(fourier_case, fresh["witness"]["cases"]["d2-mixed-povm2"]) == "mub"
+    assert refused("ncl", "d3-mixed-povm3", lower) == ["ncl d3-mixed-povm3: a per-effect value fell by more than 1e-15"]
+    assert refused("witness", "d2-mixed-povm2", move_one_ulp) == ["witness d2-mixed-povm2: ends in mub but its bits changed"]
+    assert refused("witness", "d2-search-margin-pvm", to_fourier) == [
+        "witness d2-search-margin-pvm: ends in mub, expected margin"
+    ]
+    for name in gen_bits.TABLES:
+        assert refused(name, None, other_numpy) == [
+            f"{name}: committed under {fresh[name]['config']}, running under {dict(fresh[name]['config'], numpy='0.0.0')}"
+        ]
 
 
 def _search_case(name):
-    return gen_witness_bits.build(next(c for c in gen_witness_bits.CASES if c[0] == name))
+    return gen_bits.build(next(c for c in gen_bits.WITNESS_CASES if c[0] == name))
 
 
 def test_witness_ncl_is_the_nonclassicality_value():
