@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 selftest failure, and for a KdUncertError its
 class's exit_code (kduncert.errors), after one "error: ..." line on stderr:
 2 validation error, 3 dimension mismatch, 4 no witness, 5 internal check
-failure. argparse's own usage errors, such as an unknown flag, and a
-MemoryError from a subcommand also exit 2. Exit 4's message states the
+failure. A usage error, such as an unknown flag or a missing argument,
+is a ValidationError with argparse's message, so it too ends in one
+"error: ..." line and exit 2; --help prints usage to stdout and exits 0.
+A MemoryError from a subcommand also exits 2. Exit 4's message states the
 witness's largest margin, and a margin <= 0 certifies that no
 postselection basis holds a weak value strange at the threshold.
 Only random and selftest take a seed, --seed, whose default is 0; a
@@ -198,8 +200,15 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if passed else EXIT_SELFTEST
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, whose usage errors are ValidationErrors."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kduncert",
         description="Kirkwood-Dirac quasiprobabilities and measurement-uncertainty decomposition.",
     )
@@ -273,10 +282,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except KdUncertError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -25,8 +25,11 @@ COMPLETENESS_ATOL = 1e-9  # POVM and projector completeness
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce input to a non-empty square complex matrix with finite entries, else ValidationError."""
-    a = np.asarray(m, dtype=complex)
+    """A new complex array holding m, a non-empty square matrix with finite entries, else ValidationError.
+
+    The validators freeze this copy, so the caller's array stays writable and is never held.
+    """
+    a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:

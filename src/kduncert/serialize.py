@@ -64,7 +64,9 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj, where="matrix") -> np.ndarray:
     d = _require(obj, "d", int, where)
     entries = _require(obj, "re_im", list, where)
-    if d < 1 or len(entries) != d * d:
+    if d < 1:
+        raise ValidationError(f"{where}: field 'd' must be >= 1, got {d}")
+    if len(entries) != d * d:
         try:
             want = str(d * d)
         except ValueError:  # d * d has more digits than int-to-str conversion allows
@@ -101,9 +103,8 @@ def povm_from_json(obj) -> Povm:
     d = _require(obj, "d", int, "povm")
     effects_json = _require(obj, "effects", list, "povm")
     effects = [matrix_from_json(e, where=f"povm effect {i}") for i, e in enumerate(effects_json)]
-    for i, e in enumerate(effects):
-        if e.shape[0] != d:
-            raise ValidationError(f"povm effect {i}: dim {e.shape[0]} != declared d {d}")
+    if effects and effects[0].shape[0] != d:  # validate_povm checks the other effects against effect 0
+        raise ValidationError(f"povm effect 0: dim {effects[0].shape[0]} != declared d {d}")
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list)

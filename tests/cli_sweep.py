@@ -15,21 +15,30 @@ stderr. An exception that escapes main is recorded as the exit code
 shown, not only the first per location.
 Running it on two trees and diffing the outputs shows which argvs changed.
 Not collected by pytest; test_cli.py runs the same argvs through _run and
-checks that none ends in a traceback or a warning line.
+checks that none ends in a traceback or a warning line and that each keeps
+the refusal contract that breach() states.
 
 With --fuzz it runs a seeded mutation fuzzer instead (stdlib random, no
 other dependency):
 
     PYTHONPATH=src python tests/cli_sweep.py --fuzz [SEED [COUNT]]
 
-Each of COUNT argvs (default 500, seed 0) is a sweep argv that exits 0 on
-valid input files, with one of them perturbed: an entry set to 1e308,
-1e-320 or 2**53 + 1, a key dropped, a field given a wrong type, re_im one
-pair too long or too short, or an off-diagonal shifted to just inside or
-just outside HERM_ATOL. The invariant: the exit code is 0, 2, 3 or 4, and
-stderr is empty or one "error:" line, so no warning is emitted. Each argv
-that breaks it is printed with its perturbation, and the exit status is 1
-if any did.
+Each of COUNT cases (default 500, seed 0) is a sweep argv with one
+perturbation, half of them to the argv and half to an input file. An argv
+perturbation drops a positional argument, inserts an unknown flag, gives
+--d, --seed, --samples, --outcomes, --rank or --threshold a non-numeric or
+negative value, or names an unknown subcommand. A file perturbation
+changes one valid state, POVM or basis file of an argv that reads only
+valid files: an entry set to 1e308, 1e-320 or 2**53 + 1, a key dropped, a
+field given a wrong type, re_im one pair too long or too short, or an
+off-diagonal shifted to just inside or just outside HERM_ATOL. The
+perturbed file is then also read in every subcommand slot that takes its
+kind, next to valid files of its dimension. Each run must keep the refusal
+contract with an exit code of 0, 2, 3 or 4; and when one slot refuses the
+file with exit 2, every slot must give the same exit code and stderr,
+except for bounds' own refusals (not a rank-1 PVM, d above its cap). Each
+case that breaks a rule is printed with its perturbation, and the exit
+status is 1 if any did.
 """
 
 import contextlib
@@ -49,10 +58,19 @@ from kduncert.core import HERM_ATOL
 
 DIMS = (1, 2, 3, 4, 8)
 # the fuzzer's inputs: every valid state, POVM and basis file of the sweep, and what it writes into them
-VALID = {f"{kind}{d}" for kind in ("pure", "full", "mixed", "povm", "basis", "basis2_", "pvm", "eye") for d in DIMS}
+STATE_KINDS = ("pure", "full", "mixed")
+VALID = {f"{kind}{d}" for kind in STATE_KINDS + ("povm", "basis", "basis2_", "pvm", "eye") for d in DIMS}
 EDGE_VALUES = (1e308, 1e-320, 2**53 + 1)
 WRONG_TYPES = ("1", [], {}, None, True, 1.5)
 PERTURBATIONS = ("edge", "drop", "type", "length", "hermitian")
+# and what it does to an argv
+ARGV_PERTURBATIONS = ("positional", "flag", "value", "subcommand")
+UNKNOWN_FLAGS = ("--bogus", "--max-iters", "-x")
+NUMERIC_FLAGS = ("--d", "--seed", "--samples", "--outcomes", "--rank", "--threshold")
+BAD_VALUES = ("x", "", "1,5", "-1", "-3", "-0.5")
+UNKNOWN_SUBCOMMANDS = ("bogus", "kd_table", "Decompose", "")
+# bounds refuses these files where the other subcommands take them
+BOUNDS_REFUSALS = ("expected a rank-1 PVM", "sign corners and accepts d <=")
 
 
 def _matrix(m) -> dict:
@@ -170,6 +188,8 @@ def _inputs(tmp) -> dict:
     write("typed_d_bool", {"d": True, "re_im": entries})
     write("typed_re_im_dict", {"d": 2, "re_im": {}})
     write("typed_effects_dict", {"d": 2, "effects": {}})
+    # a dimension below 1, whose re_im of d * d = 0 pairs is the right length
+    write("range_d_zero", {"d": 0, "re_im": []})
     # |0> under the Fourier PVM: the Fourier basis holds no strange entry, so the witness scans the margins
     for d in (2, 3, 4):
         m = np.arange(d)
@@ -282,6 +302,7 @@ def _argvs(p) -> list:
         ["witness", p["zero2"], p["fourier2"]],
         ["witness", p["zero3"], p["fourier3"]],
         ["witness", p["zero4"], p["fourier4"]],
+        ["infimum", p["range_d_zero"]],
     ]
     return argvs
 
@@ -302,6 +323,25 @@ def _run(argv):
         except Exception as exc:  # an input that escapes main's error mapping
             code = f"traceback:{type(exc).__name__}"
     return code, out.getvalue(), err.getvalue()
+
+
+def breach(argv, code, out, err):
+    """How one run breaks the refusal contract, or None.
+
+    The exit code is one of 0-5; outside selftest, exit 0 leaves stderr
+    empty; any other exit leaves stdout empty and stderr one line that
+    starts with "error: ". So a selftest that fails, exit 1 with its
+    report, breaks it too.
+    """
+    if code not in (0, 1, 2, 3, 4, 5):
+        return f"exit {code}"
+    if code == 0:
+        return "stderr on exit 0" if err and argv[:1] != ["selftest"] else None
+    if out:
+        return f"stdout on exit {code}"
+    if not err.startswith("error: ") or err.count("\n") != 1 or not err.endswith("\n"):
+        return f"exit {code} without one error line"
+    return None
 
 
 def sweep():
@@ -345,33 +385,118 @@ def _perturb(rng, obj) -> str:
     return f"re_im[{i * d + j}][{part}] += {scale} * HERM_ATOL"
 
 
+def _positionals(argv) -> list:
+    """Indexes of argv's positional arguments after the subcommand; every flag of the sweep takes a value."""
+    found, i = [], 1
+    while i < len(argv):
+        if argv[i].startswith("-"):
+            i += 2
+        else:
+            found.append(i)
+            i += 1
+    return found
+
+
+def _perturb_argv(rng, argv) -> str:
+    """Apply one random perturbation to an argv, in place; describe it."""
+    positionals = _positionals(argv)
+    kind = rng.choice(ARGV_PERTURBATIONS if positionals else ARGV_PERTURBATIONS[1:])
+    if kind == "positional":
+        i = rng.choice(positionals)
+        del argv[i]
+        return f"argument {i} dropped"
+    if kind == "flag":
+        flag = rng.choice(UNKNOWN_FLAGS)
+        argv.insert(rng.randrange(1, len(argv) + 1), flag)
+        return f"{flag} inserted"
+    if kind == "value":
+        flag, value = rng.choice(NUMERIC_FLAGS), rng.choice(BAD_VALUES)
+        argv += [flag, value]
+        return f"{flag} {value!r} appended"
+    argv[0] = rng.choice(UNKNOWN_SUBCOMMANDS)
+    return f"subcommand {argv[0]!r}"
+
+
+def _slots(paths, name, path) -> list:
+    """An argv for each subcommand slot that reads a file of name's kind, with path in that slot."""
+    kind = name.rstrip("0123456789")
+    d = name[len(kind):]
+    if kind in STATE_KINDS:
+        povm, basis = paths[f"povm{d}"], paths[f"basis{d}"]
+        return [
+            ["kd-table", path, povm, basis],
+            ["decompose", path, povm],
+            ["witness", path, povm],
+            ["infimum", path],
+            ["bounds", path, basis],
+        ]
+    state, basis = paths[f"full{d}"], paths[f"basis{d}"]
+    return [
+        ["kd-table", state, path, basis],
+        ["kd-table", state, basis, path],
+        ["decompose", state, path],
+        ["witness", state, path],
+        ["bounds", state, path],
+        ["bounds", state, basis, path],
+    ]
+
+
+def _slot_breach(answers):
+    """How the answers (argv, code, stderr) of one file's slots break "an exit 2 from one is the answer of all", or None."""
+    judged = [
+        (code, err) for argv, code, err in answers
+        if not (argv[0] == "bounds" and any(r in err for r in BOUNDS_REFUSALS))
+    ]
+    if any(code == 2 for code, _ in judged) and len(set(judged)) > 1:
+        return "slots answer differently: " + "; ".join(
+            f"{argv[0]} exit {code} {err.strip()!r}" for argv, code, err in answers
+        )
+    return None
+
+
 def fuzz(seed=0, count=500) -> int:
-    """Run count perturbed sweep argvs; print each that breaks the invariant; return how many did."""
+    """Run count perturbed sweep argvs; print each case that breaks a rule; return how many did."""
     rng = random.Random(seed)
     broken = 0
     with tempfile.TemporaryDirectory() as tmp:
         paths = _inputs(tmp)
         names = {path: name for name, path in paths.items()}
         valid = {paths[name] for name in VALID}
-        # argvs that exit 0 and read only valid files, at least one
-        argvs = [a for a in _argvs(paths) if any(x in valid for x in a) and all(x in valid for x in a if x in names)]
-        argvs = [a for a in argvs if _run(a)[0] == 0]
+        argvs = _argvs(paths)
+        # the argvs whose files a perturbation may change: they read only valid files, at least one
+        readers = [a for a in argvs if any(x in valid for x in a) and all(x in valid for x in a if x in names)]
         for k in range(count):
-            argv = list(rng.choice(argvs))
-            i = rng.choice([i for i, x in enumerate(argv) if x in valid])
-            with open(argv[i], "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            what = f"{names[argv[i]]}: {_perturb(rng, obj)}"
-            argv[i] = os.path.join(tmp, f"fuzz{k}")
-            with open(argv[i], "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(obj) + "\n")
-            code, _, err = _run(argv)
-            lines = err.splitlines()
-            if code not in (0, 2, 3, 4) or len(lines) > 1 or (lines and not lines[0].startswith("error: ")):
-                broken += 1
-                shown = " ".join(a.replace(tmp, "<tmp>") for a in argv)
-                print(f"{shown}  [{what}]  exit {code}, stderr {err.replace(tmp, '<tmp>')!r}")
-    print(f"# {count} fuzzed argvs, seed {seed}: {broken} broke the invariant", file=sys.stderr)
+            if rng.random() < 0.5:
+                argv = list(rng.choice(argvs))
+                what = _perturb_argv(rng, argv)
+                slots = []
+            else:
+                argv = list(rng.choice(readers))
+                i = rng.choice([i for i, x in enumerate(argv) if x in valid])
+                with open(argv[i], "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
+                what = f"{names[argv[i]]}: {_perturb(rng, obj)}"
+                path = os.path.join(tmp, f"fuzz{k}")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(obj) + "\n")
+                slots = _slots(paths, names[argv[i]], path)
+                argv[i] = path
+            answers, problems = [], []
+            for a in [argv] + slots:
+                code, out, err = _run(a)
+                answers.append((a, code, err))
+                problem = f"exit {code}" if code in (1, 5) else breach(a, code, out, err)
+                if problem is not None:
+                    problems.append((a, f"{problem}, stderr {err!r}"))
+            if slots:
+                problem = _slot_breach(answers[1:])
+                if problem is not None:
+                    problems.append((argv, problem))
+            broken += bool(problems)
+            for a, problem in problems:
+                shown = " ".join(x.replace(tmp, "<tmp>") for x in a)
+                print(f"{shown}  [{what}]  {problem.replace(tmp, '<tmp>')}")
+    print(f"# {count} fuzzed cases, seed {seed}: {broken} broke a rule", file=sys.stderr)
     return broken
 
 

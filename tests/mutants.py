@@ -142,6 +142,7 @@ MUTANTS = (
         "    return float(_trace_norms(as_operator(m)[None])[0])",
         "    return float(_trace_norms(as_operator(m).real[None])[0])",
     ),
+    ("core.as_operator_aliases", "core.py", "np.array(m, dtype=complex)", "np.asarray(m, dtype=complex)"),
     # kdtable.py
     (
         "kd.einsum_table",
@@ -330,9 +331,12 @@ MUTANTS = (
         "[matrix_to_json(e) for e in povm.stack]",
         "[matrix_to_json(e) for e in povm.stack[::-1]]",
     ),
+    ("ser.last_effect_dim", "serialize.py", "effects[0].shape[0] != d", "effects[-1].shape[0] != d"),
+    ("ser.zero_d_passes", "serialize.py", "    if d < 1:", "    if d < 0:"),
     # cli.py
     ("cli.kd_table_swapped", "cli.py", "kd_table(state, first, second)", "kd_table(state, second, first)"),
     ("cli.seed_default_1", "cli.py", '"--seed", type=int, default=0,', '"--seed", type=int, default=1,'),
+    ("cli.usage_error_exits", "cli.py", "raise ValidationError(message)", "super().error(message)"),
     # selftest.py
     (
         "st.convexity_nre_only",

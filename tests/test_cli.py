@@ -235,12 +235,52 @@ def test_removed_search_flags_exit_code(capsys, fixtures):
         (["selftest", "--rel-tol", "1e-8"], "--rel-tol"),
     ]
     for argv, flag in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {' '.join(argv[argv.index(flag):])}\n"
+
+
+def test_usage_errors_are_one_error_line(capsys, fixtures):
+    # argparse's refusals leave through main's one except clause, as a ValidationError with argparse's message
+    cases = [
+        (["decompose", fixtures["plus"], fixtures["zbasis"], "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["random", "state", "--d", "x"], "argument --d: invalid int value: 'x'"),
+        ([], "the following arguments are required: subcommand"),
+        (["kd-table", fixtures["plus"]], "the following arguments are required: povm, basis"),
+        (["search"], "argument subcommand: invalid choice: 'search' (choose from 'kd-table', 'decompose', "
+         "'witness', 'infimum', 'bounds', 'random', 'selftest')"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    # --help is not a refusal: usage on stdout, exit 0
+    for argv in (["--help"], ["decompose", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         captured = capsys.readouterr()
-        assert exc.value.code == 2, argv
-        assert captured.out == ""
-        assert flag in captured.err
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: kduncert") and captured.err == ""
+
+
+def test_povm_file_dimensions_are_checked_once(capsys, fixtures, tmp_path):
+    # povm_from_json checks effect 0 against the declared d; validate_povm checks every other effect against effect 0
+    half = serialize.matrix_to_json(np.eye(2) / 2)
+    files = {
+        "mixed": {"d": 2, "effects": [half, serialize.matrix_to_json(np.eye(3) / 2)]},
+        "declared": {"d": 3, "effects": [half, half]},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(serialize.dumps(obj) + "\n")
+    for name, code, message in (
+        ("mixed", 3, "effect 1 has dim 3, expected 2"),
+        ("declared", 2, "povm effect 0: dim 2 != declared d 3"),
+    ):
+        assert main(["decompose", fixtures["plus"], str(tmp_path / name)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_negative_seed_exit_code(capsys):
@@ -805,9 +845,12 @@ def test_cli_import_leaves_selftest_unloaded():
 
 
 def test_cli_sweep_ends_in_no_traceback_and_no_warning(tmp_path):
-    # every argv of tests/cli_sweep.py: no exception escapes main, no "Category: message" warning line
+    # every argv of tests/cli_sweep.py: no exception escapes main, no "Category: message" warning line,
+    # and the refusal contract holds (cli_sweep.breach): a documented exit code, an empty stderr on
+    # success outside selftest, and a refusal that is one "error: " line with nothing on stdout
     argvs = cli_sweep._argvs(cli_sweep._inputs(str(tmp_path)))
     for argv in argvs:
-        code, _, err = cli_sweep._run(argv)
+        code, out, err = cli_sweep._run(argv)
         assert not str(code).startswith("traceback:"), (argv, code)
         assert not [line for line in err.splitlines() if re.match(r"[A-Z]\w*: ", line)], (argv, err)
+        assert cli_sweep.breach(argv, code, out, err) is None, (argv, code, out[:200], err[:400])

@@ -248,6 +248,20 @@ def test_immutability():
         rho.matrix[0, 0] = 1.0
 
 
+def test_validators_freeze_a_copy_and_leave_their_input_writable():
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    u = kd.haar_random_unitary(2, seed=2)
+    effects = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    for m, held in (
+        (rho, kd.validate_density(rho).matrix),
+        (u, kd.rank_one_pvm(u).basis_unitary),
+        (effects, kd.validate_povm(effects).stack),
+    ):
+        assert m.flags.writeable
+        assert not held.flags.writeable and not np.shares_memory(m, held)
+        assert np.array_equal(m, held)
+
+
 def test_povm_stack_is_read_only_effect_stack():
     povms = [
         kd.random_povm(3, 4, seed=5),

@@ -60,6 +60,10 @@ def test_matrix_from_json_errors_name_fields():
         serialize.matrix_from_json({"re_im": []})
     with pytest.raises(kd.ValidationError, match="entry 0"):
         serialize.matrix_from_json({"d": 1, "re_im": [[1.0]]})
+    # a d below 1 is named as such, even when re_im holds d * d pairs
+    for d, entries in ((0, []), (-2, [[0.0, 0.0]] * 4)):
+        with pytest.raises(kd.ValidationError, match=rf"^state: field 'd' must be >= 1, got {d}$"):
+            serialize.matrix_from_json({"d": d, "re_im": entries}, where="state")
     with pytest.raises(kd.ValidationError, match="effects"):
         serialize.povm_from_json({"d": 2})
 
